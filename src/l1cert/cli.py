@@ -208,6 +208,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
+    except (ArithmeticError, MemoryError) as exc:
+        # Sizes beyond float range or memory are input errors, not failed checks.
+        print(f"error: {type(exc).__name__}: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

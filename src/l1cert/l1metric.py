@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointset import FormatError, IntervalLabel, PointSet, VertexAddress, parse_address
+from .pointset import (
+    BLOCK_ELEMENTS,
+    FormatError,
+    IntervalLabel,
+    PointSet,
+    VertexAddress,
+    parse_address,
+)
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -101,13 +108,20 @@ def embedding_matrix(ps: PointSet, emb: Embedding) -> np.ndarray:
 
 
 def pairwise_l1(points: np.ndarray) -> np.ndarray:
-    """All pairwise L1 distances of the rows of `points`, chunked to bound memory."""
+    """All pairwise L1 distances of the rows of `points`, chunked to bound memory.
+
+    Each row block is computed against the columns from its own start only
+    and mirrored below itself. |a - b| == |b - a| exactly and each pair is
+    summed in the same order, so this equals the full-square computation.
+    """
     n, d = points.shape
-    out = np.zeros((n, n))
-    step = max(1, 2**22 // max(1, n * d))
+    out = np.empty((n, n))
+    step = max(1, BLOCK_ELEMENTS // max(1, n * d))
     for i0 in range(0, n, step):
-        blk = points[i0 : i0 + step]
-        out[i0 : i0 + step] = np.abs(blk[:, None, :] - points[None, :, :]).sum(axis=-1)
+        i1 = min(i0 + step, n)
+        blk = np.abs(points[i0:i1, None, :] - points[None, i0:, :]).sum(axis=-1)
+        out[i0:i1, i0:] = blk
+        out[i1:, i0:i1] = blk[:, i1 - i0 :].T
     return out
 
 
@@ -126,14 +140,22 @@ class DistortionReport:
 
 
 def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionReport:
+    """Worst ratios over the pairs i < j, taken one row block at a time."""
     n = embedded.shape[0]
-    iu = np.triu_indices(n, 1)
-    de = embedded[iu]
-    do = original[iu].astype(float)
-    expansion = float(np.max(de / do))
-    if np.any(de == 0.0):
+    step = max(1, BLOCK_ELEMENTS // n)
+    expansion = contraction = 0.0
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n)
+        upper = np.arange(i0, n) > np.arange(i0, i1)[:, None]
+        de = embedded[i0:i1, i0:][upper]
+        do = original[i0:i1, i0:][upper]
+        expansion = max(expansion, float(np.max(de / do)))
+        if np.any(de == 0.0):
+            contraction = math.inf
+        else:
+            contraction = max(contraction, float(np.max(do / de)))
+    if contraction == math.inf:
         return DistortionReport(expansion, math.inf, math.inf)
-    contraction = float(np.max(do / de))
     return DistortionReport(expansion, contraction, expansion * contraction)
 
 

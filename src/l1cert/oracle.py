@@ -23,7 +23,13 @@ from .infotheory import (
     binary_entropy,
     mutual_information,
 )
-from .l1metric import DistortionReport, Embedding, make_embedding, pairwise_l1
+from .l1metric import (
+    DistortionReport,
+    Embedding,
+    _ratio_report,
+    make_embedding,
+    pairwise_l1,
+)
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
 MAX_COMPLETIONS = 10**6
@@ -153,16 +159,6 @@ class SearchResult:
     restart: int
 
 
-def _ratios(embedded: np.ndarray, original: np.ndarray) -> tuple[float, float]:
-    iu = np.triu_indices(original.shape[0], 1)
-    de = embedded[iu]
-    do = original[iu]
-    expansion = float(np.max(de / do))
-    if np.any(de == 0.0):
-        return expansion, math.inf
-    return expansion, float(np.max(do / de))
-
-
 def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     """Local search for a low-distortion embedding into R**target_dimension.
 
@@ -212,16 +208,13 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
                     if embedded[i, j] == 0.0:
                         points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
             embedded = pairwise_l1(points)
-        expansion, contraction = _ratios(embedded, original)
-        total = expansion * contraction
+        total = _ratio_report(embedded, original).distortion
         if best is None or total < best[0]:
             best = (total, restart, points.copy())
 
     total, restart, points = best
     emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
-    expansion, contraction = _ratios(pairwise_l1(points), original)
-    report = DistortionReport(expansion, contraction, expansion * contraction)
-    return SearchResult(emb, report, restart)
+    return SearchResult(emb, _ratio_report(pairwise_l1(points), original), restart)
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:

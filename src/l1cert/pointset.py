@@ -33,6 +33,9 @@ import numpy as np
 MAX_EDGE_CAPACITY = 2**48
 # Largest graph build_graph will materialize; label queries work far beyond.
 MAX_MATERIALIZED_EDGES = 2**22
+# Elements in one row block's temporary in the all-pairs passes: 128 KB of
+# 8-byte values stays in cache, which measured faster than larger blocks.
+BLOCK_ELEMENTS = 2**14
 
 
 class CapacityError(ValueError):
@@ -379,18 +382,30 @@ class PointSet:
         return len(self.graph.vertices)
 
     @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """Exact pairwise label distances in export order (int64)."""
-        from .l1metric import l1_interval_distance
+    def _bitsets(self) -> np.ndarray:
+        """Labels packed as little-endian uint64 words in export order, shape (N, words)."""
+        words = -(-self.dimension // 64)
+        bits = np.zeros((len(self), 64 * words), dtype=bool)
+        for i, addr in enumerate(self.addresses):
+            for a, b in self.labels[addr].intervals:
+                bits[i, a:b] = True
+        return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
-        n = len(self)
-        labs = [self.labels[a] for a in self.addresses]
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = l1_interval_distance(labs[i], labs[j])
-                out[i, j] = d
-                out[j, i] = d
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """Exact pairwise label distances in export order (int64).
+
+        Each distance is the popcount of the XOR of two packed labels, taken
+        one row block at a time; l1metric.l1_interval_distance is the
+        interval-merge reference it is tested against.
+        """
+        bits = self._bitsets
+        n, words = bits.shape
+        out = np.empty((n, n), dtype=np.int64)
+        step = max(1, BLOCK_ELEMENTS // (n * words))
+        for i0 in range(0, n, step):
+            xor = bits[i0 : i0 + step, None, :] ^ bits[None, :, :]
+            out[i0 : i0 + step] = np.bitwise_count(xor).sum(axis=-1)
         return out
 
 

@@ -92,6 +92,12 @@ class TestBound:
             main(["bound", "-k", "2", "-n", "5", "--eps", "0.1", "--distortion", "2"]) == 2
         )
 
+    def test_out_of_float_range_is_input_error(self, capsys):
+        # 2**(n-1) overflows a float far below any n the construction limits.
+        assert main(["bound", "-k", "2", "-n", "2000", "--eps", "0"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+
 
 class TestSearch:
     def test_writes_embedding_and_report(self, tmp_path, pointsets):

@@ -7,14 +7,18 @@ Core claims:
     - distortion is scale invariant; normalize_lipschitz brings expansion
       to 1, preserves distortion, and is idempotent
     - degenerate embeddings are flagged with infinite contraction
+    - the half-square pairwise pass and the blocked ratio pass equal the
+      naive full-square formulas exactly, and warn about nothing
     - the L1EMB format round-trips and parses strictly
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from l1cert import l1metric
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
     distortion,
@@ -25,6 +29,7 @@ from l1cert.l1metric import (
     l1_interval_distance,
     make_embedding,
     normalize_lipschitz,
+    pairwise_l1,
     scale_embedding,
 )
 from l1cert.pointset import FormatError, IntervalLabel
@@ -126,6 +131,67 @@ class TestDistortion:
         partial = {a: [1.0] for a in ps.addresses[:-1]}
         with pytest.raises(ValueError):
             distortion(ps, make_embedding(partial))
+
+
+def naive_pairwise(points):
+    return np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+
+
+def dense_distortion(ps, emb):
+    """The full-square triu_indices formula over dense 0/1 labels."""
+    points = np.stack([emb.vectors[a] for a in ps.addresses])
+    bits = np.stack([ps.labels[a].to_dense() for a in ps.addresses])
+    iu = np.triu_indices(len(ps), 1)
+    de = naive_pairwise(points)[iu]
+    do = naive_pairwise(bits)[iu]
+    expansion = float(np.max(de / do))
+    if np.any(de == 0.0):
+        return expansion, math.inf, math.inf
+    contraction = float(np.max(do / de))
+    return expansion, contraction, expansion * contraction
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("block", [1, 4 * 37 * 5, 10 * 37 * 5, 2**30])
+    def test_pairwise_equals_naive_for_any_chunking(self, monkeypatch, block):
+        points = np.random.default_rng(19).standard_normal((37, 5)) * 1e3
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", block)
+        got = pairwise_l1(points)
+        assert np.array_equal(got, naive_pairwise(points))
+        assert np.array_equal(got, got.T)
+
+    def embeddings(self, ps):
+        rng = np.random.default_rng(23)
+        for d in (1, 3, 9):
+            yield make_embedding({a: rng.standard_normal(d) for a in ps.addresses})
+        vectors = {a: rng.standard_normal(4) for a in ps.addresses}
+        vectors[ps.addresses[-1]] = vectors[ps.addresses[3]]
+        yield make_embedding(vectors)
+        yield make_embedding({a: [0.0, 0.0] for a in ps.addresses})
+
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("block", [1, 600, 2**30])
+    def test_distortion_equals_dense_formula(self, pointsets, monkeypatch, k, n, block):
+        ps = pointsets(k, n)
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for emb in self.embeddings(ps):
+                report = distortion(ps, emb)
+                got = (report.expansion, report.contraction, report.distortion)
+                assert got == dense_distortion(ps, emb)
+
+    def test_coincident_and_all_zero_give_infinity_not_nan(self, pointsets):
+        ps = pointsets(2, 3)
+        *_, coincident, zero = self.embeddings(ps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [distortion(ps, coincident), distortion(ps, zero)]
+        for report in reports:
+            assert report.contraction == math.inf
+            assert report.distortion == math.inf
+        assert 0.0 < reports[0].expansion < math.inf
+        assert reports[1].expansion == 0.0
 
 
 class TestNormalizeLipschitz:

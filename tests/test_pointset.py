@@ -10,18 +10,24 @@ Core claims:
     - the P1 export format round-trips byte-identically and parses strictly
 
 Label distances here are checked against an independent dense oracle
-(explicit ones-sets), not the library's merge-based distance.
+(explicit ones-sets), not the library's merge-based distance. The packed
+bitset distance matrix is checked against both the merge-based distance
+and a dense 0/1 product.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
+from l1cert import pointset
+from l1cert.l1metric import l1_interval_distance
 from l1cert.pointset import (
     CapacityError,
     FormatError,
     GraphParams,
     IntervalLabel,
+    PointSet,
     ROOT_LEFT,
     ROOT_RIGHT,
     VertexAddress,
@@ -230,6 +236,31 @@ class TestMetricStructure:
             antipodal_pairs(graph, 0)
         with pytest.raises(ValueError):
             antipodal_pairs(graph, 3)
+
+
+class TestDistanceMatrix:
+    """The packed bitset matrix against the interval-merge reference."""
+
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3)])
+    def test_equals_interval_distance_on_every_pair(self, pointsets, k, n):
+        # (4, 3) has labels of exactly 64 bits, one full word.
+        ps = pointsets(k, n)
+        labs = [ps.labels[a] for a in ps.addresses]
+        want = np.array([[l1_interval_distance(a, b) for b in labs] for a in labs])
+        got = ps.distance_matrix
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 20000, 2**30])
+    def test_two_word_labels_equal_dense_product(self, pointsets, monkeypatch, block):
+        # (3, 4) has 81-bit labels, spread over two words.
+        ps = pointsets(3, 4)
+        monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", block)
+        got = PointSet(ps.graph, ps.labels).distance_matrix
+        dense = np.stack([ps.labels[a].to_dense() for a in ps.addresses])
+        ones = dense.sum(axis=1)
+        want = ones[:, None] + ones[None, :] - 2 * (dense @ dense.T)
+        assert np.array_equal(got, want.astype(np.int64))
 
 
 class TestIntervalLabel:
