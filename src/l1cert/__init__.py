@@ -64,7 +64,6 @@ from .pointset import (
     VertexAddress,
     antipodal_pairs,
     build_graph,
-    edge_coordinate_block,
     edge_endpoints,
     point_set,
     pointset_from_text,

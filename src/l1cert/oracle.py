@@ -167,6 +167,11 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     pattern of the pair's difference, sized to the pair's residual and
     damped by min(1, c/sqrt(t)). Restart r uses seed+r; the best restart
     wins (ties to the lowest index). Best effort only.
+
+    The embedded distances and the violation matrix are built once per
+    restart. A step moves at most points i and j, so only their rows (and
+    mirrored columns) are refreshed, each summed per pair exactly as
+    `pairwise_l1` does: O(N*d) arithmetic plus one O(N**2) argmax per step.
     """
     n = len(ps)
     if n > 2000:
@@ -175,22 +180,30 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     original = ps.distance_matrix.astype(float)
     np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
     scale = float(original[np.triu_indices(n, 1)].mean())
-    eye = np.eye(n, dtype=bool)
+    log_original = np.log(original)
 
-    best: tuple[float, int, np.ndarray] | None = None
+    def refresh(m: int) -> None:
+        """Recompute row and column m of `embedded` and `violation`."""
+        row = np.abs(points[m] - points).sum(axis=-1)
+        embedded[m] = embedded[:, m] = row
+        worst = np.abs(np.log(np.maximum(row, 1e-300)) - log_original[m])
+        worst[m] = -math.inf
+        violation[m] = violation[:, m] = worst
+
+    best: tuple[DistortionReport, int, np.ndarray] | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
         points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
+        embedded = pairwise_l1(points)
+        violation = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
+        np.fill_diagonal(violation, -math.inf)
         for t in range(1, cfg.iterations + 1):
-            embedded = pairwise_l1(points)
-            with np.errstate(divide="ignore"):
-                violation = np.abs(np.log(np.maximum(embedded, 1e-300)) - np.log(original))
-            violation[eye] = -math.inf
             i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
             diff = points[i] - points[j]
             dist = float(np.abs(diff).sum())
             if dist < 1e-12:
                 points[i] = points[i] + rng.standard_normal(d) * (1e-6 * scale)
+                refresh(i)
                 continue
             direction = np.sign(diff)
             moving = int(np.count_nonzero(direction))
@@ -198,23 +211,22 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
             step = min(1.0, cfg.step_scale / math.sqrt(t)) * residual / (2.0 * moving)
             points[i] -= step * direction
             points[j] += step * direction
+            refresh(i)
+            refresh(j)
 
-        embedded = pairwise_l1(points)
-        offdiag = embedded[~eye]
-        if np.any(offdiag == 0.0):
-            # Split coincident points so the result is a genuine embedding.
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if embedded[i, j] == 0.0:
-                        points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
+        # Split coincident points so the result is a genuine embedding.
+        coincident = list(zip(*np.nonzero(np.triu(embedded == 0.0, 1))))
+        for i, j in coincident:
+            points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
+        if coincident:
             embedded = pairwise_l1(points)
-        total = _ratio_report(embedded, original).distortion
-        if best is None or total < best[0]:
-            best = (total, restart, points.copy())
+        report = _ratio_report(embedded, original)
+        if best is None or report.distortion < best[0].distortion:
+            best = (report, restart, points.copy())
 
-    total, restart, points = best
+    report, restart, points = best
     emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
-    return SearchResult(emb, _ratio_report(pairwise_l1(points), original), restart)
+    return SearchResult(emb, report, restart)
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:

@@ -7,6 +7,8 @@ Core claims:
     - search_embedding is deterministic per seed, finds near-isometries
       when the label dimension is available, and never produces an
       inconsistent certificate
+    - the incremental search is bit-for-bit the full-recompute search,
+      including the jitter of coincident pairs and the final split
     - build_message_joint has an exactly uniform source marginal and
       reproduces the hand-computed information values
 """
@@ -19,9 +21,10 @@ import pytest
 
 from l1cert.certifier import average_edge_vector, certify
 from l1cert.infotheory import chain_rule_terms, mutual_information
-from l1cert.l1metric import identity_embedding, make_embedding
+from l1cert.l1metric import _ratio_report, identity_embedding, make_embedding, pairwise_l1
 from l1cert.oracle import (
     SearchConfig,
+    SearchResult,
     brute_force_average,
     build_message_joint,
     lemma_check,
@@ -169,6 +172,140 @@ class TestSearchEmbedding:
                 cfg = SearchConfig(target_dimension=d, iterations=300, restarts=2, seed=seed)
                 result = search_embedding(ps, cfg)
                 assert certify(ps, result.embedding).consistent
+
+
+def _full_recompute_search(ps, cfg):
+    """Reference search: every step recomputes all N**2 distances and log ratios."""
+    n = len(ps)
+    if n > 2000:
+        raise CapacityError(f"point set with {n} points too large for the searcher")
+    d = cfg.target_dimension
+    original = ps.distance_matrix.astype(float)
+    np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
+    scale = float(original[np.triu_indices(n, 1)].mean())
+    eye = np.eye(n, dtype=bool)
+
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + restart)
+        points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
+        for t in range(1, cfg.iterations + 1):
+            embedded = pairwise_l1(points)
+            with np.errstate(divide="ignore"):
+                violation = np.abs(np.log(np.maximum(embedded, 1e-300)) - np.log(original))
+            violation[eye] = -math.inf
+            i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
+            diff = points[i] - points[j]
+            dist = float(np.abs(diff).sum())
+            if dist < 1e-12:
+                points[i] = points[i] + rng.standard_normal(d) * (1e-6 * scale)
+                continue
+            direction = np.sign(diff)
+            moving = int(np.count_nonzero(direction))
+            residual = dist - original[i, j]
+            step = min(1.0, cfg.step_scale / math.sqrt(t)) * residual / (2.0 * moving)
+            points[i] -= step * direction
+            points[j] += step * direction
+
+        embedded = pairwise_l1(points)
+        offdiag = embedded[~eye]
+        if np.any(offdiag == 0.0):
+            # Split coincident points so the result is a genuine embedding.
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if embedded[i, j] == 0.0:
+                        points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
+            embedded = pairwise_l1(points)
+        total = _ratio_report(embedded, original).distortion
+        if best is None or total < best[0]:
+            best = (total, restart, points.copy())
+
+    total, restart, points = best
+    emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
+    return SearchResult(emb, _ratio_report(pairwise_l1(points), original), restart)
+
+
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class _CountingGenerator:
+    """A seeded generator that counts single-point draws (jitters and splits).
+
+    With `snap`, the starting point matrix is rounded to integers, so many
+    points start (and, after few steps, stay) coincident.
+    """
+
+    def __init__(self, seed, snap, counts):
+        self._rng = _REAL_DEFAULT_RNG(seed)
+        self._snap = snap
+        self._counts = counts
+
+    def standard_normal(self, size):
+        draw = self._rng.standard_normal(size)
+        if np.ndim(draw) == 1:
+            self._counts.append(size)
+        elif self._snap:
+            draw = np.round(draw)
+        return draw
+
+
+def _counting_rng(monkeypatch, snap=False):
+    counts = []
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _CountingGenerator(seed, snap, counts)
+    )
+    return counts
+
+
+def _assert_identical(ps, got, want):
+    assert got.restart == want.restart
+    assert got.report == want.report
+    for addr in ps.addresses:
+        assert np.array_equal(got.embedding.vectors[addr], want.embedding.vectors[addr])
+
+
+class TestIncrementalSearch:
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_full_recompute(self, pointsets, k, n, d, seed):
+        ps = pointsets(k, n)
+        cfg = SearchConfig(target_dimension=d, iterations=300, restarts=2, seed=seed)
+        _assert_identical(ps, search_embedding(ps, cfg), _full_recompute_search(ps, cfg))
+
+    def test_matches_full_recompute_depth_four(self, pointsets):
+        ps = pointsets(2, 4)
+        cfg = SearchConfig(target_dimension=8, iterations=40, restarts=2, seed=11)
+        _assert_identical(ps, search_embedding(ps, cfg), _full_recompute_search(ps, cfg))
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 2)])
+    def test_matches_full_recompute_through_coincident_jitter(
+        self, pointsets, monkeypatch, k, n
+    ):
+        # At d=1 the search drives pairs onto each other and takes the
+        # dist < 1e-12 branch, which moves point i alone.
+        ps = pointsets(k, n)
+        cfg = SearchConfig(target_dimension=1, iterations=300, restarts=2, seed=0)
+        counts = _counting_rng(monkeypatch)
+        want = _full_recompute_search(ps, cfg)
+        assert counts, "the reference never took the coincident branch"
+        _assert_identical(ps, search_embedding(ps, cfg), want)
+
+    @pytest.mark.parametrize("k,n,d", [(2, 2, 1), (2, 3, 2), (3, 2, 1)])
+    def test_matches_full_recompute_through_final_split(
+        self, pointsets, monkeypatch, k, n, d
+    ):
+        ps = pointsets(k, n)
+        cfg = SearchConfig(target_dimension=d, iterations=3, restarts=2, seed=1)
+        counts = _counting_rng(monkeypatch, snap=True)
+        want = _full_recompute_search(ps, cfg)
+        # At most one single-point draw per step; any more are split draws.
+        assert len(counts) > cfg.iterations * cfg.restarts
+        reference_draws = len(counts)
+        got = search_embedding(ps, cfg)
+        assert len(counts) == 2 * reference_draws
+        _assert_identical(ps, got, want)
+        assert math.isfinite(got.report.distortion)
 
 
 class TestMessageJoint:
