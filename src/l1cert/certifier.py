@@ -146,23 +146,29 @@ def constraint_lhs(
 
 
 def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintReport:
-    """Evaluate every (level, prefix, r) constraint and extract epsilon."""
+    """Evaluate every (level, prefix, r) constraint and extract epsilon.
+
+    One numpy pass per level over graph.level_edges: the (2k)**l prefix
+    averages of level l, folded per prefix and accumulated over b, so the
+    arithmetic is O(E*d) for all levels together plus one entry per
+    constraint. Each lhs is |2*partial - total|_1 / 2k with the partial sums
+    accumulated over b in order; constraint_lhs, the per-prefix reference,
+    sums the two sides separately and so agrees to rounding.
+    """
     params = graph.params
-    k, cyc = params.k, params.cycle_length
+    k, n, cyc = params.k, params.n, params.cycle_length
+    points = np.stack([emb.vectors[v] for v in graph.vertices])
     entries = []
-    for level in range(1, params.n + 1):
-        for prefix in itertools.product(range(1, cyc + 1), repeat=level - 1):
-            paired = [
-                average_edge_vector(graph, emb, prefix + (b,))
-                + average_edge_vector(graph, emb, prefix + (b + k,))
-                for b in range(1, k + 1)
-            ]
-            total = sum(paired)
-            partial = np.zeros_like(total)
-            for r in range(1, k):
-                partial = partial + paired[r - 1]
-                lhs = float(np.abs(2 * partial - total).sum()) / (2 * k)
-                entries.append(ConstraintEntry(level, prefix, r, lhs))
+    for level, (tail, head) in enumerate(graph.level_edges, start=1):
+        avg = (points[head] - points[tail]) / k ** (n - level)
+        avg = avg.reshape(-1, cyc, emb.dimension)
+        partial = np.cumsum(avg[:, :k] + avg[:, k:], axis=1)
+        lhs = np.abs(2 * partial[:, :-1] - partial[:, -1:]).sum(axis=-1) / (2 * k)
+        prefixes = itertools.product(range(1, cyc + 1), repeat=level - 1)
+        for prefix, row in zip(prefixes, lhs.tolist()):
+            entries.extend(
+                ConstraintEntry(level, prefix, r, value) for r, value in enumerate(row, start=1)
+            )
     min_lhs = min(e.lhs for e in entries)
     return ConstraintReport(tuple(entries), min_lhs, max(0.0, 1.0 - min_lhs))
 

@@ -222,7 +222,7 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
         parts = line.split()
         if len(parts) != head["d"] + 1:
             raise FormatError(f"line {lineno}: expected address plus {head['d']} coordinates")
-        if parse_address(parts[0], p) != addr:
+        if parts[0] != str(addr) and parse_address(parts[0], p) != addr:
             raise FormatError(f"line {lineno}: address {parts[0]!r} out of canonical order")
         try:
             vec = np.array([float(x) for x in parts[1:]])

@@ -188,6 +188,23 @@ class RecursiveCycleGraph:
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
 
+    @cached_property
+    def level_edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per level l = 1..n, read-only (tail, head) vertex-index arrays.
+
+        Entry l-1 holds the (2k)**l level-l edges in lexicographic
+        coordinate order, as indices into `vertices`, oriented as
+        edge_endpoints orients them (flip_bottom included).
+        """
+        k = self.params.k
+        out = []
+        for cycles in _level_cycles(self.params):
+            tail, head = _cycle_edges(cycles, k, self.flip_bottom)
+            tail.flags.writeable = False
+            head.flags.writeable = False
+            out.append((tail, head))
+        return tuple(out)
+
 
 def vertex_count(params: GraphParams) -> int:
     """Closed-form vertex count; always an exact integer."""
@@ -232,6 +249,47 @@ def _edge_endpoints_raw(
             _cycle_vertex(params, parent, head_pos),
         )
     raise ValueError(f"edge coordinate {b} out of range 1..{2 * k}")
+
+
+def _level_cycles(params: GraphParams) -> list[np.ndarray]:
+    """Vertex indices around every cycle: one ((2k)**(l-1), 2k) matrix per level l.
+
+    Row p is the cycle refining the p-th level-(l-1) edge in lexicographic
+    order (the root edge for l = 1) and column q is cycle position q. Columns
+    0 and k hold that edge's canonical (never flipped) tail and head; the
+    other columns are the cycle's new inner vertices, numbered in export
+    order. This is the array form of _cycle_vertex for a whole level.
+    """
+    k, cyc = params.k, params.cycle_length
+    inner = [q for q in range(1, cyc) if q != k]
+    tail, head = np.array([0]), np.array([1])
+    created = 2
+    out = []
+    for _ in range(params.n):
+        rows = tail.size
+        cycles = np.empty((rows, cyc), dtype=np.intp)
+        cycles[:, 0] = tail
+        cycles[:, k] = head
+        cycles[:, inner] = np.arange(created, created + rows * (cyc - 2)).reshape(rows, -1)
+        created += rows * (cyc - 2)
+        out.append(cycles)
+        tail, head = _cycle_edges(cycles, k, False)
+    return out
+
+
+def _cycle_edges(
+    cycles: np.ndarray, k: int, flip_bottom: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) of edge b = 1..2k of every cycle, flattened cycle-major.
+
+    Top edge b runs from position b-1 to b, bottom edge b from position
+    b mod 2k to b-1 (see _edge_endpoints_raw); flip_bottom swaps the latter.
+    """
+    tails = list(range(k)) + [b % (2 * k) for b in range(k + 1, 2 * k + 1)]
+    heads = list(range(1, k + 1)) + list(range(k, 2 * k))
+    if flip_bottom:
+        tails, heads = tails[:k] + heads[k:], heads[:k] + tails[k:]
+    return cycles[:, tails].ravel(), cycles[:, heads].ravel()
 
 
 def _validate_prefix(params: GraphParams, prefix: tuple[int, ...]) -> tuple[int, ...]:
@@ -326,12 +384,13 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
         for path in itertools.product(range(1, cyc + 1), repeat=level - 1):
             for q in inner_positions:
                 vertices.append(VertexAddress("inner", path, q))
-    edges: dict[tuple[int, ...], tuple[VertexAddress, VertexAddress]] = {}
-    for coords in itertools.product(range(1, cyc + 1), repeat=params.n):
-        tail, head = _edge_endpoints_raw(params, coords)
-        if flip_bottom and coords[-1] > params.k:
-            tail, head = head, tail
-        edges[coords] = (tail, head)
+    tail, head = _cycle_edges(_level_cycles(params)[-1], params.k, flip_bottom)
+    edges = dict(
+        zip(
+            itertools.product(range(1, cyc + 1), repeat=params.n),
+            zip([vertices[i] for i in tail.tolist()], [vertices[i] for i in head.tolist()]),
+        )
+    )
     graph = RecursiveCycleGraph(params, tuple(vertices), edges, flip_bottom)
     assert len(vertices) == vertex_count(params)
     return graph
@@ -410,23 +469,35 @@ class PointSet:
 
 
 def point_set(graph: RecursiveCycleGraph) -> PointSet:
-    """Compute every vertex label once, sharing work along the recursion."""
+    """Compute every vertex label once, level by level.
+
+    An inner vertex's label is its cycle's tail label, built at an earlier
+    level, plus one ones-interval inside the cycle's coordinate block, so
+    the whole set costs one IntervalLabel.make per vertex and no recursion.
+    _label_of is the per-vertex reference it is tested against.
+    """
     params = graph.params
-    memo: dict[VertexAddress, IntervalLabel] = {}
-
-    def label(addr: VertexAddress) -> IntervalLabel:
-        got = memo.get(addr)
-        if got is None:
-            if addr.kind == "inner":
-                # _label_of recurses through the tail; warm that entry first
-                # so deep chains stay cheap.
-                tail, _ = _edge_endpoints_raw(params, addr.path)
-                label(tail)
-            got = _label_of(params, addr)
-            memo[addr] = got
-        return got
-
-    return PointSet(graph, {v: label(v) for v in graph.vertices})
+    k, n, total = params.k, params.n, params.label_length
+    inner = [q for q in range(1, 2 * k) if q != k]
+    # Block offset of edge b inside its parent's block, in sub-block units.
+    offsets = np.array([k - (b if b <= k else b - k) for b in range(1, 2 * k + 1)])
+    labels = [IntervalLabel(total, ()), IntervalLabel(total, ((0, total),))]
+    starts = np.zeros(1, dtype=np.int64)
+    for level, cycles in enumerate(_level_cycles(params), start=1):
+        sub = k ** (n - level)
+        block = k * sub
+        for tail, start in zip(cycles[:, 0].tolist(), starts.tolist()):
+            base = list(labels[tail].intervals)
+            for q in inner:
+                if q < k:
+                    # Top position q: ones on the last q sub-blocks of the block.
+                    ones = (start + (k - q) * sub, start + block)
+                else:
+                    # Bottom position q: ones on the first 2k-q sub-blocks.
+                    ones = (start, start + (2 * k - q) * sub)
+                labels.append(IntervalLabel.make(total, base + [ones]))
+        starts = (starts[:, None] + offsets * sub).ravel()
+    return PointSet(graph, dict(zip(graph.vertices, labels)))
 
 
 def _format_intervals(label: IntervalLabel) -> str:
@@ -502,8 +573,13 @@ def pointset_from_text(text: str) -> PointSet:
         tokens = line.split(" ")
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
-        if parse_address(tokens[0], params) != addr:
+        # Canonical tokens need no parse; any other spelling must parse equal.
+        if tokens[0] != str(addr) and parse_address(tokens[0], params) != addr:
             raise FormatError(f"line {lineno}: address {tokens[0]!r} out of canonical order")
-        if _parse_intervals(tokens[1], params.label_length) != ps.labels[addr]:
+        label = ps.labels[addr]
+        if (
+            tokens[1] != _format_intervals(label)
+            and _parse_intervals(tokens[1], params.label_length) != label
+        ):
             raise FormatError(f"line {lineno}: label does not match the construction")
     return ps

@@ -7,6 +7,9 @@ Core claims:
     - constraint_lhs is exactly 1 for the identity embedding and, for any
       embedding, equals the embedded/original ratio of one antipodal pair
       (an independent route through completely different quantities)
+    - the per-level vectorized constraint_report equals the per-prefix loop
+      it replaced float for float, in (level, prefix, r) order, and
+      constraint_lhs to rounding
     - the lift is a valid distribution, recovers exactly, never grows norms
     - dimension bounds reproduce independently computed values
     - certificates are consistent for every valid embedding
@@ -14,6 +17,7 @@ Core claims:
       tuples via the argmax predictor
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +50,7 @@ from l1cert.l1metric import (
     normalize_lipschitz,
     scale_embedding,
 )
-from l1cert.pointset import antipodal_pairs
+from l1cert.pointset import GraphParams, antipodal_pairs, build_graph
 
 
 class TestEdgeDifferenceMap:
@@ -186,6 +190,56 @@ class TestConstraintReport:
             rep = distortion(ps, emb)
             eps0 = 1.0 - 1.0 / rep.contraction
             assert constraint_report(ps.graph, emb).epsilon <= eps0 + 1e-9
+
+
+def _per_prefix_report(graph, emb):
+    """The per-prefix constraint loop constraint_report replaced, kept verbatim."""
+    params = graph.params
+    k, cyc = params.k, params.cycle_length
+    entries = []
+    for level in range(1, params.n + 1):
+        for prefix in itertools.product(range(1, cyc + 1), repeat=level - 1):
+            paired = [
+                average_edge_vector(graph, emb, prefix + (b,))
+                + average_edge_vector(graph, emb, prefix + (b + k,))
+                for b in range(1, k + 1)
+            ]
+            total = sum(paired)
+            partial = np.zeros_like(total)
+            for r in range(1, k):
+                partial = partial + paired[r - 1]
+                lhs = float(np.abs(2 * partial - total).sum()) / (2 * k)
+                entries.append((level, prefix, r, lhs))
+    return entries
+
+
+class TestConstraintReportEqualsReference:
+    @pytest.mark.parametrize(
+        "k,n,flip,d",
+        [
+            (2, 4, False, 1),
+            (3, 3, True, 16),
+            (4, 2, True, 5),
+            (9, 2, True, 1),
+            (9, 2, True, 16),
+            (10, 2, True, 16),
+            (10, 2, False, 1),
+        ],
+    )
+    def test_every_entry_equals_the_per_prefix_loop(self, k, n, flip, d):
+        graph = build_graph(GraphParams(k, n), flip_bottom=flip)
+        rng = np.random.default_rng([k, n, d])
+        emb = make_embedding({v: rng.standard_normal(d) for v in graph.vertices})
+        report = constraint_report(graph, emb)
+        reference = _per_prefix_report(graph, emb)
+        assert [(e.level, e.prefix, e.r, e.lhs) for e in report.entries] == reference
+        assert report.min_lhs == min(lhs for *_, lhs in reference)
+        # constraint_lhs sums the two sides separately rather than forming
+        # 2*partial - total, so it agrees to rounding, not to the last bit.
+        for e in report.entries:
+            assert e.lhs == pytest.approx(
+                constraint_lhs(graph, emb, e.prefix, e.r), rel=1e-12, abs=1e-12
+            )
 
 
 class TestLift:

@@ -9,7 +9,8 @@ Core claims:
     - degenerate embeddings are flagged with infinite contraction
     - the half-square pairwise pass and the blocked ratio pass equal the
       naive full-square formulas exactly, and warn about nothing
-    - the L1EMB format round-trips and parses strictly
+    - the L1EMB format round-trips and parses strictly, accepting valid
+      non-canonical address spellings
 """
 
 import math
@@ -290,3 +291,25 @@ class TestEmbeddingFormat:
         lines[1], lines[2] = lines[2], lines[1]
         with pytest.raises(FormatError):
             embedding_from_text("\n".join(lines) + "\n", ps)
+
+    def test_accepts_valid_non_canonical_addresses(self, pointsets):
+        ps = pointsets(2, 2)
+        rng = np.random.default_rng(23)
+        emb = make_embedding({a: rng.standard_normal(2) for a in ps.addresses})
+        text = embedding_to_text(ps, emb)
+        lines = text.splitlines()
+        assert [lines[i].split()[0] for i in (3, 5, 7)] == ["/1", "1/1", "2/1"]
+        for i, token in ((3, "/01"), (5, "01/1"), (7, "+2/1")):
+            lines[i] = token + " " + lines[i].split(" ", 1)[1]
+        back = embedding_from_text("\n".join(lines) + "\n", ps)
+        assert embedding_to_text(ps, back) == text
+
+    @pytest.mark.parametrize("token", ["2/3", "+2/3", "02/3"])
+    def test_rejects_wrong_address_with_line_number(self, pointsets, token):
+        ps = pointsets(2, 2)
+        lines = embedding_to_text(ps, identity_embedding(ps)).splitlines()
+        assert lines[6].split()[0] == "1/3"
+        lines[6] = token + " " + lines[6].split(" ", 1)[1]
+        with pytest.raises(FormatError) as info:
+            embedding_from_text("\n".join(lines) + "\n", ps)
+        assert str(info.value) == f"line 7: address {token!r} out of canonical order"

@@ -7,7 +7,11 @@ Core claims:
     - level-l antipodal pairs differ in exactly k**(n-l+1) bits
     - all labels are distinct and satisfy the interval invariants
     - edge orientation follows the toward-the-right convention
-    - the P1 export format round-trips byte-identically and parses strictly
+    - the per-level index arrays and the level-by-level labels equal the
+      recursive per-edge and per-vertex references, and building a point
+      set plus its constraint report never calls those references
+    - the P1 export format round-trips byte-identically and parses strictly,
+      accepting valid non-canonical spellings
 
 Label distances here are checked against an independent dense oracle
 (explicit ones-sets), not the library's merge-based distance. The packed
@@ -15,13 +19,15 @@ bitset distance matrix is checked against both the merge-based distance
 and a dense 0/1 product.
 """
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 from l1cert import pointset
-from l1cert.l1metric import l1_interval_distance
+from l1cert.certifier import constraint_report
+from l1cert.l1metric import l1_interval_distance, make_embedding
 from l1cert.pointset import (
     CapacityError,
     FormatError,
@@ -35,6 +41,7 @@ from l1cert.pointset import (
     build_graph,
     edge_endpoints,
     parse_address,
+    point_set,
     pointset_from_text,
     pointset_to_text,
     vertex_count,
@@ -164,6 +171,66 @@ class TestEdgeEndpoints:
             edge_endpoints(graph, (0, 1))
         with pytest.raises(ValueError):
             edge_endpoints(graph, (1, 1, 1))
+
+
+class TestLevelArrays:
+    """The level-by-level arrays against the recursive references."""
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (9, 2)])
+    def test_level_edges_equal_edge_endpoints(self, k, n, flip):
+        graph = build_graph(GraphParams(k, n), flip_bottom=flip)
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        assert len(graph.level_edges) == n
+        for level, (tail, head) in enumerate(graph.level_edges, start=1):
+            prefixes = list(itertools.product(range(1, 2 * k + 1), repeat=level))
+            want = [tuple(index[v] for v in edge_endpoints(graph, p)) for p in prefixes]
+            assert list(zip(tail.tolist(), head.tolist())) == want
+        coords = list(itertools.product(range(1, 2 * k + 1), repeat=n))
+        assert list(graph.edges) == coords
+        assert all(graph.edges[c] == edge_endpoints(graph, c) for c in coords)
+
+    def test_level_edges_are_read_only(self):
+        tail, head = build_graph(GraphParams(2, 2)).level_edges[0]
+        with pytest.raises(ValueError):
+            tail[0] = 1
+        with pytest.raises(ValueError):
+            head[0] = 1
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
+    def test_labels_equal_recursive_reference(self, pointsets, k, n):
+        ps = pointsets(k, n)
+        assert list(ps.labels) == list(ps.addresses)
+        for v in ps.addresses:
+            assert ps.labels[v] == pointset._label_of(ps.params, v)
+
+    def test_no_recursive_helper_calls(self, monkeypatch):
+        # Building labels and the constraint report must not fall back on the
+        # O(N*n) recursion: no recursive-helper call, one make per inner vertex.
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pointset, "_edge_endpoints_raw", counting("raw", pointset._edge_endpoints_raw)
+        )
+        monkeypatch.setattr(pointset, "_label_of", counting("label", pointset._label_of))
+        monkeypatch.setattr(
+            IntervalLabel, "make", staticmethod(counting("make", IntervalLabel.make))
+        )
+        ps = point_set(build_graph(GraphParams(3, 4)))
+        rng = np.random.default_rng(11)
+        emb = make_embedding({v: rng.standard_normal(3) for v in ps.addresses})
+        report = constraint_report(ps.graph, emb)
+        assert len(report.entries) == 2 * (1 + 6 + 36 + 216)
+        assert calls["raw"] == 0
+        assert calls["label"] == 0
+        assert calls["make"] == len(ps) - 2
 
 
 class TestVertexLabels:
@@ -313,6 +380,33 @@ class TestExportFormat:
         lines[3] = "/1 0-2"
         with pytest.raises(FormatError):
             pointset_from_text("\n".join(lines) + "\n")
+
+    def test_accepts_valid_non_canonical_tokens(self, pointsets):
+        ps = pointsets(2, 2)
+        text = pointset_to_text(ps)
+        lines = text.splitlines()
+        assert (lines[3], lines[5], lines[8]) == ("/1 2-4", "1/1 3-4", "2/3 0-1,2-4")
+        lines[3] = "/01 2-04"
+        lines[5] = "01/1 3-4"
+        lines[8] = "+2/3 00-1,2-4"
+        again = pointset_from_text("\n".join(lines) + "\n")
+        assert pointset_to_text(again) == text
+
+    @pytest.mark.parametrize(
+        "lineno,line,message",
+        [
+            (7, "2/3 2-3", "line 7: address '2/3' out of canonical order"),
+            (7, "+1/1 2-3", "line 7: address '+1/1' out of canonical order"),
+            (9, "2/3 0-1,2-3", "line 9: label does not match the construction"),
+            (9, "+2/3 0-1,02-3", "line 9: label does not match the construction"),
+        ],
+    )
+    def test_rejects_wrong_tokens_with_line_number(self, pointsets, lineno, line, message):
+        lines = pointset_to_text(pointsets(2, 2)).splitlines()
+        lines[lineno - 1] = line
+        with pytest.raises(FormatError) as info:
+            pointset_from_text("\n".join(lines) + "\n")
+        assert str(info.value) == message
 
     def test_address_parsing(self):
         params = GraphParams(2, 3)
