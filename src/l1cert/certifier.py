@@ -219,8 +219,8 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
-    if eps < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if not eps >= 0:  # also NaN, which every comparison rejects
+        raise ValueError(f"epsilon must be a number >= 0, got {eps}")
     delta = (k - 1) * eps / 2.0
     if delta >= 0.5:
         return BoundResult(delta, 0.0, 0.0, 1, False)
@@ -233,8 +233,8 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
 
 def bound_for_distortion(k: int, n: int, dist: float) -> BoundResult:
     """Dimension bound implied by a distortion-`dist` embedding (eps = 1 - 1/D)."""
-    if dist < 1.0:
-        raise ValueError(f"distortion must be >= 1, got {dist}")
+    if not dist >= 1.0:  # also NaN
+        raise ValueError(f"distortion must be a number >= 1, got {dist}")
     return dimension_bound(k, n, 1.0 - 1.0 / dist)
 
 

@@ -8,6 +8,7 @@ means an isometry up to scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .pointset import (
     IntervalLabel,
     PointSet,
     VertexAddress,
+    _parse_header,
     parse_address,
 )
 
@@ -179,9 +181,8 @@ def embedding_to_text(ps: PointSet, emb: Embedding) -> str:
     """Serialize in the L1EMB v1 text format, one vertex per line in export order."""
     p = ps.params
     lines = [f"L1EMB v1 d={emb.dimension} N={len(ps)} k={p.k} n={p.n}"]
-    for addr in ps.addresses:
-        vec = emb.vectors[addr]
-        lines.append(str(addr) + " " + " ".join(repr(float(x)) for x in vec))
+    for name, addr in zip(ps.graph.vertex_names, ps.addresses):
+        lines.append(name + " " + " ".join(map(repr, emb.vectors[addr].tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -189,23 +190,16 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     """Parse an L1EMB v1 file against a point set.
 
     Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
-    vector lengths, and non-finite entries.
+    vector lengths, and non-finite entries. A file written in canonical
+    form is read in row blocks into one read-only (N, d) matrix whose rows
+    are the vectors; any other file goes through the per-line loop, which
+    accepts valid non-canonical address spellings and names the first bad
+    line.
     """
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty embedding file")
-    tokens = lines[0].split()
-    if len(tokens) != 6 or tokens[0] != "L1EMB" or tokens[1] != "v1":
-        raise FormatError(f"bad L1EMB header: {lines[0]!r}")
-    head = {}
-    for token, key in zip(tokens[2:], ("d", "N", "k", "n")):
-        name, sep, value = token.partition("=")
-        if name != key or not sep:
-            raise FormatError(f"bad header field {token!r} (expected {key}=)")
-        try:
-            head[key] = int(value)
-        except ValueError as exc:
-            raise FormatError(f"bad header field {token!r}") from exc
+    head = _parse_header(lines[0], "L1EMB v1", ("d", "N", "k", "n"))
     p = ps.params
     if head["k"] != p.k or head["n"] != p.n:
         raise FormatError(
@@ -217,12 +211,53 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
         raise FormatError("embedding dimension must be >= 1")
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vector lines, found {len(lines) - 1}")
+    matrix = _canonical_matrix(lines[1:], ps.graph.vertex_names, head["d"])
+    if matrix is not None:
+        return Embedding(head["d"], dict(zip(ps.addresses, matrix)))
+    return _embedding_from_lines(lines[1:], ps, head["d"])
+
+
+def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
+    """The vectors of lines that all read `<canonical name> <d floats>`, or None.
+
+    Reads row blocks of about BLOCK_ELEMENTS tokens: each block is split,
+    its token counts and names are compared, and its coordinates go through
+    float() into the matrix. None as soon as a line differs in any way
+    (token count, address spelling, a coordinate float() rejects, a
+    non-finite value), so the caller can read the file line by line.
+    """
+    width = d + 1
+    # The first line's width vouches for d before the matrix is sized by it.
+    if len(lines[0].split()) != width:
+        return None
+    out = np.empty((len(lines), d))
+    step = max(1, BLOCK_ELEMENTS // width)
+    for i0 in range(0, len(lines), step):
+        rows = [line.split() for line in lines[i0 : i0 + step]]
+        if any(len(r) != width for r in rows):
+            return None
+        if [r[0] for r in rows] != list(names[i0 : i0 + step]):
+            return None
+        coords = map(float, itertools.chain.from_iterable(r[1:] for r in rows))
+        try:
+            block = np.fromiter(coords, float, count=len(rows) * d)
+        except ValueError:
+            return None
+        out[i0 : i0 + len(rows)] = block.reshape(-1, d)
+    if not np.isfinite(out).all():
+        return None
+    out.flags.writeable = False
+    return out
+
+
+def _embedding_from_lines(lines: list[str], ps: PointSet, d: int) -> Embedding:
+    """The per-line reader: every address spelling parse_address accepts, exact errors."""
     vectors: dict[VertexAddress, np.ndarray] = {}
-    for lineno, (addr, line) in enumerate(zip(ps.addresses, lines[1:]), start=2):
+    for lineno, (addr, line) in enumerate(zip(ps.addresses, lines), start=2):
         parts = line.split()
-        if len(parts) != head["d"] + 1:
-            raise FormatError(f"line {lineno}: expected address plus {head['d']} coordinates")
-        if parts[0] != str(addr) and parse_address(parts[0], p) != addr:
+        if len(parts) != d + 1:
+            raise FormatError(f"line {lineno}: expected address plus {d} coordinates")
+        if parts[0] != str(addr) and parse_address(parts[0], ps.params) != addr:
             raise FormatError(f"line {lineno}: address {parts[0]!r} out of canonical order")
         try:
             vec = np.array([float(x) for x in parts[1:]])

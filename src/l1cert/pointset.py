@@ -23,6 +23,7 @@ after construction and all operations are pure.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,21 +173,33 @@ class RecursiveCycleGraph:
     """The built graph: canonical vertex list and oriented labeled edges.
 
     `vertices` is in export order (creation level, then lexicographic edge
-    path, then position). `edges` maps every full-depth coordinate tuple to
-    its oriented (tail, head) pair. `flip_bottom` records the debug hook
-    that reverses the orientation of bottom-path edges; it exists so the
-    self test can demonstrate that the identity-embedding equality check
-    pins the orientation convention.
+    path, then position). `flip_bottom` records the debug hook that
+    reverses the orientation of bottom-path edges; it exists so the self
+    test can demonstrate that the identity-embedding equality check pins
+    the orientation convention. Everything else is derived on first use.
     """
 
     params: GraphParams
     vertices: tuple[VertexAddress, ...]
-    edges: dict[tuple[int, ...], tuple[VertexAddress, VertexAddress]]
     flip_bottom: bool = False
 
     @cached_property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
+
+    @cached_property
+    def vertex_names(self) -> tuple[str, ...]:
+        """str(v) for every vertex in export order, built from path-prefix strings."""
+        k, cyc, n = self.params.k, self.params.cycle_length, self.params.n
+        positions = [f"/{q}" for q in range(1, cyc) if q != k]
+        coords = [str(b) for b in range(1, cyc + 1)]
+        names = ["L", "R"]
+        paths = [""]
+        for level in range(1, n + 1):
+            names += [path + pos for path in paths for pos in positions]
+            if level < n:
+                paths = [f"{path}.{c}" if path else c for path in paths for c in coords]
+        return tuple(names)
 
     @cached_property
     def level_edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -204,6 +217,18 @@ class RecursiveCycleGraph:
             head.flags.writeable = False
             out.append((tail, head))
         return tuple(out)
+
+    @cached_property
+    def edges(self) -> dict[tuple[int, ...], tuple[VertexAddress, VertexAddress]]:
+        """Every full-depth coordinate tuple mapped to its oriented (tail, head).
+
+        Built from the last level of `level_edges` on first read; the
+        generate, parse and certify paths never read it.
+        """
+        tail, head = self.level_edges[-1]
+        v = self.vertices
+        coords = itertools.product(range(1, self.params.cycle_length + 1), repeat=self.params.n)
+        return dict(zip(coords, zip([v[i] for i in tail.tolist()], [v[i] for i in head.tolist()])))
 
 
 def vertex_count(params: GraphParams) -> int:
@@ -384,16 +409,8 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
         for path in itertools.product(range(1, cyc + 1), repeat=level - 1):
             for q in inner_positions:
                 vertices.append(VertexAddress("inner", path, q))
-    tail, head = _cycle_edges(_level_cycles(params)[-1], params.k, flip_bottom)
-    edges = dict(
-        zip(
-            itertools.product(range(1, cyc + 1), repeat=params.n),
-            zip([vertices[i] for i in tail.tolist()], [vertices[i] for i in head.tolist()]),
-        )
-    )
-    graph = RecursiveCycleGraph(params, tuple(vertices), edges, flip_bottom)
     assert len(vertices) == vertex_count(params)
-    return graph
+    return RecursiveCycleGraph(params, tuple(vertices), flip_bottom)
 
 
 def antipodal_pairs(
@@ -420,7 +437,10 @@ def antipodal_pairs(
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """The labels of a built graph, in export order, with fast distance access."""
+    """The labels of a built graph, with fast distance access.
+
+    `labels` is keyed in export order, the order of `graph.vertices`.
+    """
 
     graph: RecursiveCycleGraph
     labels: dict[VertexAddress, IntervalLabel]
@@ -472,9 +492,10 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
     """Compute every vertex label once, level by level.
 
     An inner vertex's label is its cycle's tail label, built at an earlier
-    level, plus one ones-interval inside the cycle's coordinate block, so
-    the whole set costs one IntervalLabel.make per vertex and no recursion.
-    _label_of is the per-vertex reference it is tested against.
+    level, plus one ones-interval inside the cycle's coordinate block. The
+    tail is all zeros on that block, so the interval is inserted at its
+    bisected place and merged only with a neighbour it touches: no sort and
+    no recursion. _label_of is the per-vertex reference it is tested against.
     """
     params = graph.params
     k, n, total = params.k, params.n, params.label_length
@@ -486,22 +507,29 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
     for level, cycles in enumerate(_level_cycles(params), start=1):
         sub = k ** (n - level)
         block = k * sub
+        # Ones of inner position q relative to the block start: top q < k
+        # has the last q sub-blocks, bottom q the first 2k-q.
+        ones = [((k - q) * sub, block) if q < k else (0, (2 * k - q) * sub) for q in inner]
         for tail, start in zip(cycles[:, 0].tolist(), starts.tolist()):
-            base = list(labels[tail].intervals)
-            for q in inner:
-                if q < k:
-                    # Top position q: ones on the last q sub-blocks of the block.
-                    ones = (start + (k - q) * sub, start + block)
-                else:
-                    # Bottom position q: ones on the first 2k-q sub-blocks.
-                    ones = (start, start + (2 * k - q) * sub)
-                labels.append(IntervalLabel.make(total, base + [ones]))
+            base = labels[tail].intervals
+            at = bisect.bisect_left(base, (start,))
+            left_end = base[at - 1][1] if at else -1
+            right_start = base[at][0] if at < len(base) else -1
+            for a, b in ones:
+                a, b, lo, hi = a + start, b + start, at, at
+                if a == left_end:
+                    lo -= 1
+                    a = base[lo][0]
+                if b == right_start:
+                    b = base[hi][1]
+                    hi += 1
+                labels.append(IntervalLabel(total, base[:lo] + ((a, b),) + base[hi:]))
         starts = (starts[:, None] + offsets * sub).ravel()
     return PointSet(graph, dict(zip(graph.vertices, labels)))
 
 
 def _format_intervals(label: IntervalLabel) -> str:
-    return ",".join(f"{a}-{b}" for a, b in label.intervals) or "-"
+    return ",".join([f"{a}-{b}" for a, b in label.intervals]) or "-"
 
 
 def _parse_intervals(text: str, length: int) -> IntervalLabel:
@@ -529,24 +557,27 @@ def pointset_to_text(ps: PointSet) -> str:
     """Serialize in the P1 text format (header plus one vertex per line)."""
     p = ps.params
     lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
-    for addr in ps.addresses:
-        lines.append(f"{addr} {_format_intervals(ps.labels[addr])}")
+    for name, label in zip(ps.graph.vertex_names, ps.labels.values()):
+        lines.append(f"{name} {_format_intervals(label)}")
     return "\n".join(lines) + "\n"
 
 
 def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict[str, int]:
+    """Integer fields `keys` of a header line that starts with the words of `magic`."""
     tokens = line.split()
-    if len(tokens) != len(keys) + 1 or tokens[0] != magic:
-        raise FormatError(f"bad {magic} header: {line!r}")
+    words = magic.split()
+    fmt = words[0]
+    if len(tokens) != len(words) + len(keys) or tokens[: len(words)] != words:
+        raise FormatError(f"bad {fmt} header: {line!r}")
     out = {}
-    for token, key in zip(tokens[1:], keys):
+    for token, key in zip(tokens[len(words) :], keys):
         name, sep, value = token.partition("=")
         if name != key or not sep:
-            raise FormatError(f"bad {magic} header field {token!r} (expected {key}=)")
+            raise FormatError(f"bad {fmt} header field {token!r} (expected {key}=)")
         try:
             out[key] = int(value)
         except ValueError as exc:
-            raise FormatError(f"bad {magic} header field {token!r}") from exc
+            raise FormatError(f"bad {fmt} header field {token!r}") from exc
     return out
 
 
@@ -569,14 +600,14 @@ def pointset_from_text(text: str) -> PointSet:
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vertex lines, found {len(lines) - 1}")
     ps = point_set(build_graph(params))
-    for lineno, (addr, line) in enumerate(zip(ps.addresses, lines[1:]), start=2):
+    rows = zip(ps.graph.vertex_names, ps.addresses, ps.labels.values(), lines[1:])
+    for lineno, (name, addr, label, line) in enumerate(rows, start=2):
         tokens = line.split(" ")
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
         # Canonical tokens need no parse; any other spelling must parse equal.
-        if tokens[0] != str(addr) and parse_address(tokens[0], params) != addr:
+        if tokens[0] != name and parse_address(tokens[0], params) != addr:
             raise FormatError(f"line {lineno}: address {tokens[0]!r} out of canonical order")
-        label = ps.labels[addr]
         if (
             tokens[1] != _format_intervals(label)
             and _parse_intervals(tokens[1], params.label_length) != label

@@ -2,6 +2,18 @@ import pytest
 
 from l1cert.pointset import GraphParams, build_graph, point_set
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # A fixed, derandomized example set with no example database: the
+    # property tests draw the same inputs on every run and stay fast.
+    settings.register_profile(
+        "l1cert", derandomize=True, database=None, deadline=None, max_examples=80
+    )
+    settings.load_profile("l1cert")
+
 
 @pytest.fixture(scope="session")
 def pointsets():

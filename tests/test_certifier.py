@@ -321,6 +321,14 @@ class TestDimensionBound:
         with pytest.raises(ValueError):
             bound_for_distortion(2, 3, 0.5)
 
+    def test_rejects_nan_and_keeps_inf_vacuous(self):
+        with pytest.raises(ValueError, match="epsilon must be a number >= 0"):
+            dimension_bound(2, 3, math.nan)
+        with pytest.raises(ValueError, match="distortion must be a number >= 1"):
+            bound_for_distortion(2, 3, math.nan)
+        assert not dimension_bound(2, 3, math.inf).applicable
+        assert not bound_for_distortion(2, 3, math.inf).applicable
+
 
 class TestChooseK:
     def test_values(self):

@@ -92,6 +92,16 @@ class TestBound:
             main(["bound", "-k", "2", "-n", "5", "--eps", "0.1", "--distortion", "2"]) == 2
         )
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--eps", "epsilon must be a number >= 0"), ("--distortion", "distortion must be a number >= 1")],
+    )
+    def test_nan_is_input_error_and_inf_is_vacuous(self, capsys, flag, message):
+        assert main(["bound", "-k", "2", "-n", "3", flag, "nan"]) == 2
+        assert capsys.readouterr().out == f"error: {message}, got nan\n"
+        assert main(["bound", "-k", "2", "-n", "3", flag, "inf"]) == 0
+        assert "applicable=false" in capsys.readouterr().out
+
     def test_out_of_float_range_is_input_error(self, capsys):
         # 2**(n-1) overflows a float far below any n the construction limits.
         assert main(["bound", "-k", "2", "-n", "2000", "--eps", "0"]) == 2

@@ -11,6 +11,9 @@ Core claims:
       naive full-square formulas exactly, and warn about nothing
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
+    - a canonical L1EMB file is read in row blocks into one read-only
+      matrix that equals a per-line float() reference bit for bit; any
+      other file gets the per-line reader's exact message and line number
 """
 
 import math
@@ -33,7 +36,7 @@ from l1cert.l1metric import (
     pairwise_l1,
     scale_embedding,
 )
-from l1cert.pointset import FormatError, IntervalLabel
+from l1cert.pointset import FormatError, GraphParams, IntervalLabel, build_graph, point_set
 
 
 def ones_set(label):
@@ -313,3 +316,117 @@ class TestEmbeddingFormat:
         with pytest.raises(FormatError) as info:
             embedding_from_text("\n".join(lines) + "\n", ps)
         assert str(info.value) == f"line 7: address {token!r} out of canonical order"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "L1EMB v2 d=2 N=12 k=2 n=2",
+            "P1 v1 d=2 N=12 k=2 n=2",
+            "L1EMB v1 N=12 d=2 k=2 n=2",
+            "L1EMB v1 d=x N=12 k=2 n=2",
+            "L1EMB v1 d2 N=12 k=2 n=2",
+            "L1EMB v1 d=2 N=12 k=2",
+            "L1EMB d=2 N=12 k=2 n=2",
+        ],
+    )
+    def test_rejects_malformed_header(self, pointsets, header):
+        ps = pointsets(2, 2)
+        lines = embedding_to_text(ps, identity_embedding(ps)).splitlines()
+        assert lines[0].split()[:2] == ["L1EMB", "v1"]
+        lines[0] = header
+        with pytest.raises(FormatError, match="^bad L1EMB header"):
+            embedding_from_text("\n".join(lines) + "\n", ps)
+
+
+def gaussian_text(ps, d, seed):
+    """L1EMB text of a seeded embedding whose magnitudes span many decades."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-30, 30, size=(len(ps), d))
+    emb = make_embedding(dict(zip(ps.addresses, rng.standard_normal((len(ps), d)) * scale)))
+    return embedding_to_text(ps, emb)
+
+
+def per_line_floats(text):
+    """Reference: every coordinate through Python float(), line by line."""
+    return np.array([[float(x) for x in line.split()[1:]] for line in text.splitlines()[1:]])
+
+
+class TestEmbeddingFastPath:
+    @pytest.mark.parametrize("k,n,d", [(2, 3, 1), (3, 4, 16), (2, 5, 37)])
+    def test_blocks_equal_per_line_reference(self, pointsets, monkeypatch, k, n, d):
+        ps = pointsets(k, n)
+        text = gaussian_text(ps, d, seed=k * 100 + d)
+        # Five rows per block splits every file into many blocks.
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", 5 * (d + 1))
+        emb = embedding_from_text(text, ps)
+        rows = [emb.vectors[a] for a in ps.addresses]
+        assert np.array_equal(np.stack(rows), per_line_floats(text))
+        assert rows[0].base is not None and all(r.base is rows[0].base for r in rows)
+        assert not rows[0].flags.writeable
+        assert embedding_to_text(ps, emb) == text
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            (None, "expected address plus 2 coordinates"),
+            ("1,5", "bad coordinate"),
+            ("0x1p3", "bad coordinate"),
+            ("nan", "non-finite coordinate"),
+            ("-1e400", "non-finite coordinate"),
+        ],
+    )
+    def test_error_in_a_later_block_keeps_the_per_line_message(
+        self, pointsets, monkeypatch, token, message
+    ):
+        ps = pointsets(2, 4)
+        lines = gaussian_text(ps, 2, seed=3).splitlines()
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", 4 * 3)
+        lineno = 123  # inside the 31st block of four rows
+        parts = lines[lineno - 1].split(" ")
+        lines[lineno - 1] = " ".join(parts + ["0.5"] if token is None else parts[:2] + [token])
+        with pytest.raises(FormatError) as info:
+            embedding_from_text("\n".join(lines) + "\n", ps)
+        assert str(info.value) == f"line {lineno}: {message}"
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "+2", "1e400", "-Infinity", "nan", "\uff11\uff12", "0x1p3", "1,5", ".5",
+         "5.", "1e-400", "-0.0", "4.9e-324", "1.7976931348623157e308", "0.1000000000000000055511"],
+    )
+    def test_coordinates_parse_as_python_float(self, pointsets, token):
+        # A canonical file takes the block path; its coordinates must be
+        # accepted, rejected and valued exactly as float() does.
+        ps = pointsets(2, 1)
+        lines = embedding_to_text(ps, make_embedding({a: [0.25] for a in ps.addresses})).splitlines()
+        lines[2] = lines[2].split(" ")[0] + " " + token
+        text = "\n".join(lines) + "\n"
+        try:
+            want = float(token)
+        except ValueError:
+            want = None
+        if want is None or not math.isfinite(want):
+            with pytest.raises(FormatError):
+                embedding_from_text(text, ps)
+            return
+        got = embedding_from_text(text, ps).vectors[ps.addresses[1]]
+        assert got.tobytes() == np.array([want]).tobytes()
+
+    def test_canonical_file_skips_the_per_line_helpers(self, pointsets, monkeypatch):
+        ps = pointsets(3, 3)
+        text = gaussian_text(ps, 4, seed=9)
+        calls = []
+        for name in ("make_embedding", "parse_address"):
+            real = getattr(l1metric, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(l1metric, name, counting)
+        embedding_from_text(text, ps)
+        assert calls == []
+        lines = text.splitlines()
+        assert lines[7].startswith("1/1 ")
+        lines[7] = "0" + lines[7]  # "01/1" is valid but not canonical: per-line reader
+        assert embedding_to_text(ps, embedding_from_text("\n".join(lines) + "\n", ps)) == text
+        assert calls == ["parse_address", "make_embedding"]

@@ -10,6 +10,8 @@ Core claims:
     - the per-level index arrays and the level-by-level labels equal the
       recursive per-edge and per-vertex references, and building a point
       set plus its constraint report never calls those references
+    - vertex_names equals str() of every vertex; the edges dict is built
+      only when read, and nothing on the generate/parse/report path reads it
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
 
@@ -180,6 +182,7 @@ class TestLevelArrays:
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (9, 2)])
     def test_level_edges_equal_edge_endpoints(self, k, n, flip):
         graph = build_graph(GraphParams(k, n), flip_bottom=flip)
+        assert "edges" not in graph.__dict__
         index = {v: i for i, v in enumerate(graph.vertices)}
         assert len(graph.level_edges) == n
         for level, (tail, head) in enumerate(graph.level_edges, start=1):
@@ -187,8 +190,24 @@ class TestLevelArrays:
             want = [tuple(index[v] for v in edge_endpoints(graph, p)) for p in prefixes]
             assert list(zip(tail.tolist(), head.tolist())) == want
         coords = list(itertools.product(range(1, 2 * k + 1), repeat=n))
+        assert "edges" not in graph.__dict__
         assert list(graph.edges) == coords
+        assert "edges" in graph.__dict__
         assert all(graph.edges[c] == edge_endpoints(graph, c) for c in coords)
+
+    def test_edges_not_built_on_the_read_path(self):
+        ps = point_set(build_graph(GraphParams(3, 3)))
+        again = pointset_from_text(pointset_to_text(ps))
+        rng = np.random.default_rng(5)
+        emb = make_embedding({v: rng.standard_normal(2) for v in again.addresses})
+        constraint_report(again.graph, emb)
+        assert "edges" not in ps.graph.__dict__
+        assert "edges" not in again.graph.__dict__
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 2)])
+    def test_vertex_names_equal_str(self, k, n):
+        graph = build_graph(GraphParams(k, n))
+        assert graph.vertex_names == tuple(map(str, graph.vertices))
 
     def test_level_edges_are_read_only(self):
         tail, head = build_graph(GraphParams(2, 2)).level_edges[0]
@@ -206,7 +225,8 @@ class TestLevelArrays:
 
     def test_no_recursive_helper_calls(self, monkeypatch):
         # Building labels and the constraint report must not fall back on the
-        # O(N*n) recursion: no recursive-helper call, one make per inner vertex.
+        # O(N*n) recursion or re-sort a label: no recursive-helper call and no
+        # make, since each label is its tail's with one interval inserted.
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -230,7 +250,7 @@ class TestLevelArrays:
         assert len(report.entries) == 2 * (1 + 6 + 36 + 216)
         assert calls["raw"] == 0
         assert calls["label"] == 0
-        assert calls["make"] == len(ps) - 2
+        assert calls["make"] == 0
 
 
 class TestVertexLabels:
