@@ -34,9 +34,12 @@ from .l1metric import (
     distortion,
     scale_embedding,
 )
-from .pointset import PointSet, RecursiveCycleGraph, edge_endpoints
+from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
 LIFT_NORM_SLACK = 1e-6
+# Largest exponent of an exact dimension bound: its decimal form stays under
+# the 4300 digits Python converts to text by default.
+MAX_BOUND_BITS = 14_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +216,10 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
         d >= 2**((log2 k - delta*log2(k-1) - H(delta))*n - 1) - 1/2.
 
     min_dimension rounds up (minus a 1e-9 guard against float overshoot)
-    since dimensions are integers.
+    since dimensions are integers. When the power 2**e, e = per_level*n - 1,
+    is past float range, raw_bound is inf and min_dimension is an exact int
+    m <= 2**e, with 2**e's leading 52 bits rounded down, so still a lower
+    bound; exponents past MAX_BOUND_BITS raise CapacityError instead.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
@@ -226,9 +232,29 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
         return BoundResult(delta, 0.0, 0.0, 1, False)
     log_km1 = 0.0 if k == 2 else math.log2(k - 1)
     per_level = math.log2(k) - delta * log_km1 - binary_entropy(delta)
-    raw = 2.0 ** (per_level * n - 1.0) - 0.5
+    exponent = per_level * n - 1.0
+    try:
+        raw = 2.0**exponent - 0.5
+    except OverflowError:
+        return BoundResult(delta, per_level, math.inf, _power_floor(exponent), True)
     min_dim = max(1, math.ceil(raw - 1e-9))
     return BoundResult(delta, per_level, raw, min_dim, True)
+
+
+def _power_floor(exponent: float) -> int:
+    """An exact int m <= 2**exponent for an exponent past float range.
+
+    The fractional power is rounded down to a float in [1, 2), whose 52
+    fraction bits are then shifted into place; an integral exponent gives
+    2**exponent exactly.
+    """
+    whole = math.floor(exponent)
+    if whole > MAX_BOUND_BITS:
+        raise CapacityError(f"dimension bound 2**{exponent!r} exceeds 2**{MAX_BOUND_BITS}")
+    frac = 2.0 ** (exponent - whole)
+    if exponent != whole:
+        frac = math.nextafter(frac, 0.0)  # the power rounds to nearest; never round up
+    return int(frac * 2**52) << (whole - 52)
 
 
 def bound_for_distortion(k: int, n: int, dist: float) -> BoundResult:
@@ -274,7 +300,9 @@ def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
 
     Raises DegenerateEmbeddingError when two distinct points share a
     vector (the certificate would be meaningless). `consistent` must come
-    back True for every valid embedding.
+    back True for every valid embedding. Memory beyond the inputs is
+    O(N*(d + words) + E*d): the distortion pass streams row blocks and
+    builds no N x N matrix, and the constraints work on edge arrays.
     """
     report = distortion(ps, emb)
     if math.isinf(report.contraction):

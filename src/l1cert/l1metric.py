@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +142,19 @@ class DistortionReport:
     distortion: float
 
 
-def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionReport:
-    """Worst ratios over the pairs i < j, taken one row block at a time."""
-    n = embedded.shape[0]
-    step = max(1, BLOCK_ELEMENTS // n)
+def _worst_ratios(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> DistortionReport:
+    """Fold row blocks of the upper triangle into the worst ratios over i < j.
+
+    Each block is a pair (embedded, original) of distances for rows
+    i0..i1-1 against columns i0..N-1, so its pairs i < j are the entries
+    right of the block diagonal. A zero embedded distance makes the
+    contraction infinite without dividing by it.
+    """
     expansion = contraction = 0.0
-    for i0 in range(0, n - 1, step):
-        i1 = min(i0 + step, n)
-        upper = np.arange(i0, n) > np.arange(i0, i1)[:, None]
-        de = embedded[i0:i1, i0:][upper]
-        do = original[i0:i1, i0:][upper]
+    for embedded, original in blocks:
+        rows, cols = embedded.shape
+        upper = np.arange(cols) > np.arange(rows)[:, None]
+        de, do = embedded[upper], original[upper]
         expansion = max(expansion, float(np.max(de / do)))
         if np.any(de == 0.0):
             contraction = math.inf
@@ -161,12 +165,42 @@ def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionRepor
     return DistortionReport(expansion, contraction, expansion * contraction)
 
 
+def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionReport:
+    """Worst ratios over the pairs i < j of two full distance matrices."""
+    n = embedded.shape[0]
+    step = max(1, BLOCK_ELEMENTS // n)
+    return _worst_ratios(
+        (embedded[i0 : i0 + step, i0:], original[i0 : i0 + step, i0:])
+        for i0 in range(0, n - 1, step)
+    )
+
+
 def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
-    """Distortion of an embedding relative to the exact label metric."""
+    """Distortion of an embedding relative to the exact label metric.
+
+    One streaming pass over row blocks of the upper triangle: each block's
+    embedded distances are summed per pair exactly as `pairwise_l1` sums
+    them, its label distances are popcounts of XORed packed labels, and
+    both are folded into the worst ratios at once. No N x N matrix is
+    built; memory beyond the inputs is O(N * (d + words)), with words the
+    number of 64-bit words per label.
+    """
     if len(ps) < 2:
         raise ValueError("need at least two points")
-    de = pairwise_l1(embedding_matrix(ps, emb))
-    return _ratio_report(de, ps.distance_matrix)
+    points = embedding_matrix(ps, emb)
+    # Shape (words, N), so a block's per-word popcounts add up as whole planes.
+    bits = np.ascontiguousarray(ps._bitsets.T)
+    n, d = points.shape
+    step = max(1, BLOCK_ELEMENTS // (n * max(d, len(bits))))
+
+    def blocks():
+        for i0 in range(0, n - 1, step):
+            i1 = min(i0 + step, n)
+            diff = points[i0:i1, None, :] - points[None, i0:, :]
+            xor = bits[:, i0:i1, None] ^ bits[:, None, i0:]
+            yield np.abs(diff, out=diff).sum(axis=-1), np.bitwise_count(xor).sum(axis=0)
+
+    return _worst_ratios(blocks())
 
 
 def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:

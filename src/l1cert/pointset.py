@@ -464,11 +464,13 @@ class PointSet:
     def _bitsets(self) -> np.ndarray:
         """Labels packed as little-endian uint64 words in export order, shape (N, words)."""
         words = -(-self.dimension // 64)
-        bits = np.zeros((len(self), 64 * words), dtype=bool)
-        for i, addr in enumerate(self.addresses):
-            for a, b in self.labels[addr].intervals:
-                bits[i, a:b] = True
-        return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        # Each label as one Python int: the interval [a, b) is (1 << b) - (1 << a).
+        ints = (
+            sum((1 << b) - (1 << a) for a, b in self.labels[addr].intervals)
+            for addr in self.addresses
+        )
+        packed = b"".join(x.to_bytes(8 * words, "little") for x in ints)
+        return np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:

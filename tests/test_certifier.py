@@ -11,7 +11,9 @@ Core claims:
       it replaced float for float, in (level, prefix, r) order, and
       constraint_lhs to rounding
     - the lift is a valid distribution, recovers exactly, never grows norms
-    - dimension bounds reproduce independently computed values
+    - dimension bounds reproduce independently computed values; the ceil
+      guard rounds down within 1e-9 of an integer, and past float range
+      min_dimension is an exact int no larger than the power it bounds
     - certificates are consistent for every valid embedding
     - the separation-to-information bound holds on random distribution
       tuples via the argmax predictor
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from l1cert.certifier import (
+    MAX_BOUND_BITS,
     average_edge_vector,
     bound_for_distortion,
     certify,
@@ -50,7 +53,7 @@ from l1cert.l1metric import (
     normalize_lipschitz,
     scale_embedding,
 )
-from l1cert.pointset import GraphParams, antipodal_pairs, build_graph
+from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_graph
 
 
 class TestEdgeDifferenceMap:
@@ -320,6 +323,50 @@ class TestDimensionBound:
             dimension_bound(2, 3, -0.1)
         with pytest.raises(ValueError):
             bound_for_distortion(2, 3, 0.5)
+
+    @pytest.mark.parametrize("k,n,m", [(2, 10, 300), (3, 6, 41), (5, 3, 7)])
+    def test_ceil_guard_rounds_down_within_a_billionth(self, k, n, m):
+        # raw_bound falls with eps: bisect to the eps whose raw_bound sits
+        # just above m, then just above m + 2e-9.
+        def eps_just_above(target):
+            lo, hi = 0.0, 1.0 / (k - 1)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if dimension_bound(k, n, mid).raw_bound > target:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+
+        near = dimension_bound(k, n, eps_just_above(m))
+        assert m < near.raw_bound <= m + 1e-9
+        assert near.min_dimension == m
+        far = dimension_bound(k, n, eps_just_above(m + 2e-9))
+        assert m + 1e-9 < far.raw_bound < m + 1e-6
+        assert far.min_dimension == m + 1
+
+    def test_past_float_range_is_exact_and_rounded_down(self):
+        # 2**(n-1) overflows a float from n = 1025 on.
+        last = dimension_bound(2, 1024, 0.0)
+        assert last.raw_bound == 2.0**1023 and last.min_dimension == 2**1023
+        for n in (1025, 2000):
+            result = dimension_bound(2, n, 0.0)
+            assert result.applicable and result.raw_bound == math.inf
+            assert result.min_dimension == 2 ** (n - 1)
+        result = dimension_bound(3, 700, 0.01)
+        assert result.applicable and result.raw_bound == math.inf
+        exponent = result.per_level_term * 700 - 1.0
+        whole = math.floor(exponent)
+        m = result.min_dimension
+        assert isinstance(m, int) and m.bit_length() == whole + 1
+        assert m % 2 ** (whole - 52) == 0
+        # m / 2**whole is a float's fraction bits, at most 2**(exponent - whole).
+        assert m / 2**whole < 2.0 ** (exponent - whole)
+
+    def test_exponent_past_the_cap_is_capacity_error(self):
+        assert dimension_bound(2, MAX_BOUND_BITS + 1, 0.0).min_dimension == 2**MAX_BOUND_BITS
+        with pytest.raises(CapacityError, match="exceeds"):
+            dimension_bound(2, MAX_BOUND_BITS + 2, 0.0)
 
     def test_rejects_nan_and_keeps_inf_vacuous(self):
         with pytest.raises(ValueError, match="epsilon must be a number >= 0"):

@@ -102,11 +102,19 @@ class TestBound:
         assert main(["bound", "-k", "2", "-n", "3", flag, "inf"]) == 0
         assert "applicable=false" in capsys.readouterr().out
 
-    def test_out_of_float_range_is_input_error(self, capsys):
+    def test_out_of_float_range_answers_exactly(self, capsys):
         # 2**(n-1) overflows a float far below any n the construction limits.
-        assert main(["bound", "-k", "2", "-n", "2000", "--eps", "0"]) == 2
+        assert main(["bound", "-k", "2", "-n", "2000", "--eps", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == ["raw_bound=inf", f"min_dimension={2**1999}", "applicable=true"]
+        assert lines[5] == f"bound: k=2 n=2000 eps=0 -> min_dimension={2**1999}"
+        assert main(["bound", "-k", "3", "-n", "700", "--eps", "0.01"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("error: ") and out.count("\n") == 1
+        assert "raw_bound=inf\n" in out and "applicable=true\n" in out
+
+    def test_bound_past_the_cap_is_input_error(self, capsys):
+        assert main(["bound", "-k", "2", "-n", "20000", "--eps", "0"]) == 2
+        assert capsys.readouterr().out == "error: dimension bound 2**19999.0 exceeds 2**14000\n"
 
 
 class TestSearch:

@@ -9,6 +9,9 @@ Core claims:
     - degenerate embeddings are flagged with infinite contraction
     - the half-square pairwise pass and the blocked ratio pass equal the
       naive full-square formulas exactly, and warn about nothing
+    - the streaming distortion pass equals the full-matrix report field
+      for field at any block size, holds no N x N matrix, and certify
+      builds neither the label distance matrix nor pairwise_l1
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
     - a canonical L1EMB file is read in row blocks into one read-only
@@ -17,14 +20,17 @@ Core claims:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from l1cert import l1metric
+from l1cert.certifier import certify
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
+    _ratio_report,
     distortion,
     embedding_from_text,
     embedding_to_text,
@@ -36,7 +42,14 @@ from l1cert.l1metric import (
     pairwise_l1,
     scale_embedding,
 )
-from l1cert.pointset import FormatError, GraphParams, IntervalLabel, build_graph, point_set
+from l1cert.pointset import (
+    FormatError,
+    GraphParams,
+    IntervalLabel,
+    PointSet,
+    build_graph,
+    point_set,
+)
 
 
 def ones_set(label):
@@ -196,6 +209,56 @@ class TestFastPaths:
             assert report.distortion == math.inf
         assert 0.0 < reports[0].expansion < math.inf
         assert reports[1].expansion == 0.0
+
+
+class TestStreamingDistortion:
+    """The fused row-block pass against the full matrices search still builds."""
+
+    embeddings = TestFastPaths.embeddings
+
+    # (3, 4) has 81-bit labels, two words per row. The odd block size splits
+    # the small triangles into blocks of 2 to 23 rows with a short last one.
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 2), (3, 4)])
+    @pytest.mark.parametrize("block", [1, 1025, 2**30])
+    def test_equals_full_matrix_report(self, pointsets, monkeypatch, k, n, block):
+        ps = pointsets(k, n)
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for emb in self.embeddings(ps):
+                points = np.stack([emb.vectors[a] for a in ps.addresses])
+                want = _ratio_report(pairwise_l1(points), ps.distance_matrix)
+                assert distortion(ps, emb) == want
+
+    def test_holds_no_square_matrix(self, pointsets):
+        base = pointsets(2, 5)
+        ps = PointSet(base.graph, base.labels)  # the labels are packed inside the trace
+        rng = np.random.default_rng(29)
+        emb = make_embedding({a: rng.standard_normal(16) for a in ps.addresses})
+        tracemalloc.start()
+        try:
+            distortion(ps, emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ps) ** 2 * 8 / 4
+
+    def test_certify_builds_neither_full_matrix(self, pointsets, monkeypatch):
+        base = pointsets(2, 4)
+        ps = PointSet(base.graph, base.labels)
+        calls = []
+        real = l1metric.pairwise_l1
+
+        def counting(points):
+            calls.append(points.shape)
+            return real(points)
+
+        monkeypatch.setattr(l1metric, "pairwise_l1", counting)
+        rng = np.random.default_rng(31)
+        cert = certify(ps, make_embedding({a: rng.standard_normal(8) for a in ps.addresses}))
+        assert cert.consistent
+        assert "distance_matrix" not in ps.__dict__
+        assert calls == []
 
 
 class TestNormalizeLipschitz:

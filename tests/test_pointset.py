@@ -18,7 +18,7 @@ Core claims:
 Label distances here are checked against an independent dense oracle
 (explicit ones-sets), not the library's merge-based distance. The packed
 bitset distance matrix is checked against both the merge-based distance
-and a dense 0/1 product.
+and a dense 0/1 product, and the packed words against numpy's packbits.
 """
 
 import collections
@@ -327,6 +327,21 @@ class TestMetricStructure:
 
 class TestDistanceMatrix:
     """The packed bitset matrix against the interval-merge reference."""
+
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 4), (4, 3), (2, 6)])
+    def test_bitsets_equal_dense_bit_packing(self, pointsets, k, n):
+        # Reference: every label as an (N, 64 * words) bool row, packed
+        # little-endian into bytes and read as uint64 words.
+        ps = pointsets(k, n)
+        words = -(-ps.dimension // 64)
+        bits = np.zeros((len(ps), 64 * words), dtype=bool)
+        for i, addr in enumerate(ps.addresses):
+            for a, b in ps.labels[addr].intervals:
+                bits[i, a:b] = True
+        want = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        got = PointSet(ps.graph, ps.labels)._bitsets
+        assert got.dtype == want.dtype and got.shape == (len(ps), words)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3)])
     def test_equals_interval_distance_on_every_pair(self, pointsets, k, n):
