@@ -5,7 +5,6 @@ from .certifier import (
     BoundResult,
     CertificateReport,
     ConstraintReport,
-    EdgeVectorMap,
     average_edge_vector,
     bound_for_distortion,
     certify,

@@ -33,6 +33,7 @@ from .l1metric import (
     Embedding,
     distortion,
     scale_embedding,
+    vertex_matrix,
 )
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
@@ -40,14 +41,6 @@ LIFT_NORM_SLACK = 1e-6
 # Largest exponent of an exact dimension bound: its decimal form stays under
 # the 4300 digits Python converts to text by default.
 MAX_BOUND_BITS = 14_000
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeVectorMap:
-    """The difference F(head) - F(tail) for every full-depth edge label."""
-
-    dimension: int
-    table: dict[tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -93,24 +86,23 @@ class CertificateReport:
     constraints: ConstraintReport
 
 
-def edge_difference_map(graph: RecursiveCycleGraph, emb: Embedding) -> EdgeVectorMap:
-    """Map each full-depth edge to F(head) - F(tail).
+def edge_difference_map(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
+    """The (E, d) array of F(head) - F(tail), one row per full-depth edge.
 
-    The embedding must already be 1-Lipschitz: every edge difference must
-    have L1 norm at most 1 (up to slack); otherwise the call is rejected.
+    Rows follow graph.level_edges[-1]: edge coordinates in lexicographic
+    order. The embedding must already be 1-Lipschitz: an edge difference
+    of L1 norm above 1 (beyond slack) is rejected.
     """
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    worst = 0.0
-    for coords, (tail, head) in graph.edges.items():
-        vec = emb.vectors[head] - emb.vectors[tail]
-        worst = max(worst, float(np.abs(vec).sum()))
-        table[coords] = vec
+    points = vertex_matrix(graph, emb)
+    tail, head = graph.level_edges[-1]
+    diffs = points[head] - points[tail]
+    worst = float(np.abs(diffs).sum(axis=1).max())
     if worst > 1.0 + LIFT_NORM_SLACK:
         raise ValueError(
             f"edge difference norm {worst} exceeds 1; "
             "apply normalize_lipschitz to the embedding first"
         )
-    return EdgeVectorMap(emb.dimension, table)
+    return diffs
 
 
 def average_edge_vector(
@@ -160,7 +152,7 @@ def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintR
     """
     params = graph.params
     k, n, cyc = params.k, params.n, params.cycle_length
-    points = np.stack([emb.vectors[v] for v in graph.vertices])
+    points = vertex_matrix(graph, emb)
     entries = []
     for level, (tail, head) in enumerate(graph.level_edges, start=1):
         avg = (points[head] - points[tail]) / k ** (n - level)
@@ -300,10 +292,11 @@ def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
 
     Raises DegenerateEmbeddingError when two distinct points share a
     vector (the certificate would be meaningless). `consistent` must come
-    back True for every valid embedding. Memory beyond the inputs is
-    O(N*(d + words) + E*d): the distortion pass streams row blocks and
-    builds no N x N matrix, and the constraints work on edge arrays.
+    back True for every valid embedding. Memory beyond the inputs is the
+    scaled (N, d) matrix, O(N * words) packed labels, O(E * d) edge arrays
+    and one entry per constraint; no N x N matrix is built.
     """
+    emb = Embedding(vertex_matrix(ps.graph, emb), ps.addresses)
     report = distortion(ps, emb)
     if math.isinf(report.contraction):
         raise DegenerateEmbeddingError(

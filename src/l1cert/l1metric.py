@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .pointset import (
     FormatError,
     IntervalLabel,
     PointSet,
+    RecursiveCycleGraph,
     VertexAddress,
     _parse_header,
     parse_address,
@@ -66,48 +69,65 @@ def l1_distance(u, v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """A map from vertex addresses to vectors in R**dimension."""
+    """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per address.
 
-    dimension: int
-    vectors: dict[VertexAddress, np.ndarray]
+    Row i is the vector of `addresses[i]`; every producer in this package
+    puts the rows in point-set export order. Non-finite entries are rejected. `vectors` is the per-address view that
+    the slow references and the tests read; the array paths never build it.
+    """
+
+    matrix: np.ndarray
+    addresses: tuple[VertexAddress, ...]
+
+    def __post_init__(self) -> None:
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            addr = self.addresses[int(finite.argmin())]
+            raise ValueError(f"non-finite entries in vector for {addr}")
+        self.matrix.flags.writeable = False
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    @cached_property
+    def vectors(self) -> Mapping[VertexAddress, np.ndarray]:
+        """Read-only address -> row view, built on first read (for references and tests)."""
+        return MappingProxyType(dict(zip(self.addresses, self.matrix)))
 
 
 def make_embedding(vectors) -> Embedding:
-    """Validate and freeze a mapping address -> vector."""
-    cleaned: dict[VertexAddress, np.ndarray] = {}
-    dim = None
+    """Validate a mapping address -> vector and stack it into one matrix, in its order."""
+    rows = []
     for addr, vec in vectors.items():
-        arr = np.array(vec, dtype=float)
+        arr = np.asarray(vec, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"vector for {addr} must be one-dimensional and non-empty")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite entries in vector for {addr}")
-        if dim is None:
-            dim = arr.size
-        elif arr.size != dim:
+        if rows and arr.size != rows[0].size:
             raise ValueError("embedding vectors have inconsistent lengths")
-        arr.flags.writeable = False
-        cleaned[addr] = arr
-    if dim is None:
+        rows.append(arr)
+    if not rows:
         raise ValueError("embedding must cover at least one vertex")
-    return Embedding(dim, cleaned)
+    return Embedding(np.stack(rows), tuple(vectors))
 
 
 def identity_embedding(ps: PointSet) -> Embedding:
     """Labels themselves as vectors in R**(k**n); an isometry by construction."""
-    return make_embedding({a: ps.labels[a].to_dense() for a in ps.addresses})
+    return Embedding(np.stack([ps.labels[a].to_dense() for a in ps.addresses]), ps.addresses)
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:
-    return make_embedding({a: v * factor for a, v in emb.vectors.items()})
+    return Embedding(emb.matrix * factor, emb.addresses)
 
 
-def embedding_matrix(ps: PointSet, emb: Embedding) -> np.ndarray:
-    """Vectors stacked in point-set export order; requires full coverage."""
-    missing = [a for a in ps.addresses if a not in emb.vectors]
+def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
+    """The embedding's rows in graph.vertices order; a vertex it lacks is a ValueError."""
+    if emb.addresses == graph.vertices:
+        return emb.matrix
+    missing = [v for v in graph.vertices if v not in emb.vectors]
     if missing:
         raise ValueError(f"embedding does not cover {len(missing)} vertices, e.g. {missing[0]}")
-    return np.stack([emb.vectors[a] for a in ps.addresses])
+    return np.stack([emb.vectors[v] for v in graph.vertices])
 
 
 def pairwise_l1(points: np.ndarray) -> np.ndarray:
@@ -187,18 +207,15 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
-    points = embedding_matrix(ps, emb)
-    # Shape (words, N), so a block's per-word popcounts add up as whole planes.
-    bits = np.ascontiguousarray(ps._bitsets.T)
+    points = vertex_matrix(ps.graph, emb)
     n, d = points.shape
-    step = max(1, BLOCK_ELEMENTS // (n * max(d, len(bits))))
+    step = max(1, BLOCK_ELEMENTS // (n * max(d, ps._bitsets.shape[1])))
 
     def blocks():
         for i0 in range(0, n - 1, step):
             i1 = min(i0 + step, n)
             diff = points[i0:i1, None, :] - points[None, i0:, :]
-            xor = bits[:, i0:i1, None] ^ bits[:, None, i0:]
-            yield np.abs(diff, out=diff).sum(axis=-1), np.bitwise_count(xor).sum(axis=0)
+            yield np.abs(diff, out=diff).sum(axis=-1), ps.label_distances(i0, i1, i0)
 
     return _worst_ratios(blocks())
 
@@ -215,8 +232,8 @@ def embedding_to_text(ps: PointSet, emb: Embedding) -> str:
     """Serialize in the L1EMB v1 text format, one vertex per line in export order."""
     p = ps.params
     lines = [f"L1EMB v1 d={emb.dimension} N={len(ps)} k={p.k} n={p.n}"]
-    for name, addr in zip(ps.graph.vertex_names, ps.addresses):
-        lines.append(name + " " + " ".join(map(repr, emb.vectors[addr].tolist())))
+    for name, row in zip(ps.graph.vertex_names, vertex_matrix(ps.graph, emb).tolist()):
+        lines.append(name + " " + " ".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -246,9 +263,9 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vector lines, found {len(lines) - 1}")
     matrix = _canonical_matrix(lines[1:], ps.graph.vertex_names, head["d"])
-    if matrix is not None:
-        return Embedding(head["d"], dict(zip(ps.addresses, matrix)))
-    return _embedding_from_lines(lines[1:], ps, head["d"])
+    if matrix is None:
+        matrix = _matrix_from_lines(lines[1:], ps, head["d"])
+    return Embedding(matrix, ps.addresses)
 
 
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
@@ -280,13 +297,12 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
         out[i0 : i0 + len(rows)] = block.reshape(-1, d)
     if not np.isfinite(out).all():
         return None
-    out.flags.writeable = False
     return out
 
 
-def _embedding_from_lines(lines: list[str], ps: PointSet, d: int) -> Embedding:
+def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
     """The per-line reader: every address spelling parse_address accepts, exact errors."""
-    vectors: dict[VertexAddress, np.ndarray] = {}
+    out = np.empty((len(lines), d))
     for lineno, (addr, line) in enumerate(zip(ps.addresses, lines), start=2):
         parts = line.split()
         if len(parts) != d + 1:
@@ -294,10 +310,9 @@ def _embedding_from_lines(lines: list[str], ps: PointSet, d: int) -> Embedding:
         if parts[0] != str(addr) and parse_address(parts[0], ps.params) != addr:
             raise FormatError(f"line {lineno}: address {parts[0]!r} out of canonical order")
         try:
-            vec = np.array([float(x) for x in parts[1:]])
+            out[lineno - 2] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coordinate") from exc
-        if not np.isfinite(vec).all():
+        if not np.isfinite(out[lineno - 2]).all():
             raise FormatError(f"line {lineno}: non-finite coordinate")
-        vectors[addr] = vec
-    return make_embedding(vectors)
+    return out

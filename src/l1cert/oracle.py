@@ -23,13 +23,7 @@ from .infotheory import (
     binary_entropy,
     mutual_information,
 )
-from .l1metric import (
-    DistortionReport,
-    Embedding,
-    _ratio_report,
-    make_embedding,
-    pairwise_l1,
-)
+from .l1metric import DistortionReport, Embedding, _ratio_report, pairwise_l1
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
 MAX_COMPLETIONS = 10**6
@@ -225,8 +219,7 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
             best = (report, restart, points.copy())
 
     report, restart, points = best
-    emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
-    return SearchResult(emb, report, restart)
+    return SearchResult(Embedding(points, ps.addresses), report, restart)
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:
@@ -235,16 +228,11 @@ def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDist
     X's marginal is exactly uniform by construction; the table feeds the
     chain-rule decomposition and the per-level information bound.
     """
-    params = graph.params
-    cyc = params.cycle_length
-    message_size = 2 * emb.dimension + 1
-    cells = cyc**params.n * message_size
+    edges = graph.params.cycle_length**graph.params.n
+    shape = (graph.params.cycle_length,) * graph.params.n + (2 * emb.dimension + 1,)
+    cells = edges * shape[-1]
     if cells > MAX_JOINT_CELLS:
         raise CapacityError(f"message joint with {cells} cells exceeds {MAX_JOINT_CELLS}")
-    evm = edge_difference_map(graph, emb)
-    table = np.zeros((cyc,) * params.n + (message_size,))
-    weight = 1.0 / cyc**params.n
-    for coords, vec in evm.table.items():
-        idx = tuple(c - 1 for c in coords)
-        table[idx] = nonneg_lift(vec).weights * weight
-    return JointDistribution((cyc,) * params.n + (message_size,), table)
+    weight = 1.0 / edges
+    lifted = [nonneg_lift(vec).weights * weight for vec in edge_difference_map(graph, emb)]
+    return JointDistribution(shape, np.stack(lifted).reshape(shape))

@@ -473,20 +473,27 @@ class PointSet:
         return np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
 
     @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """Exact pairwise label distances in export order (int64).
+    def _bitplanes(self) -> np.ndarray:
+        """_bitsets word-major, shape (words, N), so per-word popcounts add as whole planes."""
+        return np.ascontiguousarray(self._bitsets.T)
 
-        Each distance is the popcount of the XOR of two packed labels, taken
-        one row block at a time; l1metric.l1_interval_distance is the
-        interval-merge reference it is tested against.
+    def label_distances(self, i0: int, i1: int, j0: int = 0) -> np.ndarray:
+        """Label distances of rows i0..i1-1 against columns j0..N-1.
+
+        Popcounts of XORed packed labels, added over words as whole planes;
+        l1metric.l1_interval_distance is the interval-merge reference.
         """
-        bits = self._bitsets
-        n, words = bits.shape
+        bits = self._bitplanes
+        return np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:]).sum(axis=0)
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """Exact pairwise label distances in export order (int64), one row block at a time."""
+        n, words = self._bitsets.shape
         out = np.empty((n, n), dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // (n * words))
         for i0 in range(0, n, step):
-            xor = bits[i0 : i0 + step, None, :] ^ bits[None, :, :]
-            out[i0 : i0 + step] = np.bitwise_count(xor).sum(axis=-1)
+            out[i0 : i0 + step] = self.label_distances(i0, i0 + step)
         return out
 
 

@@ -29,10 +29,12 @@ from l1cert.certifier import (
     MAX_BOUND_BITS,
     average_edge_vector,
     bound_for_distortion,
+    certificate_to_text,
     certify,
     choose_k,
     constraint_lhs,
     constraint_report,
+    constraint_table_csv,
     dimension_bound,
     edge_difference_map,
     lift_recover,
@@ -48,6 +50,7 @@ from l1cert.infotheory import (
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
     distortion,
+    embedding_to_text,
     identity_embedding,
     make_embedding,
     normalize_lipschitz,
@@ -59,17 +62,15 @@ from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_g
 class TestEdgeDifferenceMap:
     def test_depth_one_identity_values(self, pointsets):
         ps = pointsets(2, 1)
-        evm = edge_difference_map(ps.graph, identity_embedding(ps))
-        assert evm.table[(1,)].tolist() == [0.0, 1.0]
-        assert evm.table[(2,)].tolist() == [1.0, 0.0]
-        assert evm.table[(3,)].tolist() == [0.0, 1.0]
-        assert evm.table[(4,)].tolist() == [1.0, 0.0]
+        # Row i is the edge with coordinate (i + 1,).
+        diffs = edge_difference_map(ps.graph, identity_embedding(ps))
+        assert diffs.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_constant_embedding_gives_zero_map(self, pointsets):
         ps = pointsets(2, 2)
         emb = make_embedding({a: [3.0, -1.0] for a in ps.addresses})
-        evm = edge_difference_map(ps.graph, emb)
-        assert all(np.all(v == 0.0) for v in evm.table.values())
+        diffs = edge_difference_map(ps.graph, emb)
+        assert diffs.shape == (16, 2) and np.all(diffs == 0.0)
 
     def test_norms_bounded_after_normalization(self, pointsets):
         ps = pointsets(2, 2)
@@ -77,8 +78,8 @@ class TestEdgeDifferenceMap:
         emb = normalize_lipschitz(
             ps, make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
         )
-        evm = edge_difference_map(ps.graph, emb)
-        assert all(np.abs(v).sum() <= 1.0 + 1e-9 for v in evm.table.values())
+        diffs = edge_difference_map(ps.graph, emb)
+        assert diffs.shape == (16, 3) and np.all(np.abs(diffs).sum(axis=1) <= 1.0 + 1e-9)
 
     def test_rejects_expanding_embedding(self, pointsets):
         ps = pointsets(2, 1)
@@ -95,9 +96,11 @@ class TestAverageEdgeVector:
     def test_full_length_prefix_is_the_edge_difference(self, pointsets):
         ps = pointsets(2, 2)
         emb = identity_embedding(ps)
-        evm = edge_difference_map(ps.graph, emb)
-        for coords, vec in evm.table.items():
-            assert np.array_equal(average_edge_vector(ps.graph, emb, coords), vec)
+        diffs = edge_difference_map(ps.graph, emb)
+        coords = list(itertools.product(range(1, 5), repeat=2))  # lexicographic, as the rows
+        assert len(diffs) == len(coords)
+        for prefix, vec in zip(coords, diffs):
+            assert np.array_equal(average_edge_vector(ps.graph, emb, prefix), vec)
 
     def test_empty_prefix(self, pointsets):
         ps = pointsets(2, 2)
@@ -445,6 +448,17 @@ class TestCertify:
             d = int(rng.integers(1, 6))
             emb = make_embedding({a: rng.standard_normal(d) for a in ps.addresses})
             assert certify(ps, emb).consistent
+
+    def test_address_order_of_the_mapping_does_not_matter(self, pointsets):
+        ps = pointsets(2, 3)
+        rows = np.random.default_rng(5).standard_normal((len(ps), 4))
+        canonical = make_embedding(dict(zip(ps.addresses, rows)))
+        backwards = make_embedding(dict(zip(ps.addresses[::-1], rows[::-1])))
+        assert backwards.addresses == ps.addresses[::-1]
+        want, got = certify(ps, canonical), certify(ps, backwards)
+        assert certificate_to_text(got) == certificate_to_text(want)
+        assert constraint_table_csv(got.constraints) == constraint_table_csv(want.constraints)
+        assert embedding_to_text(ps, backwards) == embedding_to_text(ps, canonical)
 
 
 class TestSeparationInformationBound:

@@ -1,0 +1,96 @@
+"""Golden outputs: the CLI's certificate, CSV table and search files, byte for byte.
+
+The expected texts and digests were recorded from the CLI before the
+embedding became a matrix. Any refactor that keeps behaviour keeps them;
+a change here is a change of output format or numerics and must be
+deliberate.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from l1cert.cli import main
+from l1cert.l1metric import embedding_to_text, make_embedding
+from l1cert.pointset import pointset_to_text
+
+CERTIFY_CASES = [
+    (
+        2, 4, 8, 24,
+        "epsilon=0.9628326015024673\n"
+        "delta=0.48141630075123365\n"
+        "per_level_term=0.0009967102061223532\n"
+        "raw_bound=0.0013836446864173846\n"
+        "min_dimension=1\n"
+        "embedding_dimension=8\n"
+        "distortion=90.37645150517892\n"
+        "applicable=true\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.962833 min_dimension=1 d=8\n",
+        "04f4b72efda50f03ed1bc088e17b73ad41daea3d87cc83baf1caf6e84aa8d52b",
+    ),
+    (
+        3, 3, 4, 33,
+        "epsilon=0.9862587483842135\n"
+        "delta=0.9862587483842135\n"
+        "per_level_term=0.0\n"
+        "raw_bound=0.0\n"
+        "min_dimension=1\n"
+        "embedding_dimension=4\n"
+        "distortion=642.7824752331121\n"
+        "applicable=false\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.986259 min_dimension=1 d=4\n",
+        "0b4e308b74705224bcd1a39ce9e6e4e572dff1342acae488e3b93ee308cc82f7",
+    ),
+]
+
+SEARCH_REPORT = (
+    "distortion=8.909305217664155\n"
+    "expansion=3.459966081254861\n"
+    "contraction=2.574968947219542\n"
+    "epsilon=0.8449803585218388\n"
+    "min_dimension=1\n"
+    "consistent=true\n"
+    "restart=0\n"
+    "seed=5\n"
+    "iterations=200\n"
+    "restarts=2\n"
+)
+SEARCH_STDOUT = (
+    "distortion=8.90930522\n"
+    "epsilon=0.844980359\n"
+    "min_dimension=1\n"
+    "search: ok d=4 distortion=8.90931 -> <out> (+.report)\n"
+)
+SEARCH_EMBEDDING_SHA256 = "be596c9fbb2a19582bfe57d23e50f2fa9c3b296dd960557a38c6b24fd2c6d031"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k,n,d,seed,stdout,table_sha256", CERTIFY_CASES)
+def test_certify_output(tmp_path, pointsets, capsys, k, n, d, seed, stdout, table_sha256):
+    ps = pointsets(k, n)
+    rows = np.random.default_rng(seed).standard_normal((len(ps), d))
+    p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
+    p1.write_text(pointset_to_text(ps), encoding="utf-8")
+    text = embedding_to_text(ps, make_embedding(dict(zip(ps.addresses, rows))))
+    emb.write_text(text, encoding="utf-8")
+    assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
+    assert capsys.readouterr().out.replace(str(table), "<table>") == stdout
+    assert sha256(table) == table_sha256
+
+
+def test_search_output(tmp_path, pointsets, capsys):
+    p1, out = tmp_path / "p1.txt", tmp_path / "emb.txt"
+    p1.write_text(pointset_to_text(pointsets(2, 3)), encoding="utf-8")
+    argv = ["search", str(p1), "-d", "4", "--seed", "5", "--iters", "200", "--restarts", "2"]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "<out>") == SEARCH_STDOUT
+    assert (tmp_path / "emb.txt.report").read_text(encoding="utf-8") == SEARCH_REPORT
+    assert sha256(out) == SEARCH_EMBEDDING_SHA256

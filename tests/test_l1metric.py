@@ -17,6 +17,9 @@ Core claims:
     - a canonical L1EMB file is read in row blocks into one read-only
       matrix that equals a per-line float() reference bit for bit; any
       other file gets the per-line reader's exact message and line number
+    - an Embedding is one read-only matrix; scaling keeps the finiteness
+      check, every consumer rejects a missing vertex with ValueError, and
+      parse, certify, tabulate and search never build the per-address view
 """
 
 import math
@@ -27,9 +30,10 @@ import numpy as np
 import pytest
 
 from l1cert import l1metric
-from l1cert.certifier import certify
+from l1cert.certifier import certify, constraint_report, constraint_table_csv, edge_difference_map
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
+    Embedding,
     _ratio_report,
     distortion,
     embedding_from_text,
@@ -42,6 +46,7 @@ from l1cert.l1metric import (
     pairwise_l1,
     scale_embedding,
 )
+from l1cert.oracle import SearchConfig, search_embedding
 from l1cert.pointset import (
     FormatError,
     GraphParams,
@@ -145,9 +150,16 @@ class TestDistortion:
 
     def test_missing_vertex_rejected(self, pointsets):
         ps = pointsets(2, 1)
-        partial = {a: [1.0] for a in ps.addresses[:-1]}
-        with pytest.raises(ValueError):
-            distortion(ps, make_embedding(partial))
+        partial = make_embedding({a: [1.0] for a in ps.addresses[:-1]})
+        for consumer in (
+            lambda: distortion(ps, partial),
+            lambda: constraint_report(ps.graph, partial),
+            lambda: edge_difference_map(ps.graph, partial),
+            lambda: certify(ps, partial),
+            lambda: embedding_to_text(ps, partial),
+        ):
+            with pytest.raises(ValueError, match="^embedding does not cover 1 vertices"):
+                consumer()
 
 
 def naive_pairwise(points):
@@ -313,6 +325,38 @@ class TestMakeEmbedding:
         emb = identity_embedding(ps)
         with pytest.raises(ValueError):
             emb.vectors[ps.addresses[0]][0] = 5.0
+
+    def test_one_matrix_behind_a_read_only_view(self, pointsets):
+        ps = pointsets(2, 2)
+        rng = np.random.default_rng(3)
+        mapping = {a: rng.standard_normal(3) for a in ps.addresses}
+        emb = make_embedding(mapping)
+        assert emb.matrix.dtype == np.float64 and emb.matrix.shape == (len(ps), 3)
+        assert emb.addresses == ps.addresses and emb.dimension == 3
+        assert not emb.matrix.flags.writeable
+        assert "vectors" not in emb.__dict__
+        assert list(emb.vectors) == list(ps.addresses)
+        for i, addr in enumerate(ps.addresses):
+            assert np.array_equal(emb.vectors[addr], mapping[addr])
+            assert np.shares_memory(emb.vectors[addr], emb.matrix[i])
+        with pytest.raises(TypeError):
+            emb.vectors[ps.addresses[0]] = np.zeros(3)
+
+
+class TestScaleEmbedding:
+    def test_scales_the_matrix(self, pointsets):
+        ps = pointsets(2, 2)
+        emb = make_embedding({a: np.arange(3.0) + i for i, a in enumerate(ps.addresses)})
+        out = scale_embedding(emb, 0.3)
+        assert out.addresses == emb.addresses and not out.matrix.flags.writeable
+        assert out.matrix.tobytes() == (emb.matrix * 0.3).tobytes()
+
+    def test_rejects_a_non_finite_result(self, pointsets):
+        ps = pointsets(2, 1)
+        emb = make_embedding({a: [1e300, -1e300 * i] for i, a in enumerate(ps.addresses)})
+        message = f"^non-finite entries in vector for {ps.addresses[0]}$"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            scale_embedding(emb, 1e10)
 
 
 class TestEmbeddingFormat:
@@ -492,4 +536,29 @@ class TestEmbeddingFastPath:
         assert lines[7].startswith("1/1 ")
         lines[7] = "0" + lines[7]  # "01/1" is valid but not canonical: per-line reader
         assert embedding_to_text(ps, embedding_from_text("\n".join(lines) + "\n", ps)) == text
-        assert calls == ["parse_address", "make_embedding"]
+        assert calls == ["parse_address"]
+
+
+class TestArrayPathNeverBuildsTheView:
+    """Parse, certify, tabulate and search read only the matrix."""
+
+    @pytest.fixture()
+    def no_view(self, monkeypatch):
+        def refuse(emb):
+            raise AssertionError("the per-address view was read")
+
+        monkeypatch.setattr(Embedding, "vectors", property(refuse))
+
+    def test_parse_certify_table(self, pointsets, no_view):
+        ps = pointsets(2, 4)
+        emb = embedding_from_text(gaussian_text(ps, 8, seed=4), ps)
+        cert = certify(ps, emb)
+        constraint_table_csv(cert.constraints)
+        embedding_to_text(ps, emb)
+        assert "vectors" not in emb.__dict__
+
+    def test_search_then_certify(self, pointsets, no_view):
+        ps = pointsets(2, 4)
+        result = search_embedding(ps, SearchConfig(4, iterations=50, restarts=1, seed=1))
+        certify(ps, result.embedding)
+        assert "vectors" not in result.embedding.__dict__
