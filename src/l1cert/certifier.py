@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +52,30 @@ class ConstraintEntry:
     lhs: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    """Every separation constraint value, with the worst slack epsilon."""
+    """Every separation constraint value, with the worst slack epsilon.
 
-    entries: tuple[ConstraintEntry, ...]
+    `lhs[l-1]` is the read-only ((2k)**(l-1), k-1) array of level l's
+    values: row p is the p-th prefix in lexicographic order, column r-1 the
+    split point r. `entries` lists the same values as ConstraintEntry
+    objects in (level, prefix, r) order; it is built on first read, which
+    only the CSV table and the tests do.
+    """
+
+    lhs: tuple[np.ndarray, ...]
     min_lhs: float
     epsilon: float
+
+    @cached_property
+    def entries(self) -> tuple[ConstraintEntry, ...]:
+        out = []
+        for level, values in enumerate(self.lhs, start=1):
+            cyc = 2 * (values.shape[1] + 1)
+            prefixes = itertools.product(range(1, cyc + 1), repeat=level - 1)
+            for prefix, row in zip(prefixes, values.tolist()):
+                out += [ConstraintEntry(level, prefix, r, v) for r, v in enumerate(row, start=1)]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -145,27 +163,25 @@ def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintR
 
     One numpy pass per level over graph.level_edges: the (2k)**l prefix
     averages of level l, folded per prefix and accumulated over b, so the
-    arithmetic is O(E*d) for all levels together plus one entry per
-    constraint. Each lhs is |2*partial - total|_1 / 2k with the partial sums
-    accumulated over b in order; constraint_lhs, the per-prefix reference,
-    sums the two sides separately and so agrees to rounding.
+    arithmetic is O(E*d) for all levels together and the report holds one
+    float per constraint. Each lhs is |2*partial - total|_1 / 2k with the
+    partial sums accumulated over b in order; constraint_lhs, the
+    per-prefix reference, sums the two sides separately and so agrees to
+    rounding.
     """
     params = graph.params
     k, n, cyc = params.k, params.n, params.cycle_length
     points = vertex_matrix(graph, emb)
-    entries = []
+    levels = []
     for level, (tail, head) in enumerate(graph.level_edges, start=1):
         avg = (points[head] - points[tail]) / k ** (n - level)
         avg = avg.reshape(-1, cyc, emb.dimension)
         partial = np.cumsum(avg[:, :k] + avg[:, k:], axis=1)
         lhs = np.abs(2 * partial[:, :-1] - partial[:, -1:]).sum(axis=-1) / (2 * k)
-        prefixes = itertools.product(range(1, cyc + 1), repeat=level - 1)
-        for prefix, row in zip(prefixes, lhs.tolist()):
-            entries.extend(
-                ConstraintEntry(level, prefix, r, value) for r, value in enumerate(row, start=1)
-            )
-    min_lhs = min(e.lhs for e in entries)
-    return ConstraintReport(tuple(entries), min_lhs, max(0.0, 1.0 - min_lhs))
+        lhs.flags.writeable = False
+        levels.append(lhs)
+    min_lhs = min(float(lhs.min()) for lhs in levels)
+    return ConstraintReport(tuple(levels), min_lhs, max(0.0, 1.0 - min_lhs))
 
 
 def nonneg_lift(vec) -> ProbVector:
@@ -294,7 +310,7 @@ def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
     vector (the certificate would be meaningless). `consistent` must come
     back True for every valid embedding. Memory beyond the inputs is the
     scaled (N, d) matrix, O(N * words) packed labels, O(E * d) edge arrays
-    and one entry per constraint; no N x N matrix is built.
+    and one float per constraint; no N x N matrix is built.
     """
     emb = Embedding(vertex_matrix(ps.graph, emb), ps.addresses)
     report = distortion(ps, emb)

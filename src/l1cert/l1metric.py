@@ -72,8 +72,9 @@ class Embedding:
     """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per address.
 
     Row i is the vector of `addresses[i]`; every producer in this package
-    puts the rows in point-set export order. Non-finite entries are rejected. `vectors` is the per-address view that
-    the slow references and the tests read; the array paths never build it.
+    puts the rows in point-set export order. Non-finite entries are
+    rejected. `vectors` is the per-address view that the slow references
+    and the tests read; the array paths never build it.
     """
 
     matrix: np.ndarray
@@ -113,7 +114,7 @@ def make_embedding(vectors) -> Embedding:
 
 def identity_embedding(ps: PointSet) -> Embedding:
     """Labels themselves as vectors in R**(k**n); an isometry by construction."""
-    return Embedding(np.stack([ps.labels[a].to_dense() for a in ps.addresses]), ps.addresses)
+    return Embedding(np.stack([label.to_dense() for label in ps.labels]), ps.addresses)
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:

@@ -170,22 +170,27 @@ class IntervalLabel:
 
 @dataclass(frozen=True, eq=False)
 class RecursiveCycleGraph:
-    """The built graph: canonical vertex list and oriented labeled edges.
+    """The graph of P(k, n), determined by its params and flip_bottom alone.
 
-    `vertices` is in export order (creation level, then lexicographic edge
-    path, then position). `flip_bottom` records the debug hook that
-    reverses the orientation of bottom-path edges; it exists so the self
-    test can demonstrate that the identity-embedding equality check pins
-    the orientation convention. Everything else is derived on first use.
+    `flip_bottom` is a debug hook that reverses every bottom-path edge, so
+    the self test can show that the identity-embedding equality check pins
+    the orientation convention. All else is built on first read: `vertices`
+    and `vertex_names` in export order (creation level, then lexicographic
+    edge path, then position), `level_edges` and `edges`.
     """
 
     params: GraphParams
-    vertices: tuple[VertexAddress, ...]
     flip_bottom: bool = False
 
     @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+    def vertices(self) -> tuple[VertexAddress, ...]:
+        """Every vertex address in export order."""
+        k, cyc, n = self.params.k, self.params.cycle_length, self.params.n
+        paths = [p for m in range(n) for p in itertools.product(range(1, cyc + 1), repeat=m)]
+        inner = [VertexAddress("inner", p, q) for p in paths for q in range(1, cyc) if q != k]
+        vertices = (ROOT_LEFT, ROOT_RIGHT, *inner)
+        assert len(vertices) == vertex_count(self.params)
+        return vertices
 
     @cached_property
     def vertex_names(self) -> tuple[str, ...]:
@@ -385,7 +390,11 @@ def _label_of(params: GraphParams, addr: VertexAddress) -> IntervalLabel:
 
 def vertex_label(graph: RecursiveCycleGraph, v: VertexAddress) -> IntervalLabel:
     """Label of a vertex as a sparse ones-interval bit vector of length k**n."""
-    if v not in graph.vertex_set:
+    try:
+        known = parse_address(str(v), graph.params) == v
+    except FormatError:
+        known = False
+    if not known:
         raise ValueError(f"unknown vertex {v}")
     return _label_of(graph.params, v)
 
@@ -403,14 +412,7 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
             f"{edge_total} edges is too large to materialize "
             f"(limit {MAX_MATERIALIZED_EDGES}); use label queries instead"
         )
-    inner_positions = [q for q in range(1, cyc) if q != params.k]
-    vertices: list[VertexAddress] = [ROOT_LEFT, ROOT_RIGHT]
-    for level in range(1, params.n + 1):
-        for path in itertools.product(range(1, cyc + 1), repeat=level - 1):
-            for q in inner_positions:
-                vertices.append(VertexAddress("inner", path, q))
-    assert len(vertices) == vertex_count(params)
-    return RecursiveCycleGraph(params, tuple(vertices), flip_bottom)
+    return RecursiveCycleGraph(params, flip_bottom)
 
 
 def antipodal_pairs(
@@ -439,11 +441,11 @@ def antipodal_pairs(
 class PointSet:
     """The labels of a built graph, with fast distance access.
 
-    `labels` is keyed in export order, the order of `graph.vertices`.
+    `labels` is in export order: row i is the label of `graph.vertices[i]`.
     """
 
     graph: RecursiveCycleGraph
-    labels: dict[VertexAddress, IntervalLabel]
+    labels: tuple[IntervalLabel, ...]
 
     @property
     def addresses(self) -> tuple[VertexAddress, ...]:
@@ -458,17 +460,14 @@ class PointSet:
         return self.params.label_length
 
     def __len__(self) -> int:
-        return len(self.graph.vertices)
+        return len(self.labels)
 
     @cached_property
     def _bitsets(self) -> np.ndarray:
         """Labels packed as little-endian uint64 words in export order, shape (N, words)."""
         words = -(-self.dimension // 64)
         # Each label as one Python int: the interval [a, b) is (1 << b) - (1 << a).
-        ints = (
-            sum((1 << b) - (1 << a) for a, b in self.labels[addr].intervals)
-            for addr in self.addresses
-        )
+        ints = (sum((1 << b) - (1 << a) for a, b in label.intervals) for label in self.labels)
         packed = b"".join(x.to_bytes(8 * words, "little") for x in ints)
         return np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
 
@@ -534,7 +533,7 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
                     hi += 1
                 labels.append(IntervalLabel(total, base[:lo] + ((a, b),) + base[hi:]))
         starts = (starts[:, None] + offsets * sub).ravel()
-    return PointSet(graph, dict(zip(graph.vertices, labels)))
+    return PointSet(graph, tuple(labels))
 
 
 def _format_intervals(label: IntervalLabel) -> str:
@@ -566,7 +565,7 @@ def pointset_to_text(ps: PointSet) -> str:
     """Serialize in the P1 text format (header plus one vertex per line)."""
     p = ps.params
     lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
-    for name, label in zip(ps.graph.vertex_names, ps.labels.values()):
+    for name, label in zip(ps.graph.vertex_names, ps.labels):
         lines.append(f"{name} {_format_intervals(label)}")
     return "\n".join(lines) + "\n"
 
@@ -609,13 +608,13 @@ def pointset_from_text(text: str) -> PointSet:
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vertex lines, found {len(lines) - 1}")
     ps = point_set(build_graph(params))
-    rows = zip(ps.graph.vertex_names, ps.addresses, ps.labels.values(), lines[1:])
-    for lineno, (name, addr, label, line) in enumerate(rows, start=2):
+    rows = zip(ps.graph.vertex_names, ps.labels, lines[1:])
+    for lineno, (name, label, line) in enumerate(rows, start=2):
         tokens = line.split(" ")
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
         # Canonical tokens need no parse; any other spelling must parse equal.
-        if tokens[0] != name and parse_address(tokens[0], params) != addr:
+        if tokens[0] != name and parse_address(tokens[0], params) != ps.addresses[lineno - 2]:
             raise FormatError(f"line {lineno}: address {tokens[0]!r} out of canonical order")
         if (
             tokens[1] != _format_intervals(label)

@@ -31,10 +31,10 @@ from .infotheory import (
     mutual_information,
 )
 from .l1metric import (
+    Embedding,
     distortion,
     identity_embedding,
     l1_interval_distance,
-    make_embedding,
     normalize_lipschitz,
     scale_embedding,
 )
@@ -79,21 +79,21 @@ def _suite_construction(flip: bool) -> _Tally:
         params = graph.params
         t.check(len(graph.vertices) == vertex_count(params))
         t.check(len(graph.edges) == params.cycle_length**params.n)
-        ps = point_set(graph)
-        t.check(len({ps.labels[v].intervals for v in graph.vertices}) == len(graph.vertices))
+        labels = point_set(graph).labels
+        t.check(len({label.intervals for label in labels}) == len(graph.vertices))
+        tails, heads = graph.level_edges[-1]
         t.check(
             all(
-                l1_interval_distance(ps.labels[tail], ps.labels[head]) == 1
-                for tail, head in graph.edges.values()
+                l1_interval_distance(labels[tail], labels[head]) == 1
+                for tail, head in zip(tails.tolist(), heads.tolist())
             )
         )
+        row = {name: i for i, name in enumerate(graph.vertex_names)}
         for level in range(1, params.n + 1):
-            pairs = antipodal_pairs(graph, level)
+            pairs = [(row[str(a)], row[str(b)]) for a, b in antipodal_pairs(graph, level)]
             t.check(len(pairs) == params.k * params.cycle_length ** (level - 1))
             want = params.k ** (params.n - level + 1)
-            t.check(
-                all(l1_interval_distance(ps.labels[a], ps.labels[b]) == want for a, b in pairs)
-            )
+            t.check(all(l1_interval_distance(labels[a], labels[b]) == want for a, b in pairs))
     return t
 
 
@@ -241,7 +241,7 @@ def _suite_distortion(flip: bool) -> _Tally:
     ident = identity_embedding(ps)
     rep = distortion(ps, ident)
     t.check(rep.expansion == 1.0 and rep.contraction == 1.0 and rep.distortion == 1.0)
-    random_emb = make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
+    random_emb = Embedding(rng.standard_normal((len(ps), 3)), ps.addresses)
     base = distortion(ps, random_emb)
     for s in (0.1, 3.0, 42.0):
         scaled = distortion(ps, scale_embedding(random_emb, s))

@@ -59,12 +59,14 @@ def test_criterion_01_construction_exactness(pointsets):
             expected = ((2 * k - 2) * (2 * k) ** n + 2 * k) // (2 * k - 1)
             assert vertex_count(GraphParams(k, n)) == expected
             assert len(ps.graph.vertices) == expected
-            for tail, head in ps.graph.edges.values():
+            tails, heads = ps.graph.level_edges[-1]
+            for tail, head in zip(tails.tolist(), heads.tolist()):
                 assert l1_interval_distance(ps.labels[tail], ps.labels[head]) == 1
+            row = {v: i for i, v in enumerate(ps.addresses)}
             for level in range(1, n + 1):
                 want = k ** (n - level + 1)
                 for a, b in antipodal_pairs(ps.graph, level):
-                    assert l1_interval_distance(ps.labels[a], ps.labels[b]) == want
+                    assert l1_interval_distance(ps.labels[row[a]], ps.labels[row[b]]) == want
     assert time.monotonic() - started < 10.0
 
 

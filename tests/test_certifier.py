@@ -7,6 +7,8 @@ Core claims:
     - constraint_lhs is exactly 1 for the identity embedding and, for any
       embedding, equals the embedded/original ratio of one antipodal pair
       (an independent route through completely different quantities)
+    - a report's entries are built only when read, and certify and its
+      text never build one
     - the per-level vectorized constraint_report equals the per-prefix loop
       it replaced float for float, in (level, prefix, r) order, and
       constraint_lhs to rounding
@@ -25,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+from l1cert import certifier
 from l1cert.certifier import (
     MAX_BOUND_BITS,
     average_edge_vector,
@@ -171,6 +174,29 @@ class TestConstraintReport:
         report = constraint_report(ps.graph, identity_embedding(ps))
         assert len(report.entries) == 14  # 1*2 at level 1 plus 6*2 at level 2
         assert report.epsilon <= 1e-12
+
+    def test_entries_built_only_when_read(self, pointsets):
+        ps = pointsets(2, 4)
+        rng = np.random.default_rng(41)
+        emb = make_embedding({a: rng.standard_normal(4) for a in ps.addresses})
+        cert = certify(ps, emb)
+        certificate_to_text(cert)
+        assert "entries" not in cert.constraints.__dict__
+        report = constraint_report(ps.graph, emb)
+        assert 0.0 <= report.epsilon <= 1.0
+        assert "entries" not in report.__dict__
+        assert len(report.entries) == 1 + 4 + 16 + 64
+        assert "entries" in report.__dict__
+
+    def test_certificate_makes_no_entry(self, pointsets, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ConstraintEntry was built")
+
+        monkeypatch.setattr(certifier, "ConstraintEntry", refuse)
+        ps = pointsets(3, 3)
+        rng = np.random.default_rng(43)
+        cert = certify(ps, make_embedding({a: rng.standard_normal(4) for a in ps.addresses}))
+        assert certificate_to_text(cert).startswith(f"epsilon={cert.epsilon!r}\n")
 
     def test_constant_embedding_epsilon_one(self, pointsets):
         ps = pointsets(2, 2)

@@ -4,11 +4,12 @@ Exit code contract: 0 success, 1 verification failure, 2 usage/input
 error. Generated files must round-trip byte-identically.
 """
 
+import numpy as np
 import pytest
 
 from l1cert.cli import main
-from l1cert.l1metric import embedding_to_text, identity_embedding, make_embedding
-from l1cert.pointset import pointset_from_text, pointset_to_text
+from l1cert.l1metric import Embedding, embedding_to_text, identity_embedding, make_embedding
+from l1cert.pointset import VertexAddress, pointset_from_text, pointset_to_text
 
 
 @pytest.fixture()
@@ -36,6 +37,41 @@ class TestGenerate:
         assert main(["generate", "-k", "2", "-n", "2", "-o", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert pointset_to_text(pointset_from_text(text)) == text
+
+
+class TestAddressFreePaths:
+    """generate, the P1 and L1EMB reads and certify work on rows, never on addresses."""
+
+    @staticmethod
+    def count_calls(monkeypatch, method):
+        calls = []
+        real = getattr(VertexAddress, method)
+
+        def counting(self, *args, **kwargs):
+            calls.append(method)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(VertexAddress, method, counting)
+        return calls
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
+    def test_no_address_hashed(self, tmp_path, pointsets, monkeypatch, capsys, k, n):
+        ps = pointsets(k, n)
+        rows = np.random.default_rng([k, n]).standard_normal((len(ps), 4))
+        p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
+        emb.write_text(embedding_to_text(ps, Embedding(rows, ps.addresses)), encoding="utf-8")
+        hashes = self.count_calls(monkeypatch, "__hash__")
+        assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(p1)]) == 0
+        assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
+        assert hashes == []
+        assert "consistent=true" in capsys.readouterr().out
+
+    def test_generate_and_parse_build_no_address(self, tmp_path, monkeypatch):
+        out = tmp_path / "p1.txt"
+        inits = self.count_calls(monkeypatch, "__init__")
+        assert main(["generate", "-k", "3", "-n", "3", "-o", str(out)]) == 0
+        pointset_from_text(out.read_text(encoding="utf-8"))
+        assert inits == []
 
 
 class TestCertify:

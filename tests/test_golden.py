@@ -1,7 +1,8 @@
-"""Golden outputs: the CLI's certificate, CSV table and search files, byte for byte.
+"""Golden outputs: the CLI's point-set, certificate, CSV table and search files, byte for byte.
 
 The expected texts and digests were recorded from the CLI before the
-embedding became a matrix. Any refactor that keeps behaviour keeps them;
+embedding became a matrix, and the P1 digests before the labels became a
+tuple in row order. Any refactor that keeps behaviour keeps them;
 a change here is a change of output format or numerics and must be
 deliberate.
 """
@@ -48,6 +49,12 @@ CERTIFY_CASES = [
     ),
 ]
 
+GENERATE_SHA256 = {
+    (2, 5): "e9d226b4b45ce39a124684325da3be3949ea705f7ef6de162993506b47c45074",
+    (3, 4): "8db517b99a135357da41f33a67f3f4c3b315944b7c718991c92f54fa077b64a4",
+    (4, 3): "f34c502549e6f8149501ab8b743be75c97d0bdbb9ad5521ae481c8dbf5ced824",
+}
+
 SEARCH_REPORT = (
     "distortion=8.909305217664155\n"
     "expansion=3.459966081254861\n"
@@ -71,6 +78,13 @@ SEARCH_EMBEDDING_SHA256 = "be596c9fbb2a19582bfe57d23e50f2fa9c3b296dd960557a38c6b
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k,n", sorted(GENERATE_SHA256))
+def test_generate_output(tmp_path, k, n):
+    out = tmp_path / "p1.txt"
+    assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(out)]) == 0
+    assert sha256(out) == GENERATE_SHA256[(k, n)]
 
 
 @pytest.mark.parametrize("k,n,d,seed,stdout,table_sha256", CERTIFY_CASES)

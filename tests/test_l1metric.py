@@ -74,14 +74,16 @@ class TestIntervalDistance:
 
     def test_self_distance_zero(self, pointsets):
         ps = pointsets(3, 2)
-        for addr in ps.addresses:
-            assert l1_interval_distance(ps.labels[addr], ps.labels[addr]) == 0
+        for label in ps.labels:
+            assert l1_interval_distance(label, label) == 0
 
     def test_root_left_to_adjacent_vertex(self, pointsets):
-        # In the (3, 2) graph the full-depth edge (1, 1) leaves the left root.
+        # In the (3, 2) graph the full-depth edge (1, 1), the first one,
+        # leaves the left root.
         ps = pointsets(3, 2)
-        tail, head = ps.graph.edges[(1, 1)]
-        assert str(tail) == "L"
+        tails, heads = ps.graph.level_edges[-1]
+        tail, head = int(tails[0]), int(heads[0])
+        assert ps.graph.vertex_names[tail] == "L"
         assert l1_interval_distance(ps.labels[tail], ps.labels[head]) == 1
 
     def test_matches_dense_oracle(self):
@@ -169,7 +171,7 @@ def naive_pairwise(points):
 def dense_distortion(ps, emb):
     """The full-square triu_indices formula over dense 0/1 labels."""
     points = np.stack([emb.vectors[a] for a in ps.addresses])
-    bits = np.stack([ps.labels[a].to_dense() for a in ps.addresses])
+    bits = np.stack([label.to_dense() for label in ps.labels])
     iu = np.triu_indices(len(ps), 1)
     de = naive_pairwise(points)[iu]
     do = naive_pairwise(bits)[iu]

@@ -10,8 +10,9 @@ Core claims:
     - the per-level index arrays and the level-by-level labels equal the
       recursive per-edge and per-vertex references, and building a point
       set plus its constraint report never calls those references
-    - vertex_names equals str() of every vertex; the edges dict is built
-      only when read, and nothing on the generate/parse/report path reads it
+    - vertex_names equals str() of every vertex; the vertices tuple and the
+      edges dict are built only when read, and neither point_set, the P1
+      writer nor a canonical P1 parse builds the vertices
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
 
@@ -197,7 +198,10 @@ class TestLevelArrays:
 
     def test_edges_not_built_on_the_read_path(self):
         ps = point_set(build_graph(GraphParams(3, 3)))
-        again = pointset_from_text(pointset_to_text(ps))
+        text = pointset_to_text(ps)
+        assert "vertices" not in ps.graph.__dict__
+        again = pointset_from_text(text)
+        assert "vertices" not in again.graph.__dict__
         rng = np.random.default_rng(5)
         emb = make_embedding({v: rng.standard_normal(2) for v in again.addresses})
         constraint_report(again.graph, emb)
@@ -219,9 +223,9 @@ class TestLevelArrays:
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
     def test_labels_equal_recursive_reference(self, pointsets, k, n):
         ps = pointsets(k, n)
-        assert list(ps.labels) == list(ps.addresses)
-        for v in ps.addresses:
-            assert ps.labels[v] == pointset._label_of(ps.params, v)
+        assert len(ps.labels) == len(ps.addresses)
+        for v, label in zip(ps.addresses, ps.labels):
+            assert label == pointset._label_of(ps.params, v)
 
     def test_no_recursive_helper_calls(self, monkeypatch):
         # Building labels and the constraint report must not fall back on the
@@ -269,14 +273,13 @@ class TestVertexLabels:
 
     def test_label_length_is_k_to_the_n(self, pointsets):
         ps = pointsets(3, 2)
-        assert all(ps.labels[v].length == 9 for v in ps.addresses)
+        assert all(label.length == 9 for label in ps.labels)
 
     @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
     def test_labels_distinct_and_well_formed(self, pointsets, k, n):
         ps = pointsets(k, n)
         seen = set()
-        for addr in ps.addresses:
-            label = ps.labels[addr]
+        for label in ps.labels:
             assert label.intervals not in seen
             seen.add(label.intervals)
             for (a, b), nxt in itertools.zip_longest(
@@ -296,18 +299,20 @@ class TestMetricStructure:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)])
     def test_every_edge_has_label_distance_one(self, pointsets, k, n):
         ps = pointsets(k, n)
-        for tail, head in ps.graph.edges.values():
+        tails, heads = ps.graph.level_edges[-1]
+        for tail, head in zip(tails.tolist(), heads.tolist()):
             assert dense_distance(ps.labels[tail], ps.labels[head]) == 1
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_antipodal_distances(self, pointsets, k, n):
         ps = pointsets(k, n)
+        row = {v: i for i, v in enumerate(ps.addresses)}
         for level in range(1, n + 1):
             pairs = antipodal_pairs(ps.graph, level)
             assert len(pairs) == k * (2 * k) ** (level - 1)
             expected = k ** (n - level + 1)
             for a, b in pairs:
-                assert dense_distance(ps.labels[a], ps.labels[b]) == expected
+                assert dense_distance(ps.labels[row[a]], ps.labels[row[b]]) == expected
 
     def test_depth_one_pairs(self):
         graph = build_graph(GraphParams(2, 1))
@@ -335,8 +340,8 @@ class TestDistanceMatrix:
         ps = pointsets(k, n)
         words = -(-ps.dimension // 64)
         bits = np.zeros((len(ps), 64 * words), dtype=bool)
-        for i, addr in enumerate(ps.addresses):
-            for a, b in ps.labels[addr].intervals:
+        for i, label in enumerate(ps.labels):
+            for a, b in label.intervals:
                 bits[i, a:b] = True
         want = np.packbits(bits, axis=1, bitorder="little").view("<u8")
         got = PointSet(ps.graph, ps.labels)._bitsets
@@ -347,7 +352,7 @@ class TestDistanceMatrix:
     def test_equals_interval_distance_on_every_pair(self, pointsets, k, n):
         # (4, 3) has labels of exactly 64 bits, one full word.
         ps = pointsets(k, n)
-        labs = [ps.labels[a] for a in ps.addresses]
+        labs = ps.labels
         want = np.array([[l1_interval_distance(a, b) for b in labs] for a in labs])
         got = ps.distance_matrix
         assert got.dtype == np.int64
@@ -359,7 +364,7 @@ class TestDistanceMatrix:
         ps = pointsets(3, 4)
         monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", block)
         got = PointSet(ps.graph, ps.labels).distance_matrix
-        dense = np.stack([ps.labels[a].to_dense() for a in ps.addresses])
+        dense = np.stack([label.to_dense() for label in ps.labels])
         ones = dense.sum(axis=1)
         want = ones[:, None] + ones[None, :] - 2 * (dense @ dense.T)
         assert np.array_equal(got, want.astype(np.int64))
@@ -385,7 +390,7 @@ class TestExportFormat:
         again = pointset_from_text(text)
         assert pointset_to_text(again) == text
         assert again.addresses == ps.addresses
-        assert all(again.labels[a] == ps.labels[a] for a in ps.addresses)
+        assert again.labels == ps.labels
 
     def test_header_contents(self, pointsets):
         text = pointset_to_text(pointsets(3, 2))
