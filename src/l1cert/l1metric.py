@@ -263,6 +263,9 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
         raise FormatError("embedding dimension must be >= 1")
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vector lines, found {len(lines) - 1}")
+    # The first line's width vouches for d before a matrix is sized by it.
+    if len(lines[1].split()) != head["d"] + 1:
+        raise FormatError(f"line 2: expected address plus {head['d']} coordinates")
     matrix = _canonical_matrix(lines[1:], ps.graph.vertex_names, head["d"])
     if matrix is None:
         matrix = _matrix_from_lines(lines[1:], ps, head["d"])
@@ -279,9 +282,6 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
     non-finite value), so the caller can read the file line by line.
     """
     width = d + 1
-    # The first line's width vouches for d before the matrix is sized by it.
-    if len(lines[0].split()) != width:
-        return None
     out = np.empty((len(lines), d))
     step = max(1, BLOCK_ELEMENTS // width)
     for i0 in range(0, len(lines), step):

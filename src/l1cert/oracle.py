@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certifier import edge_difference_map, nonneg_lift
-from .infotheory import (
-    JointDistribution,
-    ProbVector,
-    binary_entropy,
-    mutual_information,
-)
+from .certifier import _per_level_term, edge_difference_map, nonneg_lift
+from .infotheory import JointDistribution, ProbVector, mutual_information
 from .l1metric import DistortionReport, Embedding, _ratio_report, pairwise_l1
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
@@ -118,8 +113,7 @@ def lemma_check(distributions) -> LemmaReport:
 
     applicable = delta < 0.5
     if applicable:
-        log_km1 = 0.0 if k == 2 else math.log2(k - 1)
-        bound = math.log2(k) - delta * log_km1 - binary_entropy(delta)
+        bound = _per_level_term(k, delta)
         holds = data_processing_ok and mi_exact >= bound - 1e-9
     else:
         bound = 0.0

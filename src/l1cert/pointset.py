@@ -61,10 +61,9 @@ class GraphParams:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if (2 * self.k) ** self.n > MAX_EDGE_CAPACITY:
-            raise CapacityError(
-                f"(2k)^n = {(2 * self.k) ** self.n} exceeds capacity 2^48"
-            )
+        # 2k >= 4, so n > 24 gives (2k)**n >= 4**25 > 2**48: no need to take the power.
+        if self.n > 24 or (2 * self.k) ** self.n > MAX_EDGE_CAPACITY:
+            raise CapacityError(f"(2k)^n for k={self.k}, n={self.n} exceeds capacity 2^48")
 
     @property
     def cycle_length(self) -> int:

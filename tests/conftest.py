@@ -28,6 +28,19 @@ def pointsets():
     return get
 
 
+class _StrictChecker:
+    """A checker for the l1cert.selftest checks whose check asserts."""
+
+    def check(self, ok):
+        assert ok
+
+
+@pytest.fixture(scope="session")
+def checker():
+    """Pass to a shared selftest check: a failing check fails the test at its line."""
+    return _StrictChecker()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one pass/fail line per acceptance criterion."""
     rows = {}

@@ -60,6 +60,7 @@ from l1cert.l1metric import (
     scale_embedding,
 )
 from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_graph
+from l1cert.selftest import check_identity_constraints, check_lift
 
 
 class TestEdgeDifferenceMap:
@@ -113,12 +114,8 @@ class TestAverageEdgeVector:
 
 class TestConstraintLhs:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (4, 3)])
-    def test_identity_gives_exactly_one(self, pointsets, k, n):
-        ps = pointsets(k, n)
-        emb = identity_embedding(ps)
-        report = constraint_report(ps.graph, emb)
-        for entry in report.entries:
-            assert abs(entry.lhs - 1.0) <= 1e-12
+    def test_identity_gives_exactly_one(self, pointsets, checker, k, n):
+        check_identity_constraints(checker, pointsets(k, n))
 
     def test_constant_embedding_gives_zero(self, pointsets):
         ps = pointsets(2, 2)
@@ -299,7 +296,7 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_recover(np.zeros(4))
 
-    def test_roundtrip_and_norm_properties(self):
+    def test_roundtrip_and_norm_properties(self, checker):
         rng = np.random.default_rng(83)
         for _ in range(2000):
             d = int(rng.integers(1, 7))
@@ -307,11 +304,8 @@ class TestLift:
             norm = np.abs(vec).sum()
             if norm > 1:
                 vec /= norm * 1.25
-            lifted = nonneg_lift(vec)
+            lifted = check_lift(checker, vec, rng.uniform(0, 2, size=2 * d + 1))
             assert isinstance(lifted, ProbVector)
-            assert np.array_equal(lift_recover(lifted.weights), vec)
-            y = rng.uniform(0, 2, size=2 * d + 1)
-            assert np.abs(lift_recover(y)).sum() <= np.abs(y).sum() + 1e-12
 
 
 class TestDimensionBound:

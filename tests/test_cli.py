@@ -91,6 +91,19 @@ class TestCertify:
         emb_path.write_text("\n".join(text.splitlines()[:5]) + "\n", encoding="utf-8")
         assert main(["certify", str(ps23_file), str(emb_path)]) == 2
 
+    def test_over_capacity_header_is_input_error(self, tmp_path, pointsets, capsys):
+        # (2k)^n = 4**100000 has more decimal digits than Python will print.
+        ps = pointsets(2, 1)
+        lines = pointset_to_text(ps).splitlines()
+        lines[0] = lines[0].replace("n=1", "n=100000")
+        p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
+        p1.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        emb.write_text(embedding_to_text(ps, identity_embedding(ps)), encoding="utf-8")
+        assert main(["certify", str(p1), str(emb)]) == 2
+        assert capsys.readouterr().out == (
+            "error: bad parameters in header: (2k)^n for k=2, n=100000 exceeds capacity 2^48\n"
+        )
+
     def test_constant_embedding_is_degenerate(self, tmp_path, ps23_file, pointsets):
         ps = pointsets(2, 3)
         emb = make_embedding({a: [1.0, 2.0] for a in ps.addresses})

@@ -1,13 +1,15 @@
-"""Golden outputs: the CLI's point-set, certificate, CSV table and search files, byte for byte.
+"""Golden outputs: the CLI's point-set, certificate, CSV table, search and selftest output.
 
 The expected texts and digests were recorded from the CLI before the
-embedding became a matrix, and the P1 digests before the labels became a
-tuple in row order. Any refactor that keeps behaviour keeps them;
+embedding became a matrix, the P1 digests before the labels became a
+tuple in row order, and the selftest lines before the tests began to call
+the selftest checks. Any refactor that keeps behaviour keeps them;
 a change here is a change of output format or numerics and must be
 deliberate.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +77,35 @@ SEARCH_STDOUT = (
 )
 SEARCH_EMBEDDING_SHA256 = "be596c9fbb2a19582bfe57d23e50f2fa9c3b296dd960557a38c6b24fd2c6d031"
 
+SELFTEST_STDOUT = (
+    "construction: ok (72 passed, 0 failed)\n"
+    "identity_equality: ok (12 passed, 0 failed)\n"
+    "averaging: ok (128 passed, 0 failed)\n"
+    "lift: ok (6000 passed, 0 failed)\n"
+    "fano: ok (226 passed, 0 failed)\n"
+    "inner_claim: ok (3500 passed, 0 failed)\n"
+    "lemma: ok (801 passed, 0 failed)\n"
+    "chain_per_level: ok (6 passed, 0 failed)\n"
+    "distortion: ok (7 passed, 0 failed)\n"
+    "bound_values: ok (8 passed, 0 failed)\n"
+    "end_to_end: ok (5 passed, 0 failed)\n"
+    "selftest: all 11 suites passed (<elapsed>)\n"
+)
+SELFTEST_FLIPPED_STDOUT = (
+    "construction: ok (72 passed, 0 failed)\n"
+    "identity_equality: FAIL (6 passed, 6 failed)\n"
+    "averaging: FAIL (100 passed, 28 failed)\n"
+    "lift: ok (6000 passed, 0 failed)\n"
+    "fano: ok (226 passed, 0 failed)\n"
+    "inner_claim: ok (3500 passed, 0 failed)\n"
+    "lemma: ok (801 passed, 0 failed)\n"
+    "chain_per_level: ok (6 passed, 0 failed)\n"
+    "distortion: ok (7 passed, 0 failed)\n"
+    "bound_values: ok (8 passed, 0 failed)\n"
+    "end_to_end: ok (5 passed, 0 failed)\n"
+    "selftest: 2 of 11 suites failed (<elapsed>)\n"
+)
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -108,3 +139,13 @@ def test_search_output(tmp_path, pointsets, capsys):
     assert capsys.readouterr().out.replace(str(out), "<out>") == SEARCH_STDOUT
     assert (tmp_path / "emb.txt.report").read_text(encoding="utf-8") == SEARCH_REPORT
     assert sha256(out) == SEARCH_EMBEDDING_SHA256
+
+
+@pytest.mark.parametrize(
+    "flags,code,stdout",
+    [([], 0, SELFTEST_STDOUT), (["--flip-bottom-debug"], 1, SELFTEST_FLIPPED_STDOUT)],
+    ids=["default", "flip_bottom_debug"],
+)
+def test_selftest_output(capsys, flags, code, stdout):
+    assert main(["selftest", *flags]) == code
+    assert re.sub(r"\(\d+\.\ds\)", "(<elapsed>)", capsys.readouterr().out) == stdout

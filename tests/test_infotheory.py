@@ -28,6 +28,7 @@ from l1cert.infotheory import (
     mutual_information,
 )
 from l1cert.pointset import CapacityError
+from l1cert.selftest import fano_trial
 
 
 def random_joint(rng, sizes):
@@ -193,28 +194,11 @@ class TestFanoBound:
         with pytest.raises(ValueError):
             fano_bound(3, 1.1)
 
-    def test_lower_bounds_measured_information(self):
+    def test_lower_bounds_measured_information(self, checker):
         # X uniform on [k]; the argmax predictor's success p gives
         # I(X:Y) >= fano_bound(k, p) whenever p >= 1/2.
         rng = np.random.default_rng(53)
-        checked = 0
-        for trial in range(300):
-            k = 2 + trial % 5
-            m = int(rng.integers(2, 9))
-            rows = rng.exponential(size=(k, m))
-            rows /= rows.sum(axis=1, keepdims=True)
-            if rng.uniform() < 0.5:
-                sharp = np.zeros((k, m))
-                for a in range(k):
-                    sharp[a, int(rng.integers(m))] = 1.0
-                lam = rng.uniform(0.0, 0.6)
-                rows = (1 - lam) * sharp + lam * rows
-            joint = JointDistribution((k, m), rows / k)
-            success = float(rows.max(axis=0).sum()) / k
-            if success < 0.5:
-                continue
-            checked += 1
-            assert mutual_information(joint, 0, 1) >= fano_bound(k, success) - 1e-9
+        checked = sum(fano_trial(checker, rng, trial) for trial in range(300))
         assert checked >= 80
 
 

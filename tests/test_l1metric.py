@@ -497,6 +497,15 @@ class TestEmbeddingFastPath:
             embedding_from_text("\n".join(lines) + "\n", ps)
         assert str(info.value) == f"line {lineno}: {message}"
 
+    def test_header_dimension_is_vouched_for_before_allocation(self, pointsets):
+        # d=4e9 would size a 119 GiB matrix; the first line has 2 coordinates.
+        ps = pointsets(2, 1)
+        lines = embedding_to_text(ps, identity_embedding(ps)).splitlines()
+        lines[0] = lines[0].replace("d=2", "d=4000000000")
+        with pytest.raises(FormatError) as info:
+            embedding_from_text("\n".join(lines) + "\n", ps)
+        assert str(info.value) == "line 2: expected address plus 4000000000 coordinates"
+
     @pytest.mark.parametrize(
         "token",
         ["1_0", "+2", "1e400", "-Infinity", "nan", "\uff11\uff12", "0x1p3", "1,5", ".5",

@@ -13,14 +13,12 @@ Core claims:
       reproduces the hand-computed information values
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from l1cert.certifier import average_edge_vector, certify
-from l1cert.infotheory import chain_rule_terms, mutual_information
+from l1cert.infotheory import mutual_information
 from l1cert.l1metric import _ratio_report, identity_embedding, make_embedding, pairwise_l1
 from l1cert.oracle import (
     SearchConfig,
@@ -32,6 +30,13 @@ from l1cert.oracle import (
     search_embedding,
 )
 from l1cert.pointset import CapacityError
+from l1cert.selftest import (
+    check_averaging,
+    check_chain_per_level,
+    check_end_to_end,
+    check_inner_claim,
+    lemma_trial,
+)
 
 
 class TestBruteForceAverage:
@@ -48,15 +53,11 @@ class TestBruteForceAverage:
         assert avg.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3)])
-    def test_matches_closed_form_on_all_prefixes(self, pointsets, k, n):
+    def test_matches_closed_form_on_all_prefixes(self, pointsets, checker, k, n):
         ps = pointsets(k, n)
         rng = np.random.default_rng(101)
         emb = make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
-        for length in range(n + 1):
-            for prefix in itertools.product(range(1, 2 * k + 1), repeat=length):
-                closed = average_edge_vector(ps.graph, emb, prefix)
-                brute = brute_force_average(ps.graph, emb, prefix)
-                assert np.abs(closed - brute).max() <= 1e-12
+        check_averaging(checker, ps.graph, emb)
 
     def test_completion_cap(self, pointsets, monkeypatch):
         monkeypatch.setattr("l1cert.oracle.MAX_COMPLETIONS", 10)
@@ -75,20 +76,18 @@ class TestMaxClaimGap:
     def test_point_mass(self):
         assert max_claim_gap([1.0, 0.0, 0.0]) == (0.0, 0.0)
 
-    def test_two_entries_collapse_to_min(self):
+    def test_two_entries_collapse_to_min(self, checker):
         rng = np.random.default_rng(103)
         for _ in range(500):
             # Dyadic entries keep every float operation exact.
             pair = rng.integers(0, 2**20, size=2) / 2.0**20
-            lhs, rhs = max_claim_gap(pair)
-            assert lhs == rhs == min(pair)
+            lhs, _ = check_inner_claim(checker, pair, exact=True)
+            assert lhs == min(pair)
 
-    def test_inequality_random(self):
+    def test_inequality_random(self, checker):
         rng = np.random.default_rng(107)
         for trial in range(2000):
-            k = 2 + trial % 7
-            lhs, rhs = max_claim_gap(rng.uniform(0, 5, size=k))
-            assert lhs <= rhs + 1e-12
+            check_inner_claim(checker, rng.uniform(0, 5, size=2 + trial % 7))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -109,26 +108,9 @@ class TestLemmaCheck:
         assert not report.applicable
         assert report.holds  # only the data-processing check applies
 
-    def test_random_trials_hold(self):
+    def test_random_trials_hold(self, checker):
         rng = np.random.default_rng(109)
-        applicable = 0
-        for trial in range(300):
-            k = 2 + trial % 4
-            d = int(rng.integers(k, 9))
-            rows = rng.exponential(size=(2 * k, d))
-            rows /= rows.sum(axis=1, keepdims=True)
-            if rng.uniform() < 0.7:
-                targets = rng.permutation(d)[:k]
-                sharp = np.zeros((2 * k, d))
-                for a in range(k):
-                    sharp[a, targets[a]] = 1.0
-                    sharp[a + k, targets[a]] = 1.0
-                lam = rng.uniform(0.0, 0.5)
-                rows = (1 - lam) * sharp + lam * rows
-            report = lemma_check(rows)
-            assert report.holds
-            assert report.mi_exact >= report.mi_folded - 1e-9
-            applicable += report.applicable
+        applicable = sum(lemma_trial(checker, rng, trial) for trial in range(300))
         assert applicable >= 60
 
     def test_rejects_bad_shapes(self):
@@ -165,13 +147,12 @@ class TestSearchEmbedding:
         result = search_embedding(ps, cfg)
         assert result.report.distortion == pytest.approx(1.0, abs=1e-6)
 
-    def test_certificates_always_consistent(self, pointsets):
+    def test_certificates_always_consistent(self, pointsets, checker):
         ps = pointsets(2, 2)
         for d in (1, 3):
             for seed in (0, 1):
                 cfg = SearchConfig(target_dimension=d, iterations=300, restarts=2, seed=seed)
-                result = search_embedding(ps, cfg)
-                assert certify(ps, result.embedding).consistent
+                check_end_to_end(checker, ps, cfg)
 
 
 def _full_recompute_search(ps, cfg):
@@ -326,18 +307,11 @@ class TestMessageJoint:
         marginal = joint.marginal((0, 1))
         assert np.abs(marginal - 1.0 / 16.0).max() <= 1e-12
 
-    def test_chain_terms_at_least_one_each(self, pointsets):
+    def test_chain_terms_at_least_one_each(self, pointsets, checker):
         for n in (1, 2):
             ps = pointsets(2, n)
-            joint = build_message_joint(ps.graph, identity_embedding(ps))
-            terms = chain_rule_terms(joint)
+            terms = check_chain_per_level(checker, ps.graph, identity_embedding(ps))
             assert len(terms) == n
-            assert all(t >= 1.0 - 1e-9 for t in terms)
-            total = mutual_information(joint, tuple(range(n)), n)
-            assert sum(terms) == pytest.approx(total, abs=1e-9)
-            h_m = joint.entropy_of(n)
-            d = ps.dimension
-            assert math.log2(2 * d + 1) >= h_m >= total - 1e-9
 
     def test_capacity_cap(self, pointsets, monkeypatch):
         monkeypatch.setattr("l1cert.oracle.MAX_JOINT_CELLS", 100)

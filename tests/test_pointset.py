@@ -76,6 +76,9 @@ class TestParams:
         # 4**60 edges is far beyond the 2**48 exact-counting cap.
         with pytest.raises(CapacityError):
             GraphParams(2, 60)
+        # Too large to print: the check must not take the power.
+        with pytest.raises(CapacityError, match="n=100000 exceeds"):
+            GraphParams(2, 10**5)
 
     def test_build_rejects_unmaterializable(self):
         # Parameters are fine for label queries but too big to materialize.
