@@ -8,7 +8,6 @@ means an isometry up to scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .pointset import (
     VertexAddress,
     _parse_header,
     parse_address,
+    vertex_count,
 )
 
 
@@ -69,18 +69,27 @@ def l1_distance(u, v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per address.
+    """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per vertex.
 
-    Row i is the vector of `addresses[i]`; every producer in this package
-    puts the rows in point-set export order. Non-finite entries are
-    rejected. `vectors` is the per-address view that the slow references
-    and the tests read; the array paths never build it.
+    `order` names the rows: a tuple of addresses, row i being the vector
+    of `order[i]`, or a RecursiveCycleGraph, whose export order the rows
+    follow. Every producer in this package builds the rows in export
+    order and passes the graph, so no address is built: `addresses` is
+    `graph.vertices`, built on first read, and `vertex_matrix` recognizes
+    the order from the graph's params. Non-finite entries and a row count
+    that differs from the order's are rejected. `vectors` is the
+    per-address view that the slow references and the tests read; the
+    array paths never build it.
     """
 
     matrix: np.ndarray
-    addresses: tuple[VertexAddress, ...]
+    order: tuple[VertexAddress, ...] | RecursiveCycleGraph
 
     def __post_init__(self) -> None:
+        order = self.order
+        rows = vertex_count(order.params) if isinstance(order, RecursiveCycleGraph) else len(order)
+        if self.matrix.shape[0] != rows:
+            raise ValueError(f"embedding has {self.matrix.shape[0]} rows for {rows} vertices")
         finite = np.isfinite(self.matrix).all(axis=1)
         if not finite.all():
             addr = self.addresses[int(finite.argmin())]
@@ -90,6 +99,13 @@ class Embedding:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def addresses(self) -> tuple[VertexAddress, ...]:
+        """The address of each row, in row order."""
+        if isinstance(self.order, RecursiveCycleGraph):
+            return self.order.vertices
+        return self.order
 
     @cached_property
     def vectors(self) -> Mapping[VertexAddress, np.ndarray]:
@@ -114,16 +130,23 @@ def make_embedding(vectors) -> Embedding:
 
 def identity_embedding(ps: PointSet) -> Embedding:
     """Labels themselves as vectors in R**(k**n); an isometry by construction."""
-    return Embedding(np.stack([label.to_dense() for label in ps.labels]), ps.addresses)
+    return Embedding(np.stack([label.to_dense() for label in ps.labels]), ps.graph)
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:
-    return Embedding(emb.matrix * factor, emb.addresses)
+    return Embedding(emb.matrix * factor, emb.order)
 
 
 def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
-    """The embedding's rows in graph.vertices order; a vertex it lacks is a ValueError."""
-    if emb.addresses == graph.vertices:
+    """The embedding's rows in graph.vertices order; a vertex it lacks is a ValueError.
+
+    An embedding in the export order of a graph with the same params is
+    returned as it is, before any address is built or compared.
+    """
+    if isinstance(emb.order, RecursiveCycleGraph):
+        if emb.order.params == graph.params:
+            return emb.matrix
+    elif emb.order == graph.vertices:
         return emb.matrix
     missing = [v for v in graph.vertices if v not in emb.vectors]
     if missing:
@@ -169,20 +192,27 @@ def _worst_ratios(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Distortion
     Each block is a pair (embedded, original) of distances for rows
     i0..i1-1 against columns i0..N-1, so its pairs i < j are the entries
     right of the block diagonal. A zero embedded distance makes the
-    contraction infinite without dividing by it.
+    contraction infinite without dividing by it. An embedded distance or
+    a ratio past float range raises OverflowError: the report would be
+    meaningless, and a ratio could pass for a coincident pair.
     """
     expansion = contraction = 0.0
+    coincident = False
     for embedded, original in blocks:
         rows, cols = embedded.shape
         upper = np.arange(cols) > np.arange(rows)[:, None]
         de, do = embedded[upper], original[upper]
         expansion = max(expansion, float(np.max(de / do)))
         if np.any(de == 0.0):
-            contraction = math.inf
+            coincident = True
         else:
             contraction = max(contraction, float(np.max(do / de)))
-    if contraction == math.inf:
+    if math.isinf(expansion):
+        raise OverflowError("an embedded distance overflows the float range")
+    if coincident:
         return DistortionReport(expansion, math.inf, math.inf)
+    if math.isinf(contraction):
+        raise OverflowError("a label to embedded distance ratio overflows the float range")
     return DistortionReport(expansion, contraction, expansion * contraction)
 
 
@@ -204,7 +234,8 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     them, its label distances are popcounts of XORed packed labels, and
     both are folded into the worst ratios at once. No N x N matrix is
     built; memory beyond the inputs is O(N * (d + words)), with words the
-    number of 64-bit words per label.
+    number of 64-bit words per label. Overflow is left to _worst_ratios
+    to report, so numpy's overflow warnings are off for the pass.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
@@ -218,7 +249,8 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
             diff = points[i0:i1, None, :] - points[None, i0:, :]
             yield np.abs(diff, out=diff).sum(axis=-1), ps.label_distances(i0, i1, i0)
 
-    return _worst_ratios(blocks())
+    with np.errstate(over="ignore"):
+        return _worst_ratios(blocks())
 
 
 def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:
@@ -243,10 +275,11 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
 
     Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
     vector lengths, and non-finite entries. A file written in canonical
-    form is read in row blocks into one read-only (N, d) matrix whose rows
-    are the vectors; any other file goes through the per-line loop, which
-    accepts valid non-canonical address spellings and names the first bad
-    line.
+    form is read by one C-level parse into one read-only (N, d) matrix
+    whose rows are the vectors; any other file goes through the per-line
+    loop, which accepts valid non-canonical address spellings and names
+    the first bad line. The rows are named by `ps.graph`, so the read
+    builds no address.
     """
     lines = text.splitlines()
     if not lines:
@@ -269,34 +302,28 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     matrix = _canonical_matrix(lines[1:], ps.graph.vertex_names, head["d"])
     if matrix is None:
         matrix = _matrix_from_lines(lines[1:], ps, head["d"])
-    return Embedding(matrix, ps.addresses)
+    return Embedding(matrix, ps.graph)
 
 
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
     """The vectors of lines that all read `<canonical name> <d floats>`, or None.
 
-    Reads row blocks of about BLOCK_ELEMENTS tokens: each block is split,
-    its token counts and names are compared, and its coordinates go through
-    float() into the matrix. None as soon as a line differs in any way
-    (token count, address spelling, a coordinate float() rejects, a
+    Each line's width is checked by its count of single spaces and the
+    names with one list comparison; then np.loadtxt parses every coordinate
+    in C, skipping the name column. Its float parse is correctly rounded,
+    like float(). None as soon as anything differs (a name, a width, a
+    coordinate loadtxt rejects, such as `1_0` that float() reads, or a
     non-finite value), so the caller can read the file line by line.
     """
-    width = d + 1
-    out = np.empty((len(lines), d))
-    step = max(1, BLOCK_ELEMENTS // width)
-    for i0 in range(0, len(lines), step):
-        rows = [line.split() for line in lines[i0 : i0 + step]]
-        if any(len(r) != width for r in rows):
-            return None
-        if [r[0] for r in rows] != list(names[i0 : i0 + step]):
-            return None
-        coords = map(float, itertools.chain.from_iterable(r[1:] for r in rows))
-        try:
-            block = np.fromiter(coords, float, count=len(rows) * d)
-        except ValueError:
-            return None
-        out[i0 : i0 + len(rows)] = block.reshape(-1, d)
-    if not np.isfinite(out).all():
+    if any(line.count(" ") != d for line in lines):
+        return None
+    if [line[: line.find(" ")] for line in lines] != list(names):
+        return None
+    try:
+        out = np.loadtxt(lines, delimiter=" ", comments=None, usecols=range(1, d + 1), ndmin=2)
+    except ValueError:
+        return None
+    if out.shape != (len(lines), d) or not np.isfinite(out).all():
         return None
     return out
 
@@ -304,11 +331,11 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
 def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
     """The per-line reader: every address spelling parse_address accepts, exact errors."""
     out = np.empty((len(lines), d))
-    for lineno, (addr, line) in enumerate(zip(ps.addresses, lines), start=2):
+    for lineno, (name, line) in enumerate(zip(ps.graph.vertex_names, lines), start=2):
         parts = line.split()
         if len(parts) != d + 1:
             raise FormatError(f"line {lineno}: expected address plus {d} coordinates")
-        if parts[0] != str(addr) and parse_address(parts[0], ps.params) != addr:
+        if parts[0] != name and parse_address(parts[0], ps.params) != ps.addresses[lineno - 2]:
             raise FormatError(f"line {lineno}: address {parts[0]!r} out of canonical order")
         try:
             out[lineno - 2] = [float(x) for x in parts[1:]]

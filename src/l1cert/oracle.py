@@ -213,7 +213,7 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
             best = (report, restart, points.copy())
 
     report, restart, points = best
-    return SearchResult(Embedding(points, ps.addresses), report, restart)
+    return SearchResult(Embedding(points, ps.graph), report, restart)
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:

@@ -440,11 +440,15 @@ def antipodal_pairs(
 class PointSet:
     """The labels of a built graph, with fast distance access.
 
-    `labels` is in export order: row i is the label of `graph.vertices[i]`.
+    Everything is derived from the graph on first read. `labels` is the
+    tuple of IntervalLabel objects in export order (row i is the label of
+    `graph.vertices[i]`); only the packed bitsets, `identity_embedding`,
+    a non-canonical P1 line, the references and the tests read it. The P1
+    writer and reader build no label object: the writer splices the
+    canonical text from the same walk, and the reader compares with it.
     """
 
     graph: RecursiveCycleGraph
-    labels: tuple[IntervalLabel, ...]
 
     @property
     def addresses(self) -> tuple[VertexAddress, ...]:
@@ -459,7 +463,18 @@ class PointSet:
         return self.params.label_length
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return vertex_count(self.params)
+
+    @cached_property
+    def labels(self) -> tuple[IntervalLabel, ...]:
+        """Every vertex label in export order, from one walk of _cycle_spans."""
+        total = self.dimension
+        labels = [IntervalLabel(total, ()), IntervalLabel(total, ((0, total),))]
+        for base, spans in _cycle_spans(self.params):
+            labels += [
+                IntervalLabel(total, base[:lo] + ((a, b),) + base[hi:]) for lo, a, b, hi in spans
+            ]
+        return tuple(labels)
 
     @cached_property
     def _bitsets(self) -> np.ndarray:
@@ -496,20 +511,28 @@ class PointSet:
 
 
 def point_set(graph: RecursiveCycleGraph) -> PointSet:
-    """Compute every vertex label once, level by level.
+    """The point set of a built graph; its labels are computed on first read."""
+    return PointSet(graph)
+
+
+def _cycle_spans(params: GraphParams):
+    """Walk every cycle in export order: its tail's intervals and one interval per inner vertex.
 
     An inner vertex's label is its cycle's tail label, built at an earlier
     level, plus one ones-interval inside the cycle's coordinate block. The
     tail is all zeros on that block, so the interval is inserted at its
     bisected place and merged only with a neighbour it touches: no sort and
-    no recursion. _label_of is the per-vertex reference it is tested against.
+    no recursion. Yields (base, spans) per cycle, where base is the tail's
+    interval tuple and the cycle's i-th inner vertex has the intervals
+    base[:lo] + ((a, b),) + base[hi:] for (lo, a, b, hi) = spans[i]. Only
+    the interval tuples of vertices above depth n are kept, as the next
+    level's bases. _label_of is the per-vertex reference it is tested against.
     """
-    params = graph.params
     k, n, total = params.k, params.n, params.label_length
     inner = [q for q in range(1, 2 * k) if q != k]
     # Block offset of edge b inside its parent's block, in sub-block units.
     offsets = np.array([k - (b if b <= k else b - k) for b in range(1, 2 * k + 1)])
-    labels = [IntervalLabel(total, ()), IntervalLabel(total, ((0, total),))]
+    bases = [(), ((0, total),)]
     starts = np.zeros(1, dtype=np.int64)
     for level, cycles in enumerate(_level_cycles(params), start=1):
         sub = k ** (n - level)
@@ -518,10 +541,11 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
         # has the last q sub-blocks, bottom q the first 2k-q.
         ones = [((k - q) * sub, block) if q < k else (0, (2 * k - q) * sub) for q in inner]
         for tail, start in zip(cycles[:, 0].tolist(), starts.tolist()):
-            base = labels[tail].intervals
+            base = bases[tail]
             at = bisect.bisect_left(base, (start,))
             left_end = base[at - 1][1] if at else -1
             right_start = base[at][0] if at < len(base) else -1
+            spans = []
             for a, b in ones:
                 a, b, lo, hi = a + start, b + start, at, at
                 if a == left_end:
@@ -530,13 +554,11 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
                 if b == right_start:
                     b = base[hi][1]
                     hi += 1
-                labels.append(IntervalLabel(total, base[:lo] + ((a, b),) + base[hi:]))
+                spans.append((lo, a, b, hi))
+            if level < n:
+                bases += [base[:lo] + ((a, b),) + base[hi:] for lo, a, b, hi in spans]
+            yield base, spans
         starts = (starts[:, None] + offsets * sub).ravel()
-    return PointSet(graph, tuple(labels))
-
-
-def _format_intervals(label: IntervalLabel) -> str:
-    return ",".join([f"{a}-{b}" for a, b in label.intervals]) or "-"
 
 
 def _parse_intervals(text: str, length: int) -> IntervalLabel:
@@ -561,11 +583,29 @@ def _parse_intervals(text: str, length: int) -> IntervalLabel:
 
 
 def pointset_to_text(ps: PointSet) -> str:
-    """Serialize in the P1 text format (header plus one vertex per line)."""
+    """Serialize in the P1 text format (header plus one vertex per line).
+
+    The text is spliced from the _cycle_spans walk: each cycle's interval
+    runs left and right of the inserted interval are formatted once per
+    variant (with the touching interval merged or not), and each inner
+    vertex's line is its name, those runs and its own interval.
+    """
     p = ps.params
-    lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
-    for name, label in zip(ps.graph.vertex_names, ps.labels):
-        lines.append(f"{name} {_format_intervals(label)}")
+    total = p.label_length
+    names = iter(ps.graph.vertex_names)
+    lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={total}"]
+    lines += [f"{next(names)} -", f"{next(names)} 0-{total}"]
+    for base, spans in _cycle_spans(p):
+        # The top vertices share one (lo, hi) and the bottom ones another,
+        # so each run is formatted at most twice per cycle. spans goes
+        # first: zip must not draw a name past the cycle's last vertex.
+        lo_done = hi_done = None
+        for (lo, a, b, hi), name in zip(spans, names):
+            if lo != lo_done:
+                lo_done, left = lo, "".join([f"{x}-{y}," for x, y in base[:lo]])
+            if hi != hi_done:
+                hi_done, right = hi, "".join([f",{x}-{y}" for x, y in base[hi:]])
+            lines.append(f"{name} {left}{a}-{b}{right}")
     return "\n".join(lines) + "\n"
 
 
@@ -592,7 +632,10 @@ def pointset_from_text(text: str) -> PointSet:
     """Parse a P1 file, rebuilding and verifying against the canonical construction.
 
     The returned point set is the in-memory construction; any divergence of
-    the file from it (order, addresses, labels, counts) is a FormatError.
+    the file from it (order, addresses, labels, counts) is a FormatError. A
+    file equal to the canonical text is accepted with one comparison and no
+    label object; any other file is checked line by line, which accepts
+    valid non-canonical spellings and names the first bad line.
     """
     lines = text.splitlines()
     if not lines:
@@ -607,17 +650,23 @@ def pointset_from_text(text: str) -> PointSet:
     if len(lines) != head["N"] + 1:
         raise FormatError(f"expected {head['N']} vertex lines, found {len(lines) - 1}")
     ps = point_set(build_graph(params))
-    rows = zip(ps.graph.vertex_names, ps.labels, lines[1:])
-    for lineno, (name, label, line) in enumerate(rows, start=2):
+    canonical = pointset_to_text(ps)
+    if text == canonical:
+        return ps
+    rows = zip(canonical.splitlines()[1:], lines[1:])
+    for lineno, (want, line) in enumerate(rows, start=2):
+        if line == want:
+            continue
         tokens = line.split(" ")
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
         # Canonical tokens need no parse; any other spelling must parse equal.
+        name, intervals = want.split(" ")
         if tokens[0] != name and parse_address(tokens[0], params) != ps.addresses[lineno - 2]:
             raise FormatError(f"line {lineno}: address {tokens[0]!r} out of canonical order")
         if (
-            tokens[1] != _format_intervals(label)
-            and _parse_intervals(tokens[1], params.label_length) != label
+            tokens[1] != intervals
+            and _parse_intervals(tokens[1], params.label_length) != ps.labels[lineno - 2]
         ):
             raise FormatError(f"line {lineno}: label does not match the construction")
     return ps

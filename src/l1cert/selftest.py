@@ -303,7 +303,7 @@ def _suite_distortion(flip: bool) -> _Tally:
     ident = identity_embedding(ps)
     rep = distortion(ps, ident)
     t.check(rep.expansion == 1.0 and rep.contraction == 1.0 and rep.distortion == 1.0)
-    random_emb = Embedding(rng.standard_normal((len(ps), 3)), ps.addresses)
+    random_emb = Embedding(rng.standard_normal((len(ps), 3)), ps.graph)
     base = distortion(ps, random_emb)
     for s in (0.1, 3.0, 42.0):
         scaled = distortion(ps, scale_embedding(random_emb, s))

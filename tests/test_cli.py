@@ -4,12 +4,21 @@ Exit code contract: 0 success, 1 verification failure, 2 usage/input
 error. Generated files must round-trip byte-identically.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from l1cert.certifier import constraint_report, dimension_bound
 from l1cert.cli import main
-from l1cert.l1metric import Embedding, embedding_to_text, identity_embedding, make_embedding
-from l1cert.pointset import VertexAddress, pointset_from_text, pointset_to_text
+from l1cert.l1metric import (
+    Embedding,
+    embedding_from_text,
+    embedding_to_text,
+    identity_embedding,
+    make_embedding,
+)
+from l1cert.pointset import IntervalLabel, VertexAddress, pointset_from_text, pointset_to_text
 
 
 @pytest.fixture()
@@ -43,15 +52,15 @@ class TestAddressFreePaths:
     """generate, the P1 and L1EMB reads and certify work on rows, never on addresses."""
 
     @staticmethod
-    def count_calls(monkeypatch, method):
+    def count_calls(monkeypatch, method, cls=VertexAddress):
         calls = []
-        real = getattr(VertexAddress, method)
+        real = getattr(cls, method)
 
         def counting(self, *args, **kwargs):
             calls.append(method)
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(VertexAddress, method, counting)
+        monkeypatch.setattr(cls, method, counting)
         return calls
 
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
@@ -72,6 +81,31 @@ class TestAddressFreePaths:
         assert main(["generate", "-k", "3", "-n", "3", "-o", str(out)]) == 0
         pointset_from_text(out.read_text(encoding="utf-8"))
         assert inits == []
+
+    @staticmethod
+    def write_embedding(path, ps, d):
+        rows = np.random.default_rng(len(ps)).standard_normal((len(ps), d))
+        path.write_text(embedding_to_text(ps, Embedding(rows, ps.addresses)), encoding="utf-8")
+
+    def test_read_path_builds_no_address_and_no_label(self, tmp_path, pointsets, monkeypatch):
+        p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
+        self.write_embedding(emb, pointsets(3, 4), 4)
+        addresses = self.count_calls(monkeypatch, "__init__")
+        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        assert main(["generate", "-k", "3", "-n", "4", "-o", str(p1)]) == 0
+        ps = pointset_from_text(p1.read_text(encoding="utf-8"))
+        report = constraint_report(ps.graph, embedding_from_text(emb.read_text("utf-8"), ps))
+        dimension_bound(3, 4, report.epsilon)
+        assert (len(addresses), len(labels)) == (0, 0)
+
+    def test_certify_builds_no_address(self, tmp_path, pointsets, monkeypatch, capsys):
+        p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
+        p1.write_text(pointset_to_text(pointsets(2, 4)), encoding="utf-8")
+        self.write_embedding(emb, pointsets(2, 4), 8)
+        addresses = self.count_calls(monkeypatch, "__init__")
+        assert main(["certify", str(p1), str(emb)]) == 0
+        assert len(addresses) == 0
+        assert "consistent=true" in capsys.readouterr().out
 
 
 class TestCertify:
@@ -110,6 +144,32 @@ class TestCertify:
         emb_path = tmp_path / "emb.txt"
         emb_path.write_text(embedding_to_text(ps, emb), encoding="utf-8")
         assert main(["certify", str(ps23_file), str(emb_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # The first point is at L1 distance past the largest float from the others.
+            (
+                lambda n: [[1e308, 1e308]] + [[i, -i] for i in range(1, n)],
+                "an embedded distance overflows the float range",
+            ),
+            # Distinct subnormal points: a label distance of 1 over 2e-320 is past it too.
+            (
+                lambda n: [[i * 1e-320, i * 1e-320] for i in range(n)],
+                "a label to embedded distance ratio overflows the float range",
+            ),
+        ],
+    )
+    def test_overflow_is_input_error(self, tmp_path, pointsets, capsys, rows, message):
+        ps = pointsets(2, 2)
+        p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
+        p1.write_text(pointset_to_text(ps), encoding="utf-8")
+        vectors = Embedding(np.array(rows(len(ps)), dtype=float), ps.addresses)
+        emb.write_text(embedding_to_text(ps, vectors), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", str(p1), str(emb)]) == 2
+        assert capsys.readouterr().out == f"error: OverflowError: {message}\n"
 
     def test_writes_constraint_table(self, tmp_path, ps23_file, pointsets):
         ps = pointsets(2, 3)

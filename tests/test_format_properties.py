@@ -5,7 +5,9 @@ P(2,2) or P(3,2) is either rejected with FormatError alone, or accepted
 and written back as the canonical form of what it says. For P1 that is
 the original file, since only the construction itself is accepted; for
 L1EMB it is the canonical addresses with every coordinate as
-repr(float(token)).
+repr(float(token)). The L1EMB reader's canonical path (one np.loadtxt
+parse) accepts only what the per-line float() reader accepts, with the
+same bits.
 """
 
 import functools
@@ -16,7 +18,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from l1cert.l1metric import embedding_from_text, embedding_to_text, make_embedding  # noqa: E402
+from l1cert.l1metric import (  # noqa: E402
+    _canonical_matrix,
+    _matrix_from_lines,
+    embedding_from_text,
+    embedding_to_text,
+    make_embedding,
+)
 from l1cert.pointset import (  # noqa: E402
     FormatError,
     GraphParams,
@@ -34,6 +42,7 @@ NEAR_TOKENS = [
     "0.5", "-0.0", "1e400", "nan", "-inf", "1_0", "１２", "0x1p3", "1,5", "+.5",
     "P1", "L1EMB", "v1", "v2", "k=2", "k=3", "n=1", "n=2", "N=12", "N=30", "d=2", "d=0",
     "d=99999999999", "dim=4", "dim=9", "=", "k=", "k=x", "\t", "\r", "\x0c", " ",
+    "1e5_0", "\u0661\u0662", "4.9e-324", "1e-400", "0.5\t-1",
 ]
 TOKENS = st.one_of(
     st.sampled_from(NEAR_TOKENS),
@@ -111,3 +120,33 @@ def test_mutated_l1emb_is_rejected_or_reads_back_canonically(data, size):
         for name, row in zip(ps.graph.vertex_names, rows)
     ]
     assert embedding_to_text(ps, emb) == "\n".join(want) + "\n"
+
+
+@given(data=st.data(), size=st.sampled_from(SIZES))
+def test_canonical_l1emb_path_reads_the_bits_of_the_per_line_reader(data, size):
+    ps = pointset_from_text(p1_text(*size))
+    lines = data.draw(mutated(l1emb_text(*size))).splitlines()[1:]
+    fast = _canonical_matrix(lines, ps.graph.vertex_names, 2)
+    if fast is None:
+        return
+    slow = _matrix_from_lines(lines, ps, 2)
+    assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+
+
+def test_mixed_spellings_read_the_same_bits_both_ways():
+    ps = pointset_from_text(p1_text(3, 2))
+    rng = np.random.default_rng(41)
+    values = rng.standard_normal((len(ps), 6)) * 10.0 ** rng.integers(-300, 300, (len(ps), 6))
+    values[:, 5] = np.arange(len(ps)) * 5e-324  # subnormals, zero included
+    spellings = ["%r", "%.17e", "%.5g", "%.25f", "%r", "%.17e"]
+    lines = [
+        name + "".join(" " + (spell % float(v)) for spell, v in zip(spellings, row))
+        for name, row in zip(ps.graph.vertex_names, values)
+    ]
+    fast = _canonical_matrix(lines, ps.graph.vertex_names, 6)
+    slow = _matrix_from_lines(lines, ps, 6)
+    assert fast is not None
+    assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+    header = f"L1EMB v1 d=6 N={len(ps)} k=3 n=2"
+    emb = embedding_from_text("\n".join([header, *lines]) + "\n", ps)
+    assert np.array_equal(emb.matrix.view(np.int64), slow.view(np.int64))

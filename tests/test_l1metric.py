@@ -14,12 +14,14 @@ Core claims:
       builds neither the label distance matrix nor pairwise_l1
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
-    - a canonical L1EMB file is read in row blocks into one read-only
-      matrix that equals a per-line float() reference bit for bit; any
-      other file gets the per-line reader's exact message and line number
+    - a canonical L1EMB file is read by one np.loadtxt parse into one
+      read-only matrix that equals a per-line float() reference bit for
+      bit; any other file gets the per-line reader's exact message and
+      line number
     - an Embedding is one read-only matrix; scaling keeps the finiteness
       check, every consumer rejects a missing vertex with ValueError, and
-      parse, certify, tabulate and search never build the per-address view
+      parse, certify, tabulate and search never build the per-address view;
+      rows named by a graph build no address until `addresses` is read
 """
 
 import math
@@ -45,6 +47,7 @@ from l1cert.l1metric import (
     normalize_lipschitz,
     pairwise_l1,
     scale_embedding,
+    vertex_matrix,
 )
 from l1cert.oracle import SearchConfig, search_embedding
 from l1cert.pointset import (
@@ -246,7 +249,7 @@ class TestStreamingDistortion:
 
     def test_holds_no_square_matrix(self, pointsets):
         base = pointsets(2, 5)
-        ps = PointSet(base.graph, base.labels)  # the labels are packed inside the trace
+        ps = PointSet(base.graph)  # the labels are built and packed inside the trace
         rng = np.random.default_rng(29)
         emb = make_embedding({a: rng.standard_normal(16) for a in ps.addresses})
         tracemalloc.start()
@@ -259,7 +262,7 @@ class TestStreamingDistortion:
 
     def test_certify_builds_neither_full_matrix(self, pointsets, monkeypatch):
         base = pointsets(2, 4)
-        ps = PointSet(base.graph, base.labels)
+        ps = PointSet(base.graph)
         calls = []
         real = l1metric.pairwise_l1
 
@@ -343,6 +346,18 @@ class TestMakeEmbedding:
             assert np.shares_memory(emb.vectors[addr], emb.matrix[i])
         with pytest.raises(TypeError):
             emb.vectors[ps.addresses[0]] = np.zeros(3)
+
+    def test_rows_named_by_a_graph_build_no_address_until_read(self, pointsets):
+        ps = pointsets(2, 2)
+        rows = np.random.default_rng(4).standard_normal((len(ps), 3))
+        emb = Embedding(rows, build_graph(GraphParams(2, 2)))
+        assert vertex_matrix(ps.graph, emb) is emb.matrix
+        assert "addresses" not in emb.__dict__ and "vertices" not in emb.order.__dict__
+        assert emb.addresses == ps.addresses
+        with pytest.raises(ValueError, match="does not cover"):
+            vertex_matrix(build_graph(GraphParams(2, 3)), emb)
+        with pytest.raises(ValueError, match="^embedding has 11 rows for 12 vertices$"):
+            Embedding(rows[1:], ps.graph)
 
 
 class TestScaleEmbedding:

@@ -347,7 +347,7 @@ class TestDistanceMatrix:
             for a, b in label.intervals:
                 bits[i, a:b] = True
         want = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        got = PointSet(ps.graph, ps.labels)._bitsets
+        got = PointSet(ps.graph)._bitsets
         assert got.dtype == want.dtype and got.shape == (len(ps), words)
         assert np.array_equal(got, want)
 
@@ -366,7 +366,7 @@ class TestDistanceMatrix:
         # (3, 4) has 81-bit labels, spread over two words.
         ps = pointsets(3, 4)
         monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", block)
-        got = PointSet(ps.graph, ps.labels).distance_matrix
+        got = PointSet(ps.graph).distance_matrix
         dense = np.stack([label.to_dense() for label in ps.labels])
         ones = dense.sum(axis=1)
         want = ones[:, None] + ones[None, :] - 2 * (dense @ dense.T)
