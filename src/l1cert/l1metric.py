@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -154,21 +155,100 @@ def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
     return np.stack([emb.vectors[v] for v in graph.vertices])
 
 
-def pairwise_l1(points: np.ndarray) -> np.ndarray:
-    """All pairwise L1 distances of the rows of `points`, chunked to bound memory.
+def _sum_planes(planes: np.ndarray) -> np.ndarray:
+    """Add planes[1:] into planes[0] in place, in the order numpy sums a contiguous axis.
 
-    Each row block is computed against the columns from its own start only
-    and mirrored below itself. |a - b| == |b - a| exactly and each pair is
-    summed in the same order, so this equals the full-square computation.
+    numpy >= 2.0's add.reduce sums fewer than 8 terms in sequence; 8 to
+    128 terms as eight stride-8 partial sums r0..r7, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in
+    sequence; more terms as two halves split at a multiple of 8, each
+    summed so, then added. Following it plane by plane makes every entry
+    bit-identical to `planes.sum(axis=0)` taken one entry at a time, that
+    is, to `np.abs(a - b).sum()` for a pair of vectors.
+    """
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        head = _sum_planes(planes[:half])
+        return np.add(head, _sum_planes(planes[half:]), out=head)
+    acc, rest = planes[0], 1
+    if n >= 8:
+        rest = n - n % 8
+        r = planes[:8]
+        for i in range(8, rest, 8):
+            np.add(r, planes[i : i + 8], out=r)
+        np.add(r[0::2], r[1::2], out=r[0::2])
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        np.add(acc, r[4], out=acc)
+    for plane in planes[rest:]:
+        np.add(acc, plane, out=acc)
+    return acc
+
+
+def _l1_tiles(points: np.ndarray, words: int = 0):
+    """Yield (i0, j0, tile) over the pairs i < j of the rows of `points`.
+
+    tile[r, c] is the L1 distance of rows i0 + r and j0 + c. A strip of
+    rows i0..i1-1 is met against the columns from i0 + 1 on, so only a
+    strip's first tile holds pairs with j <= i. The points are held
+    coordinate-major, (d, N); each tile is computed in one preallocated
+    (d, rows, cols) buffer (subtract, then abs in place) and its d planes
+    are added by _sum_planes, so each pair's distance equals
+    np.abs(points[i] - points[j]).sum() bit for bit. The tile is a view
+    of that buffer, valid until the next one is yielded.
+
+    Tiles are 512 columns wide: numpy pays a fixed cost per call and per
+    tile row, small next to rows of 512, where rows of 64 made the
+    subtraction three times slower per element. The rows take what is
+    left of BLOCK_ELEMENTS for max(d, words) planes, words being the label
+    words per pair a caller holds beside each tile; there is at least one
+    row, and neither side exceeds the n - 1 rows or columns there are.
     """
     n, d = points.shape
-    out = np.empty((n, n))
-    step = max(1, BLOCK_ELEMENTS // max(1, n * d))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        blk = np.abs(points[i0:i1, None, :] - points[None, i0:, :]).sum(axis=-1)
-        out[i0:i1, i0:] = blk
-        out[i1:, i0:i1] = blk[:, i1 - i0 :].T
+    cols = max(1, min(n - 1, 512))
+    rows = max(1, min(n - 1, BLOCK_ELEMENTS // (max(d, words) * cols)))
+    planes = np.ascontiguousarray(points.T)
+    flat = np.empty(d * rows * cols)
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n)
+        for j0 in range(i0 + 1, n, cols):
+            j1 = min(j0 + cols, n)
+            buf = flat[: d * (i1 - i0) * (j1 - j0)].reshape(d, i1 - i0, j1 - j0)
+            np.subtract(planes[:, i0:i1, None], planes[:, None, j0:j1], out=buf)
+            yield i0, j0, _sum_planes(np.abs(buf, out=buf))
+
+
+@contextmanager
+def _tile_numerics(**errors: str):
+    """np.errstate(**errors) with numpy's smallest ufunc buffer, for the tile passes.
+
+    numpy copies a broadcast operand through its ufunc buffer (8192
+    elements by default) when the operand's rows are shorter than about a
+    third of it, which made the tile subtraction three times slower. With
+    a 16-element buffer that copy never pays, so the tiles are read in
+    place. So small a buffer would slow a ufunc that casts; the passes use
+    none. Leaving the errstate restores the buffer size.
+    """
+    with np.errstate(**errors):
+        np.setbufsize(16)
+        yield
+
+
+def pairwise_l1(points: np.ndarray) -> np.ndarray:
+    """All pairwise L1 distances of the rows of `points`, tile by tile.
+
+    The tiles of _l1_tiles cover the upper triangle and are mirrored
+    below it. |a - b| == |b - a| exactly and each pair is summed in
+    numpy's order for a contiguous axis, so this equals
+    np.abs(points[:, None] - points[None]).sum(axis=-1).
+    """
+    n = points.shape[0]
+    out = np.zeros((n, n))
+    with _tile_numerics():
+        for i0, j0, tile in _l1_tiles(points):
+            rows, cols = tile.shape
+            out[i0 : i0 + rows, j0 : j0 + cols] = tile
+            out[j0 : j0 + cols, i0 : i0 + rows] = tile.T
     return out
 
 
@@ -186,27 +266,32 @@ class DistortionReport:
     distortion: float
 
 
-def _worst_ratios(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> DistortionReport:
-    """Fold row blocks of the upper triangle into the worst ratios over i < j.
+def _worst_ratios(tiles: Iterable[tuple[int, int, np.ndarray, np.ndarray]]) -> DistortionReport:
+    """Fold tiles of the upper triangle into the worst ratios over i < j.
 
-    Each block is a pair (embedded, original) of distances for rows
-    i0..i1-1 against columns i0..N-1, so its pairs i < j are the entries
-    right of the block diagonal. A zero embedded distance makes the
-    contraction infinite without dividing by it. An embedded distance or
-    a ratio past float range raises OverflowError: the report would be
-    meaningless, and a ratio could pass for a coincident pair.
+    Each tile is (i0, j0, embedded, original): float distances of rows
+    i0.. against columns j0... Only a tile that reaches the diagonal is
+    masked to its pairs i < j; the others are used whole. A zero embedded
+    distance makes the contraction infinite: a tile whose worst
+    contraction is infinite is looked at for one, and counts as
+    coincident points if it has one. An embedded distance or a ratio past
+    float range raises OverflowError: the report would be meaningless,
+    and a ratio could pass for a coincident pair.
     """
     expansion = contraction = 0.0
     coincident = False
-    for embedded, original in blocks:
-        rows, cols = embedded.shape
-        upper = np.arange(cols) > np.arange(rows)[:, None]
-        de, do = embedded[upper], original[upper]
-        expansion = max(expansion, float(np.max(de / do)))
-        if np.any(de == 0.0):
-            coincident = True
-        else:
-            contraction = max(contraction, float(np.max(do / de)))
+    with np.errstate(divide="ignore"):
+        for i0, j0, embedded, original in tiles:
+            rows, cols = embedded.shape
+            if j0 < i0 + rows:
+                upper = np.arange(j0, j0 + cols) > np.arange(i0, i0 + rows)[:, None]
+                embedded, original = embedded[upper], original[upper]
+            expansion = max(expansion, float((embedded / original).max()))
+            worst = float((original / embedded).max())
+            if math.isinf(worst) and (embedded == 0.0).any():
+                coincident = True
+            else:
+                contraction = max(contraction, worst)
     if math.isinf(expansion):
         raise OverflowError("an embedded distance overflows the float range")
     if coincident:
@@ -221,7 +306,7 @@ def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionRepor
     n = embedded.shape[0]
     step = max(1, BLOCK_ELEMENTS // n)
     return _worst_ratios(
-        (embedded[i0 : i0 + step, i0:], original[i0 : i0 + step, i0:])
+        (i0, i0, embedded[i0 : i0 + step, i0:], original[i0 : i0 + step, i0:])
         for i0 in range(0, n - 1, step)
     )
 
@@ -229,28 +314,24 @@ def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionRepor
 def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     """Distortion of an embedding relative to the exact label metric.
 
-    One streaming pass over row blocks of the upper triangle: each block's
-    embedded distances are summed per pair exactly as `pairwise_l1` sums
-    them, its label distances are popcounts of XORed packed labels, and
-    both are folded into the worst ratios at once. No N x N matrix is
-    built; memory beyond the inputs is O(N * (d + words)), with words the
-    number of 64-bit words per label. Overflow is left to _worst_ratios
-    to report, so numpy's overflow warnings are off for the pass.
+    One streaming pass over the tiles of _l1_tiles: each tile's embedded
+    distances equal `pairwise_l1`'s bit for bit, its label distances are
+    popcounts of XORed packed labels, and both are folded into the worst
+    ratios at once. No N x N matrix is built; memory beyond the inputs is
+    the (d, N) coordinate-major copy, O(N * words) packed labels and a few
+    tiles of at most BLOCK_ELEMENTS elements. Overflow is left to
+    _worst_ratios to report, so numpy's overflow warnings are off for the
+    pass.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
     points = vertex_matrix(ps.graph, emb)
-    n, d = points.shape
-    step = max(1, BLOCK_ELEMENTS // (n * max(d, ps._bitsets.shape[1])))
-
-    def blocks():
-        for i0 in range(0, n - 1, step):
-            i1 = min(i0 + step, n)
-            diff = points[i0:i1, None, :] - points[None, i0:, :]
-            yield np.abs(diff, out=diff).sum(axis=-1), ps.label_distances(i0, i1, i0)
-
-    with np.errstate(over="ignore"):
-        return _worst_ratios(blocks())
+    words = ps._bitsets.shape[1]
+    with _tile_numerics(over="ignore"):
+        return _worst_ratios(
+            (i0, j0, tile, ps.label_distances(i0, i0 + tile.shape[0], j0, j0 + tile.shape[1]))
+            for i0, j0, tile in _l1_tiles(points, words)
+        )
 
 
 def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:

@@ -34,9 +34,12 @@ import numpy as np
 MAX_EDGE_CAPACITY = 2**48
 # Largest graph build_graph will materialize; label queries work far beyond.
 MAX_MATERIALIZED_EDGES = 2**22
-# Elements in one row block's temporary in the all-pairs passes: 128 KB of
-# 8-byte values stays in cache, which measured faster than larger blocks.
-BLOCK_ELEMENTS = 2**14
+# Elements in one tile or row block's temporary in the all-pairs passes:
+# 512 KB of 8-byte values, which fits a 2 MB L2 cache beside the tile's
+# label distances. At d=16 (8 x 512 tiles) the distortion pass ran faster
+# with it than with 2**14 or 2**15 at both N=2,732 and N=10,924; 2**17 was
+# faster still but held more than N*N/4 floats at N=684.
+BLOCK_ELEMENTS = 2**16
 
 
 class CapacityError(ValueError):
@@ -442,9 +445,10 @@ class PointSet:
 
     Everything is derived from the graph on first read. `labels` is the
     tuple of IntervalLabel objects in export order (row i is the label of
-    `graph.vertices[i]`); only the packed bitsets, `identity_embedding`,
-    a non-canonical P1 line, the references and the tests read it. The P1
-    writer and reader build no label object: the writer splices the
+    `graph.vertices[i]`); only `identity_embedding`, a non-canonical P1
+    line, the references and the tests read it. The packed bitsets come
+    from the cycle walk directly, so `certify` builds no label object.
+    The P1 writer and reader build none either: the writer splices the
     canonical text from the same walk, and the reader compares with it.
     """
 
@@ -478,10 +482,18 @@ class PointSet:
 
     @cached_property
     def _bitsets(self) -> np.ndarray:
-        """Labels packed as little-endian uint64 words in export order, shape (N, words)."""
-        words = -(-self.dimension // 64)
-        # Each label as one Python int: the interval [a, b) is (1 << b) - (1 << a).
-        ints = (sum((1 << b) - (1 << a) for a, b in label.intervals) for label in self.labels)
+        """Labels packed as little-endian uint64 words in export order, shape (N, words).
+
+        Each label is one Python int, taken from the _cycle_blocks walk
+        without a label object: an inner vertex's int is its tail's plus
+        its interval [a, b), which is (1 << b) - (1 << a).
+        """
+        total = self.dimension
+        ints = [0, (1 << total) - 1]
+        for _, tail, start, ones in _cycle_blocks(self.params):
+            base = ints[tail]
+            ints += [base + (1 << start + b) - (1 << start + a) for a, b in ones]
+        words = -(-total // 64)
         packed = b"".join(x.to_bytes(8 * words, "little") for x in ints)
         return np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
 
@@ -490,14 +502,17 @@ class PointSet:
         """_bitsets word-major, shape (words, N), so per-word popcounts add as whole planes."""
         return np.ascontiguousarray(self._bitsets.T)
 
-    def label_distances(self, i0: int, i1: int, j0: int = 0) -> np.ndarray:
-        """Label distances of rows i0..i1-1 against columns j0..N-1.
+    def label_distances(self, i0: int, i1: int, j0: int = 0, j1: int | None = None) -> np.ndarray:
+        """Label distances of rows i0..i1-1 against columns j0..j1-1 (j1 None: N), as floats.
 
-        Popcounts of XORed packed labels, added over words as whole planes;
-        l1metric.l1_interval_distance is the interval-merge reference.
+        Popcounts of XORed packed labels, converted once and added over
+        words as whole planes, so no ufunc casts; the values are exact
+        (at most k**n < 2**48). l1metric.l1_interval_distance is the
+        interval-merge reference.
         """
         bits = self._bitplanes
-        return np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:]).sum(axis=0)
+        counts = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1])
+        return np.add.reduce(counts.astype(np.float64), axis=0)
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -515,24 +530,18 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
     return PointSet(graph)
 
 
-def _cycle_spans(params: GraphParams):
-    """Walk every cycle in export order: its tail's intervals and one interval per inner vertex.
+def _cycle_blocks(params: GraphParams):
+    """Walk every cycle in export order: (level, tail, start, ones) per cycle.
 
-    An inner vertex's label is its cycle's tail label, built at an earlier
-    level, plus one ones-interval inside the cycle's coordinate block. The
-    tail is all zeros on that block, so the interval is inserted at its
-    bisected place and merged only with a neighbour it touches: no sort and
-    no recursion. Yields (base, spans) per cycle, where base is the tail's
-    interval tuple and the cycle's i-th inner vertex has the intervals
-    base[:lo] + ((a, b),) + base[hi:] for (lo, a, b, hi) = spans[i]. Only
-    the interval tuples of vertices above depth n are kept, as the next
-    level's bases. _label_of is the per-vertex reference it is tested against.
+    The cycle's inner vertices follow in export order; the i-th one's
+    label is the tail's label plus the ones-interval [start + a, start + b)
+    for (a, b) = ones[i], inside the cycle's coordinate block, on which
+    the tail's label is all zeros. tail is the tail's row index.
     """
-    k, n, total = params.k, params.n, params.label_length
+    k, n = params.k, params.n
     inner = [q for q in range(1, 2 * k) if q != k]
     # Block offset of edge b inside its parent's block, in sub-block units.
     offsets = np.array([k - (b if b <= k else b - k) for b in range(1, 2 * k + 1)])
-    bases = [(), ((0, total),)]
     starts = np.zeros(1, dtype=np.int64)
     for level, cycles in enumerate(_level_cycles(params), start=1):
         sub = k ** (n - level)
@@ -541,24 +550,41 @@ def _cycle_spans(params: GraphParams):
         # has the last q sub-blocks, bottom q the first 2k-q.
         ones = [((k - q) * sub, block) if q < k else (0, (2 * k - q) * sub) for q in inner]
         for tail, start in zip(cycles[:, 0].tolist(), starts.tolist()):
-            base = bases[tail]
-            at = bisect.bisect_left(base, (start,))
-            left_end = base[at - 1][1] if at else -1
-            right_start = base[at][0] if at < len(base) else -1
-            spans = []
-            for a, b in ones:
-                a, b, lo, hi = a + start, b + start, at, at
-                if a == left_end:
-                    lo -= 1
-                    a = base[lo][0]
-                if b == right_start:
-                    b = base[hi][1]
-                    hi += 1
-                spans.append((lo, a, b, hi))
-            if level < n:
-                bases += [base[:lo] + ((a, b),) + base[hi:] for lo, a, b, hi in spans]
-            yield base, spans
+            yield level, tail, start, ones
         starts = (starts[:, None] + offsets * sub).ravel()
+
+
+def _cycle_spans(params: GraphParams):
+    """Walk every cycle in export order: its tail's intervals and one interval per inner vertex.
+
+    Each inner vertex's interval from _cycle_blocks is inserted into the
+    tail's interval tuple at its bisected place and merged only with a
+    neighbour it touches: no sort and no recursion. Yields (base, spans)
+    per cycle, where base is the tail's interval tuple and the cycle's
+    i-th inner vertex has the intervals base[:lo] + ((a, b),) + base[hi:]
+    for (lo, a, b, hi) = spans[i]. Only the interval tuples of vertices
+    above depth n are kept, as the next level's bases. _label_of is the
+    per-vertex reference it is tested against.
+    """
+    bases = [(), ((0, params.label_length),)]
+    for level, tail, start, ones in _cycle_blocks(params):
+        base = bases[tail]
+        at = bisect.bisect_left(base, (start,))
+        left_end = base[at - 1][1] if at else -1
+        right_start = base[at][0] if at < len(base) else -1
+        spans = []
+        for a, b in ones:
+            a, b, lo, hi = a + start, b + start, at, at
+            if a == left_end:
+                lo -= 1
+                a = base[lo][0]
+            if b == right_start:
+                b = base[hi][1]
+                hi += 1
+            spans.append((lo, a, b, hi))
+        if level < params.n:
+            bases += [base[:lo] + ((a, b),) + base[hi:] for lo, a, b, hi in spans]
+        yield base, spans
 
 
 def _parse_intervals(text: str, length: int) -> IntervalLabel:

@@ -80,7 +80,7 @@ def check_construction(t, ps: PointSet) -> None:
     graph, labels = ps.graph, ps.labels
     params = graph.params
     t.check(len(graph.vertices) == vertex_count(params))
-    t.check(len(graph.edges) == params.cycle_length**params.n)
+    t.check(len(graph.level_edges[-1][0]) == params.cycle_length**params.n)
     t.check(len({label.intervals for label in labels}) == len(graph.vertices))
     tails, heads = graph.level_edges[-1]
     t.check(

@@ -107,6 +107,15 @@ class TestAddressFreePaths:
         assert len(addresses) == 0
         assert "consistent=true" in capsys.readouterr().out
 
+    def test_certify_builds_no_label(self, tmp_path, pointsets, monkeypatch, capsys):
+        p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
+        p1.write_text(pointset_to_text(pointsets(2, 4)), encoding="utf-8")
+        self.write_embedding(emb, pointsets(2, 4), 8)
+        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
+        assert len(labels) == 0
+        assert "consistent=true" in capsys.readouterr().out
+
 
 class TestCertify:
     def test_identity_is_consistent(self, tmp_path, ps23_file, pointsets, capsys):

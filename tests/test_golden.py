@@ -2,8 +2,12 @@
 
 The expected texts and digests were recorded from the CLI before the
 embedding became a matrix, the P1 digests before the labels became a
-tuple in row order, and the selftest lines before the tests began to call
-the selftest checks. Any refactor that keeps behaviour keeps them;
+tuple in row order, the selftest lines before the tests began to call
+the selftest checks, and the d=16 and d=13 certificates before the
+all-pairs pass summed coordinate planes instead of rows. Their seeds are
+ones whose output changes if the per-pair sums are taken in sequence, or
+with d=13's five trailing terms added before the eight partial sums are
+combined. Any refactor that keeps behaviour keeps them;
 a change here is a change of output format or numerics and must be
 deliberate.
 """
@@ -48,6 +52,36 @@ CERTIFY_CASES = [
         "constraint_table -> <table>\n"
         "certify: consistent epsilon=0.986259 min_dimension=1 d=4\n",
         "0b4e308b74705224bcd1a39ce9e6e4e572dff1342acae488e3b93ee308cc82f7",
+    ),
+    (
+        2, 5, 16, 1,
+        "epsilon=0.9848644645285577\n"
+        "delta=0.49243223226427885\n"
+        "per_level_term=0.0001652557983693459\n"
+        "raw_bound=0.00028644849819425833\n"
+        "min_dimension=1\n"
+        "embedding_dimension=16\n"
+        "distortion=123.66068791692581\n"
+        "applicable=true\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.984864 min_dimension=1 d=16\n",
+        "4a8252db800f84941ab3f74bb817724a4509f0028fd720afaa6f493d11430c36",
+    ),
+    (
+        2, 4, 13, 1,
+        "epsilon=0.9659884918414078\n"
+        "delta=0.4829942459207039\n"
+        "per_level_term=0.000834603275679302\n"
+        "raw_bound=0.0011583455104597906\n"
+        "min_dimension=1\n"
+        "embedding_dimension=13\n"
+        "distortion=61.76152240058136\n"
+        "applicable=true\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.965988 min_dimension=1 d=13\n",
+        "dc3ab17aa5e8f4643fa5ee77ec89daecb7c0268e9eb12adcdba8ecd03483f569",
     ),
 ]
 

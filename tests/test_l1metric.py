@@ -185,7 +185,41 @@ def dense_distortion(ps, emb):
     return expansion, contraction, expansion * contraction
 
 
+def spread_points(d, rows=9):
+    """Gaussian points scaled over e**+-18, so that sums in different orders round differently."""
+    rng = np.random.default_rng(d)
+    return rng.standard_normal((rows, d)) * np.exp(rng.uniform(-18.0, 18.0, (rows, d)))
+
+
+# d across numpy's summation branches: in sequence below 8, eight partial
+# sums up to 128, two halves split at a multiple of 8 above.
+KERNEL_DEPTHS = [*range(1, 18), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 1000]
+
+
 class TestFastPaths:
+    @pytest.mark.parametrize("d", KERNEL_DEPTHS)
+    def test_tiles_sum_in_numpy_order_bit_for_bit(self, d):
+        points = spread_points(d)
+        got, want = pairwise_l1(points), naive_pairwise(points)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [13, 16, 130, 1000])
+    def test_sequential_sum_differs_on_the_same_data(self, d):
+        # The control: the data tells summation orders apart, so the test above can fail.
+        points = spread_points(d)
+        diffs = np.abs(points[:, None, :] - points[None, :, :])
+        assert not np.array_equal(diffs.cumsum(axis=-1)[..., -1], naive_pairwise(points))
+
+    def test_tile_passes_restore_numpy_state(self, pointsets):
+        # The passes shrink numpy's ufunc buffer and silence some warnings inside an errstate.
+        ps = pointsets(2, 3)
+        before = (np.getbufsize(), np.geterr())
+        pairwise_l1(spread_points(16))
+        distortion(ps, identity_embedding(ps))
+        assert (np.getbufsize(), np.geterr()) == before
+
+    # With 37 points, block 1 gives 1 x 36 strips down to a 1 x 1 tile,
+    # and the others strips of 4, 10 and 36 rows whose first tile is masked.
     @pytest.mark.parametrize("block", [1, 4 * 37 * 5, 10 * 37 * 5, 2**30])
     def test_pairwise_equals_naive_for_any_chunking(self, monkeypatch, block):
         points = np.random.default_rng(19).standard_normal((37, 5)) * 1e3
