@@ -317,7 +317,6 @@ def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
     scaled (N, d) matrix, O(N * words) packed labels, O(E * d) edge arrays
     and one float per constraint; no N x N matrix is built.
     """
-    emb = Embedding(vertex_matrix(ps.graph, emb), ps.graph)
     report = distortion(ps, emb)
     if math.isinf(report.contraction):
         raise DegenerateEmbeddingError(

@@ -19,15 +19,9 @@ from .certifier import (
     constraint_table_csv,
     dimension_bound,
 )
-from .l1metric import (
-    DegenerateEmbeddingError,
-    embedding_from_text,
-    embedding_to_text,
-)
+from .l1metric import embedding_from_text, embedding_to_text
 from .oracle import SearchConfig, search_embedding
 from .pointset import (
-    CapacityError,
-    FormatError,
     GraphParams,
     build_graph,
     point_set,
@@ -202,9 +196,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, CapacityError, DegenerateEmbeddingError) as exc:
-        print(f"error: {exc}")
-        return 2
+    # FormatError, CapacityError and DegenerateEmbeddingError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2

@@ -16,6 +16,7 @@ from .pointset import CapacityError
 
 ZERO_WEIGHT = 1e-12
 SUM_TOLERANCE = 1e-9
+# Largest joint table; oracle.build_message_joint checks it before lifting any edge.
 MAX_TABLE_CELLS = 2**24
 
 

@@ -9,7 +9,7 @@ means an isometry up to scale.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,11 +20,13 @@ import numpy as np
 from .pointset import (
     BLOCK_ELEMENTS,
     FormatError,
+    GraphParams,
     IntervalLabel,
     PointSet,
     RecursiveCycleGraph,
     VertexAddress,
     _parse_header,
+    build_graph,
     parse_address,
     vertex_count,
 )
@@ -72,28 +74,23 @@ def l1_distance(u, v) -> float:
 class Embedding:
     """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per vertex.
 
-    `order` names the rows: a tuple of addresses, row i being the vector
-    of `order[i]`, or a RecursiveCycleGraph, whose export order the rows
-    follow. Every producer in this package builds the rows in export
-    order and passes the graph, so no address is built: `addresses` is
-    `graph.vertices`, built on first read, and `vertex_matrix` recognizes
-    the order from the graph's params. Non-finite entries and a row count
-    that differs from the order's are rejected. `vectors` is the
-    per-address view that the slow references and the tests read; the
-    array paths never build it.
+    Row i is the vector of `graph.vertices[i]`: the rows follow the
+    graph's export order, so no address is built to read them. A row
+    count other than the graph's vertex count and non-finite entries are
+    rejected. `vectors` is the per-address view that the slow references
+    and the tests read; the array paths never build it.
     """
 
     matrix: np.ndarray
-    order: tuple[VertexAddress, ...] | RecursiveCycleGraph
+    graph: RecursiveCycleGraph
 
     def __post_init__(self) -> None:
-        order = self.order
-        rows = vertex_count(order.params) if isinstance(order, RecursiveCycleGraph) else len(order)
+        rows = vertex_count(self.graph.params)
         if self.matrix.shape[0] != rows:
             raise ValueError(f"embedding has {self.matrix.shape[0]} rows for {rows} vertices")
         finite = np.isfinite(self.matrix).all(axis=1)
         if not finite.all():
-            addr = self.addresses[int(finite.argmin())]
+            addr = self.graph.vertices[int(finite.argmin())]
             raise ValueError(f"non-finite entries in vector for {addr}")
         self.matrix.flags.writeable = False
 
@@ -102,31 +99,43 @@ class Embedding:
         return self.matrix.shape[1]
 
     @cached_property
-    def addresses(self) -> tuple[VertexAddress, ...]:
-        """The address of each row, in row order."""
-        if isinstance(self.order, RecursiveCycleGraph):
-            return self.order.vertices
-        return self.order
-
-    @cached_property
     def vectors(self) -> Mapping[VertexAddress, np.ndarray]:
         """Read-only address -> row view, built on first read (for references and tests)."""
-        return MappingProxyType(dict(zip(self.addresses, self.matrix)))
+        return MappingProxyType(dict(zip(self.graph.vertices, self.matrix)))
 
 
 def make_embedding(vectors) -> Embedding:
-    """Validate a mapping address -> vector and stack it into one matrix, in its order."""
+    """Stack a mapping address -> vector into rows in the export order of its P(k, n).
+
+    n is the deepest creation level among the addresses, and k follows
+    from the largest position, which is 2k - 1. The mapping's own order
+    does not matter; a mapping that misses a vertex of that graph or
+    names one outside it is a ValueError.
+    """
+    inner = [a for a in vectors if isinstance(a, VertexAddress) and a.kind == "inner"]
+    if not inner:
+        raise ValueError("embedding must cover at least one inner vertex")
+    k = (max(a.position for a in inner) + 1) // 2
+    graph = build_graph(GraphParams(k, max(a.level for a in inner)))
+    missing = [v for v in graph.vertices if v not in vectors]
+    if missing:
+        raise ValueError(f"embedding does not cover {len(missing)} vertices, e.g. {missing[0]}")
+    if len(vectors) != len(graph.vertices):
+        known = set(graph.vertices)
+        foreign = [a for a in vectors if a not in known]
+        raise ValueError(
+            f"embedding names {len(foreign)} vertices outside P({k}, {graph.params.n}), "
+            f"e.g. {foreign[0]}"
+        )
     rows = []
-    for addr, vec in vectors.items():
-        arr = np.asarray(vec, dtype=float)
+    for addr in graph.vertices:
+        arr = np.asarray(vectors[addr], dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"vector for {addr} must be one-dimensional and non-empty")
         if rows and arr.size != rows[0].size:
             raise ValueError("embedding vectors have inconsistent lengths")
         rows.append(arr)
-    if not rows:
-        raise ValueError("embedding must cover at least one vertex")
-    return Embedding(np.stack(rows), tuple(vectors))
+    return Embedding(np.stack(rows), graph)
 
 
 def identity_embedding(ps: PointSet) -> Embedding:
@@ -135,24 +144,21 @@ def identity_embedding(ps: PointSet) -> Embedding:
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:
-    return Embedding(emb.matrix * factor, emb.order)
+    return Embedding(emb.matrix * factor, emb.graph)
 
 
 def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
-    """The embedding's rows in graph.vertices order; a vertex it lacks is a ValueError.
+    """The embedding's matrix, once its graph is checked to have `graph`'s params.
 
-    An embedding in the export order of a graph with the same params is
-    returned as it is, before any address is built or compared.
+    The rows are in export order, so equal params mean the same vertices
+    in the same order; an embedding of another P(k, n) is a ValueError.
     """
-    if isinstance(emb.order, RecursiveCycleGraph):
-        if emb.order.params == graph.params:
-            return emb.matrix
-    elif emb.order == graph.vertices:
-        return emb.matrix
-    missing = [v for v in graph.vertices if v not in emb.vectors]
-    if missing:
-        raise ValueError(f"embedding does not cover {len(missing)} vertices, e.g. {missing[0]}")
-    return np.stack([emb.vectors[v] for v in graph.vertices])
+    have, want = emb.graph.params, graph.params
+    if have != want:
+        raise ValueError(
+            f"embedding is for k={have.k} n={have.n}, graph has k={want.k} n={want.n}"
+        )
+    return emb.matrix
 
 
 def _sum_planes(planes: np.ndarray) -> np.ndarray:
@@ -266,23 +272,32 @@ class DistortionReport:
     distortion: float
 
 
-def _worst_ratios(tiles: Iterable[tuple[int, int, np.ndarray, np.ndarray]]) -> DistortionReport:
-    """Fold tiles of the upper triangle into the worst ratios over i < j.
+def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
+    """Distortion of an embedding relative to the exact label metric.
 
-    Each tile is (i0, j0, embedded, original): float distances of rows
-    i0.. against columns j0... Only a tile that reaches the diagonal is
-    masked to its pairs i < j; the others are used whole. A zero embedded
-    distance makes the contraction infinite: a tile whose worst
-    contraction is infinite is looked at for one, and counts as
-    coincident points if it has one. An embedded distance or a ratio past
-    float range raises OverflowError: the report would be meaningless,
-    and a ratio could pass for a coincident pair.
+    One streaming pass over the tiles of _l1_tiles: each tile's embedded
+    distances equal `pairwise_l1`'s bit for bit, its label distances are
+    popcounts of XORed packed labels, and both are folded into the worst
+    ratios over i < j at once. Only a tile that reaches the diagonal is
+    masked to its pairs i < j. A zero embedded distance makes the
+    contraction infinite: a tile whose worst contraction is infinite is
+    looked at for one, and counts as coincident points if it has one. An
+    embedded distance or a ratio past float range raises OverflowError:
+    the report would be meaningless, and a ratio could pass for a
+    coincident pair. No N x N matrix is built; memory beyond the inputs is
+    the (d, N) coordinate-major copy, O(N * words) packed labels and a few
+    tiles of at most BLOCK_ELEMENTS elements.
     """
+    if len(ps) < 2:
+        raise ValueError("need at least two points")
+    points = vertex_matrix(ps.graph, emb)
+    words = ps._bitsets.shape[1]
     expansion = contraction = 0.0
     coincident = False
-    with np.errstate(divide="ignore"):
-        for i0, j0, embedded, original in tiles:
+    with _tile_numerics(over="ignore", divide="ignore"):
+        for i0, j0, embedded in _l1_tiles(points, words):
             rows, cols = embedded.shape
+            original = ps.label_distances(i0, i0 + rows, j0, j0 + cols)
             if j0 < i0 + rows:
                 upper = np.arange(j0, j0 + cols) > np.arange(i0, i0 + rows)[:, None]
                 embedded, original = embedded[upper], original[upper]
@@ -299,39 +314,6 @@ def _worst_ratios(tiles: Iterable[tuple[int, int, np.ndarray, np.ndarray]]) -> D
     if math.isinf(contraction):
         raise OverflowError("a label to embedded distance ratio overflows the float range")
     return DistortionReport(expansion, contraction, expansion * contraction)
-
-
-def _ratio_report(embedded: np.ndarray, original: np.ndarray) -> DistortionReport:
-    """Worst ratios over the pairs i < j of two full distance matrices."""
-    n = embedded.shape[0]
-    step = max(1, BLOCK_ELEMENTS // n)
-    return _worst_ratios(
-        (i0, i0, embedded[i0 : i0 + step, i0:], original[i0 : i0 + step, i0:])
-        for i0 in range(0, n - 1, step)
-    )
-
-
-def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
-    """Distortion of an embedding relative to the exact label metric.
-
-    One streaming pass over the tiles of _l1_tiles: each tile's embedded
-    distances equal `pairwise_l1`'s bit for bit, its label distances are
-    popcounts of XORed packed labels, and both are folded into the worst
-    ratios at once. No N x N matrix is built; memory beyond the inputs is
-    the (d, N) coordinate-major copy, O(N * words) packed labels and a few
-    tiles of at most BLOCK_ELEMENTS elements. Overflow is left to
-    _worst_ratios to report, so numpy's overflow warnings are off for the
-    pass.
-    """
-    if len(ps) < 2:
-        raise ValueError("need at least two points")
-    points = vertex_matrix(ps.graph, emb)
-    words = ps._bitsets.shape[1]
-    with _tile_numerics(over="ignore"):
-        return _worst_ratios(
-            (i0, j0, tile, ps.label_distances(i0, i0 + tile.shape[0], j0, j0 + tile.shape[1]))
-            for i0, j0, tile in _l1_tiles(points, words)
-        )
 
 
 def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import infotheory
 from .certifier import _per_level_term, edge_difference_map, nonneg_lift
 from .infotheory import JointDistribution, ProbVector, mutual_information
-from .l1metric import DistortionReport, Embedding, _ratio_report, pairwise_l1
+from .l1metric import DistortionReport, Embedding, distortion, pairwise_l1
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
 MAX_COMPLETIONS = 10**6
-MAX_JOINT_CELLS = 2**24
+# The search's step damping: a step covers min(1, STEP_SCALE / sqrt(t)) of its pair's residual.
+STEP_SCALE = 32.0
 
 
 def brute_force_average(
@@ -129,15 +131,12 @@ class SearchConfig:
     iterations: int = 2000
     restarts: int = 4
     seed: int = 0
-    step_scale: float = 32.0
 
     def __post_init__(self) -> None:
         if self.target_dimension < 1:
             raise ValueError("target_dimension must be >= 1")
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be >= 1")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,13 +152,14 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     Each restart starts from random points and repeatedly repairs the pair
     with the worst log distance ratio: a subgradient step along the sign
     pattern of the pair's difference, sized to the pair's residual and
-    damped by min(1, c/sqrt(t)). Restart r uses seed+r; the best restart
-    wins (ties to the lowest index). Best effort only.
+    damped by min(1, STEP_SCALE/sqrt(t)). Restart r uses seed+r; the best
+    restart wins (ties to the lowest index). Best effort only.
 
     The embedded distances and the violation matrix are built once per
     restart. A step moves at most points i and j, so only their rows (and
     mirrored columns) are refreshed, each summed per pair exactly as
     `pairwise_l1` does: O(N*d) arithmetic plus one O(N**2) argmax per step.
+    Each restart is reported by `distortion` over its final points.
     """
     n = len(ps)
     if n > 2000:
@@ -178,7 +178,7 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
         worst[m] = -math.inf
         violation[m] = violation[:, m] = worst
 
-    best: tuple[DistortionReport, int, np.ndarray] | None = None
+    best: SearchResult | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
         points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
@@ -196,24 +196,20 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
             direction = np.sign(diff)
             moving = int(np.count_nonzero(direction))
             residual = dist - original[i, j]
-            step = min(1.0, cfg.step_scale / math.sqrt(t)) * residual / (2.0 * moving)
+            step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
             points[i] -= step * direction
             points[j] += step * direction
             refresh(i)
             refresh(j)
 
         # Split coincident points so the result is a genuine embedding.
-        coincident = list(zip(*np.nonzero(np.triu(embedded == 0.0, 1))))
-        for i, j in coincident:
+        for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
             points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
-        if coincident:
-            embedded = pairwise_l1(points)
-        report = _ratio_report(embedded, original)
-        if best is None or report.distortion < best[0].distortion:
-            best = (report, restart, points.copy())
-
-    report, restart, points = best
-    return SearchResult(Embedding(points, ps.graph), report, restart)
+        emb = Embedding(points, ps.graph)
+        report = distortion(ps, emb)
+        if best is None or report.distortion < best.report.distortion:
+            best = SearchResult(emb, report, restart)
+    return best
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:
@@ -225,8 +221,10 @@ def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDist
     edges = graph.params.cycle_length**graph.params.n
     shape = (graph.params.cycle_length,) * graph.params.n + (2 * emb.dimension + 1,)
     cells = edges * shape[-1]
-    if cells > MAX_JOINT_CELLS:
-        raise CapacityError(f"message joint with {cells} cells exceeds {MAX_JOINT_CELLS}")
+    if cells > infotheory.MAX_TABLE_CELLS:
+        raise CapacityError(
+            f"message joint with {cells} cells exceeds {infotheory.MAX_TABLE_CELLS}"
+        )
     weight = 1.0 / edges
     lifted = [nonneg_lift(vec).weights * weight for vec in edge_difference_map(graph, emb)]
     return JointDistribution(shape, np.stack(lifted).reshape(shape))

@@ -68,7 +68,7 @@ class TestAddressFreePaths:
         ps = pointsets(k, n)
         rows = np.random.default_rng([k, n]).standard_normal((len(ps), 4))
         p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
-        emb.write_text(embedding_to_text(ps, Embedding(rows, ps.addresses)), encoding="utf-8")
+        emb.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
         hashes = self.count_calls(monkeypatch, "__hash__")
         assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(p1)]) == 0
         assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
@@ -85,7 +85,7 @@ class TestAddressFreePaths:
     @staticmethod
     def write_embedding(path, ps, d):
         rows = np.random.default_rng(len(ps)).standard_normal((len(ps), d))
-        path.write_text(embedding_to_text(ps, Embedding(rows, ps.addresses)), encoding="utf-8")
+        path.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
 
     def test_read_path_builds_no_address_and_no_label(self, tmp_path, pointsets, monkeypatch):
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
@@ -173,7 +173,7 @@ class TestCertify:
         ps = pointsets(2, 2)
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
         p1.write_text(pointset_to_text(ps), encoding="utf-8")
-        vectors = Embedding(np.array(rows(len(ps)), dtype=float), ps.addresses)
+        vectors = Embedding(np.array(rows(len(ps)), dtype=float), ps.graph)
         emb.write_text(embedding_to_text(ps, vectors), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

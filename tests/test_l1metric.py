@@ -7,21 +7,24 @@ Core claims:
     - distortion is scale invariant; normalize_lipschitz brings expansion
       to 1, preserves distortion, and is idempotent
     - degenerate embeddings are flagged with infinite contraction
-    - the half-square pairwise pass and the blocked ratio pass equal the
-      naive full-square formulas exactly, and warn about nothing
-    - the streaming distortion pass equals the full-matrix report field
-      for field at any block size, holds no N x N matrix, and certify
-      builds neither the label distance matrix nor pairwise_l1
+    - the half-square pairwise pass and the streaming distortion pass
+      equal the naive full-square formulas exactly, and warn about nothing
+    - the streaming distortion pass equals a fold over the full matrices
+      field for field at any block size, holds no N x N matrix, and
+      certify builds neither the label distance matrix nor pairwise_l1
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
     - a canonical L1EMB file is read by one np.loadtxt parse into one
       read-only matrix that equals a per-line float() reference bit for
       bit; any other file gets the per-line reader's exact message and
       line number
-    - an Embedding is one read-only matrix; scaling keeps the finiteness
-      check, every consumer rejects a missing vertex with ValueError, and
-      parse, certify, tabulate and search never build the per-address view;
-      rows named by a graph build no address until `addresses` is read
+    - an Embedding is one read-only matrix in its graph's export order;
+      scaling keeps the finiteness check, every consumer rejects an
+      embedding of another P(k, n) with ValueError, and parse, certify,
+      tabulate and search never build the per-address view; rows named by
+      a graph build no address until `vectors` is read
+    - make_embedding stacks a mapping in any order into export order and
+      rejects one that misses a vertex or names a foreign one
 """
 
 import math
@@ -35,8 +38,8 @@ from l1cert import l1metric
 from l1cert.certifier import certify, constraint_report, constraint_table_csv, edge_difference_map
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
+    DistortionReport,
     Embedding,
-    _ratio_report,
     distortion,
     embedding_from_text,
     embedding_to_text,
@@ -55,6 +58,7 @@ from l1cert.pointset import (
     GraphParams,
     IntervalLabel,
     PointSet,
+    VertexAddress,
     build_graph,
     point_set,
 )
@@ -154,16 +158,22 @@ class TestDistortion:
         assert math.isinf(report.distortion)
 
     def test_missing_vertex_rejected(self, pointsets):
-        ps = pointsets(2, 1)
-        partial = make_embedding({a: [1.0] for a in ps.addresses[:-1]})
+        ps = pointsets(2, 2)
+        with pytest.raises(ValueError, match="^embedding does not cover 1 vertices"):
+            make_embedding({a: [1.0] for a in ps.addresses[:-1]})
+        foreign = VertexAddress("inner", (5,), 1)
+        with pytest.raises(ValueError, match=r"^embedding names 1 vertices outside P\(2, 2\)"):
+            make_embedding({a: [1.0] for a in (*ps.addresses, foreign)})
+        smaller = make_embedding({a: [1.0] for a in ps.addresses})
+        larger = pointsets(2, 3)
         for consumer in (
-            lambda: distortion(ps, partial),
-            lambda: constraint_report(ps.graph, partial),
-            lambda: edge_difference_map(ps.graph, partial),
-            lambda: certify(ps, partial),
-            lambda: embedding_to_text(ps, partial),
+            lambda: distortion(larger, smaller),
+            lambda: constraint_report(larger.graph, smaller),
+            lambda: edge_difference_map(larger.graph, smaller),
+            lambda: certify(larger, smaller),
+            lambda: embedding_to_text(larger, smaller),
         ):
-            with pytest.raises(ValueError, match="^embedding does not cover 1 vertices"):
+            with pytest.raises(ValueError, match="^embedding is for k=2 n=2, graph has k=2 n=3$"):
                 consumer()
 
 
@@ -171,18 +181,24 @@ def naive_pairwise(points):
     return np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
 
 
+def full_matrix_report(points, original):
+    """The worst ratios by definition: naive_pairwise(points) against `original`, over i < j."""
+    iu = np.triu_indices(len(points), 1)
+    de = naive_pairwise(points)[iu]
+    do = original[iu]
+    expansion = float(np.max(de / do))
+    if np.any(de == 0.0):
+        return DistortionReport(expansion, math.inf, math.inf)
+    contraction = float(np.max(do / de))
+    return DistortionReport(expansion, contraction, expansion * contraction)
+
+
 def dense_distortion(ps, emb):
     """The full-square triu_indices formula over dense 0/1 labels."""
     points = np.stack([emb.vectors[a] for a in ps.addresses])
     bits = np.stack([label.to_dense() for label in ps.labels])
-    iu = np.triu_indices(len(ps), 1)
-    de = naive_pairwise(points)[iu]
-    do = naive_pairwise(bits)[iu]
-    expansion = float(np.max(de / do))
-    if np.any(de == 0.0):
-        return expansion, math.inf, math.inf
-    contraction = float(np.max(do / de))
-    return expansion, contraction, expansion * contraction
+    report = full_matrix_report(points, naive_pairwise(bits))
+    return report.expansion, report.contraction, report.distortion
 
 
 def spread_points(d, rows=9):
@@ -263,7 +279,7 @@ class TestFastPaths:
 
 
 class TestStreamingDistortion:
-    """The fused row-block pass against the full matrices search still builds."""
+    """The fused tile pass against a fold over full matrices."""
 
     embeddings = TestFastPaths.embeddings
 
@@ -278,8 +294,7 @@ class TestStreamingDistortion:
             warnings.simplefilter("error")
             for emb in self.embeddings(ps):
                 points = np.stack([emb.vectors[a] for a in ps.addresses])
-                want = _ratio_report(pairwise_l1(points), ps.distance_matrix)
-                assert distortion(ps, emb) == want
+                assert distortion(ps, emb) == full_matrix_report(points, ps.distance_matrix)
 
     def test_holds_no_square_matrix(self, pointsets):
         base = pointsets(2, 5)
@@ -371,7 +386,7 @@ class TestMakeEmbedding:
         mapping = {a: rng.standard_normal(3) for a in ps.addresses}
         emb = make_embedding(mapping)
         assert emb.matrix.dtype == np.float64 and emb.matrix.shape == (len(ps), 3)
-        assert emb.addresses == ps.addresses and emb.dimension == 3
+        assert emb.graph.vertices == ps.addresses and emb.dimension == 3
         assert not emb.matrix.flags.writeable
         assert "vectors" not in emb.__dict__
         assert list(emb.vectors) == list(ps.addresses)
@@ -386,9 +401,9 @@ class TestMakeEmbedding:
         rows = np.random.default_rng(4).standard_normal((len(ps), 3))
         emb = Embedding(rows, build_graph(GraphParams(2, 2)))
         assert vertex_matrix(ps.graph, emb) is emb.matrix
-        assert "addresses" not in emb.__dict__ and "vertices" not in emb.order.__dict__
-        assert emb.addresses == ps.addresses
-        with pytest.raises(ValueError, match="does not cover"):
+        assert "vectors" not in emb.__dict__ and "vertices" not in emb.graph.__dict__
+        assert list(emb.vectors) == list(ps.addresses)
+        with pytest.raises(ValueError, match="^embedding is for k=2 n=2, graph has k=2 n=3$"):
             vertex_matrix(build_graph(GraphParams(2, 3)), emb)
         with pytest.raises(ValueError, match="^embedding has 11 rows for 12 vertices$"):
             Embedding(rows[1:], ps.graph)
@@ -399,7 +414,7 @@ class TestScaleEmbedding:
         ps = pointsets(2, 2)
         emb = make_embedding({a: np.arange(3.0) + i for i, a in enumerate(ps.addresses)})
         out = scale_embedding(emb, 0.3)
-        assert out.addresses == emb.addresses and not out.matrix.flags.writeable
+        assert out.graph is emb.graph and not out.matrix.flags.writeable
         assert out.matrix.tobytes() == (emb.matrix * 0.3).tobytes()
 
     def test_rejects_a_non_finite_result(self, pointsets):
@@ -511,11 +526,11 @@ def per_line_floats(text):
 
 class TestEmbeddingFastPath:
     @pytest.mark.parametrize("k,n,d", [(2, 3, 1), (3, 4, 16), (2, 5, 37)])
-    def test_blocks_equal_per_line_reference(self, pointsets, monkeypatch, k, n, d):
+    def test_canonical_read_equals_per_line_reference(self, pointsets, k, n, d):
+        # A canonical file takes the one-loadtxt path; its rows must be the
+        # per-line float() values bit for bit, behind one read-only matrix.
         ps = pointsets(k, n)
         text = gaussian_text(ps, d, seed=k * 100 + d)
-        # Five rows per block splits every file into many blocks.
-        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", 5 * (d + 1))
         emb = embedding_from_text(text, ps)
         rows = [emb.vectors[a] for a in ps.addresses]
         assert np.array_equal(np.stack(rows), per_line_floats(text))
@@ -533,13 +548,12 @@ class TestEmbeddingFastPath:
             ("-1e400", "non-finite coordinate"),
         ],
     )
-    def test_error_in_a_later_block_keeps_the_per_line_message(
-        self, pointsets, monkeypatch, token, message
-    ):
+    def test_late_bad_line_keeps_the_per_line_message(self, pointsets, token, message):
+        # One bad line deep in an otherwise canonical file sends the read to
+        # the per-line reader, which names that line.
         ps = pointsets(2, 4)
         lines = gaussian_text(ps, 2, seed=3).splitlines()
-        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", 4 * 3)
-        lineno = 123  # inside the 31st block of four rows
+        lineno = 123
         parts = lines[lineno - 1].split(" ")
         lines[lineno - 1] = " ".join(parts + ["0.5"] if token is None else parts[:2] + [token])
         with pytest.raises(FormatError) as info:

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from l1cert.infotheory import mutual_information
-from l1cert.l1metric import _ratio_report, identity_embedding, make_embedding, pairwise_l1
+from l1cert.l1metric import distortion, identity_embedding, make_embedding, pairwise_l1
 from l1cert.oracle import (
+    STEP_SCALE,
     SearchConfig,
     SearchResult,
     brute_force_average,
@@ -184,7 +185,7 @@ def _full_recompute_search(ps, cfg):
             direction = np.sign(diff)
             moving = int(np.count_nonzero(direction))
             residual = dist - original[i, j]
-            step = min(1.0, cfg.step_scale / math.sqrt(t)) * residual / (2.0 * moving)
+            step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
             points[i] -= step * direction
             points[j] += step * direction
 
@@ -196,14 +197,11 @@ def _full_recompute_search(ps, cfg):
                 for j in range(i + 1, n):
                     if embedded[i, j] == 0.0:
                         points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
-            embedded = pairwise_l1(points)
-        total = _ratio_report(embedded, original).distortion
-        if best is None or total < best[0]:
-            best = (total, restart, points.copy())
-
-    total, restart, points = best
-    emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
-    return SearchResult(emb, _ratio_report(pairwise_l1(points), original), restart)
+        emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
+        report = distortion(ps, emb)
+        if best is None or report.distortion < best.report.distortion:
+            best = SearchResult(emb, report, restart)
+    return best
 
 
 _REAL_DEFAULT_RNG = np.random.default_rng
@@ -314,7 +312,7 @@ class TestMessageJoint:
             assert len(terms) == n
 
     def test_capacity_cap(self, pointsets, monkeypatch):
-        monkeypatch.setattr("l1cert.oracle.MAX_JOINT_CELLS", 100)
+        monkeypatch.setattr("l1cert.infotheory.MAX_TABLE_CELLS", 100)
         ps = pointsets(2, 2)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^message joint with 144 cells exceeds 100$"):
             build_message_joint(ps.graph, identity_embedding(ps))

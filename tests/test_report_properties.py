@@ -28,7 +28,7 @@ def test_report_equals_the_per_prefix_reference(pointsets, size, d, seed, decade
     ps = pointsets(*size)
     rows = np.random.default_rng(seed).standard_normal((len(ps), d)) * 10.0**decades
     emb = embedding_from_text(embedding_to_text(ps, Embedding(rows, ps.graph)), ps)
-    assert "addresses" not in emb.__dict__
+    assert emb.graph is ps.graph
     report = constraint_report(ps.graph, emb)
     for e in report.entries:
         reference = constraint_lhs(ps.graph, emb, e.prefix, e.r)
