@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import ProbVector, binary_entropy
+from .infotheory import ProbVector, fano_term
 from .l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -238,7 +238,7 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
     delta = (k - 1) * eps / 2.0
     if delta >= 0.5:
         return BoundResult(delta, 0.0, 0.0, 1, False)
-    per_level = _per_level_term(k, delta)
+    per_level = fano_term(k, delta)
     exponent = per_level * n - 1.0
     try:
         raw = 2.0**exponent - 0.5
@@ -246,12 +246,6 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
         return BoundResult(delta, per_level, math.inf, _power_floor(exponent), True)
     min_dim = max(1, math.ceil(raw - 1e-9))
     return BoundResult(delta, per_level, raw, min_dim, True)
-
-
-def _per_level_term(k: int, delta: float) -> float:
-    """log2 k - delta*log2(k-1) - H(delta): the information each level must carry."""
-    log_km1 = 0.0 if k == 2 else math.log2(k - 1)
-    return math.log2(k) - delta * log_km1 - binary_entropy(delta)
 
 
 def _power_floor(exponent: float) -> int:

@@ -159,6 +159,12 @@ def conditional_mutual_information(joint: JointDistribution, i, j, given=()) -> 
     )
 
 
+def fano_term(k: int, delta: float) -> float:
+    """log2 k - delta*log2(k-1) - H(delta): fano_bound at error delta = 1 - p, unchecked."""
+    log_km1 = 0.0 if k == 2 else math.log2(k - 1)
+    return math.log2(k) - delta * log_km1 - binary_entropy(delta)
+
+
 def fano_bound(k: int, p: float) -> float:
     """Lower bound on I(X:Y) when X is uniform on [k] and some predictor
     recovers X from Y with success probability p >= 1/2:
@@ -169,8 +175,7 @@ def fano_bound(k: int, p: float) -> float:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     if not 0.5 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [1/2, 1]")
-    middle = 0.0 if k == 2 else (1.0 - p) * math.log2(k - 1)
-    return math.log2(k) - middle - binary_entropy(p)
+    return fano_term(k, 1.0 - p)
 
 
 def chain_rule_terms(joint: JointDistribution) -> list[float]:

@@ -90,8 +90,8 @@ class Embedding:
             raise ValueError(f"embedding has {self.matrix.shape[0]} rows for {rows} vertices")
         finite = np.isfinite(self.matrix).all(axis=1)
         if not finite.all():
-            addr = self.graph.vertices[int(finite.argmin())]
-            raise ValueError(f"non-finite entries in vector for {addr}")
+            name = self.graph.vertex_names[int(finite.argmin())]
+            raise ValueError(f"non-finite entries in vector for {name}")
         self.matrix.flags.writeable = False
 
     @property
@@ -139,8 +139,10 @@ def make_embedding(vectors) -> Embedding:
 
 
 def identity_embedding(ps: PointSet) -> Embedding:
-    """Labels themselves as vectors in R**(k**n); an isometry by construction."""
-    return Embedding(np.stack([label.to_dense() for label in ps.labels]), ps.graph)
+    """The packed labels unpacked as vectors in R**(k**n); an isometry by construction."""
+    rows = np.ascontiguousarray(ps._bitplanes.T).view(np.uint8)
+    bits = np.unpackbits(rows, axis=1, count=ps.dimension, bitorder="little")
+    return Embedding(bits.astype(np.float64), ps.graph)
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:
@@ -291,7 +293,7 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     if len(ps) < 2:
         raise ValueError("need at least two points")
     points = vertex_matrix(ps.graph, emb)
-    words = ps._bitsets.shape[1]
+    words = ps._bitplanes.shape[0]
     expansion = contraction = 0.0
     coincident = False
     with _tile_numerics(over="ignore", divide="ignore"):
@@ -342,7 +344,7 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     whose rows are the vectors; any other file goes through the per-line
     loop, which accepts valid non-canonical address spellings and names
     the first bad line. The rows are named by `ps.graph`, so the read
-    builds no address.
+    builds an address only for a non-canonical address token, one each.
     """
     lines = text.splitlines()
     if not lines:
@@ -392,14 +394,17 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
 
 
 def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
-    """The per-line reader: every address spelling parse_address accepts, exact errors."""
+    """The per-line reader: every address spelling parse_address accepts, errors by line."""
     out = np.empty((len(lines), d))
     for lineno, (name, line) in enumerate(zip(ps.graph.vertex_names, lines), start=2):
         parts = line.split()
         if len(parts) != d + 1:
             raise FormatError(f"line {lineno}: expected address plus {d} coordinates")
-        if parts[0] != name and parse_address(parts[0], ps.params) != ps.addresses[lineno - 2]:
-            raise FormatError(f"line {lineno}: address {parts[0]!r} out of canonical order")
+        try:
+            if parts[0] != name and str(parse_address(parts[0], ps.params)) != name:
+                raise FormatError(f"address {parts[0]!r} out of canonical order")
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         try:
             out[lineno - 2] = [float(x) for x in parts[1:]]
         except ValueError as exc:

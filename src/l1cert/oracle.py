@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import infotheory
-from .certifier import _per_level_term, edge_difference_map, nonneg_lift
-from .infotheory import JointDistribution, ProbVector, mutual_information
+from .certifier import edge_difference_map, nonneg_lift
+from .infotheory import JointDistribution, ProbVector, fano_term, mutual_information
 from .l1metric import DistortionReport, Embedding, distortion, pairwise_l1
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
@@ -115,7 +115,7 @@ def lemma_check(distributions) -> LemmaReport:
 
     applicable = delta < 0.5
     if applicable:
-        bound = _per_level_term(k, delta)
+        bound = fano_term(k, delta)
         holds = data_processing_ok and mi_exact >= bound - 1e-9
     else:
         bound = 0.0

@@ -9,10 +9,11 @@ n-fold refinement of a single virtual root edge (left, right), which gives
 every vertex a canonical address: the edge path of the cycle that created
 it plus its position along that cycle.
 
-Each vertex carries a bit vector of length k**n, stored sparsely as
-disjoint ones-intervals. Adjacent vertices differ in exactly one bit, and
-the two ends of any level-l cycle diameter differ in exactly k**(n-l+1)
-bits. The set of all labels is the point set consumed by the certifier.
+Each vertex carries a bit vector of length k**n, held as packed uint64
+words (the references give it as ones-intervals). Adjacent vertices
+differ in exactly one bit, and the two ends of any level-l cycle diameter
+differ in exactly k**(n-l+1) bits. The set of all labels is the point
+set consumed by the certifier.
 
 Edges are labeled by coordinate tuples in [2k]**n (outermost level first)
 and oriented toward the local right vertex: on a cycle refining the
@@ -443,13 +444,13 @@ def antipodal_pairs(
 class PointSet:
     """The labels of a built graph, with fast distance access.
 
-    Everything is derived from the graph on first read. `labels` is the
-    tuple of IntervalLabel objects in export order (row i is the label of
-    `graph.vertices[i]`); only `identity_embedding`, a non-canonical P1
-    line, the references and the tests read it. The packed bitsets come
-    from the cycle walk directly, so `certify` builds no label object.
-    The P1 writer and reader build none either: the writer splices the
-    canonical text from the same walk, and the reader compares with it.
+    Everything is derived from the graph on first read. The labels are
+    held in one form, packed bits (`_bitplanes`), taken from the cycle
+    walk directly, so no program path builds a label object: `certify`,
+    `identity_embedding` and the self test read the bits, the P1 writer
+    splices the canonical text from the same walk, and the P1 reader
+    compares with it. Per-vertex `IntervalLabel`s come only from the
+    references (`_label_of`, `vertex_label`).
     """
 
     graph: RecursiveCycleGraph
@@ -470,23 +471,13 @@ class PointSet:
         return vertex_count(self.params)
 
     @cached_property
-    def labels(self) -> tuple[IntervalLabel, ...]:
-        """Every vertex label in export order, from one walk of _cycle_spans."""
-        total = self.dimension
-        labels = [IntervalLabel(total, ()), IntervalLabel(total, ((0, total),))]
-        for base, spans in _cycle_spans(self.params):
-            labels += [
-                IntervalLabel(total, base[:lo] + ((a, b),) + base[hi:]) for lo, a, b, hi in spans
-            ]
-        return tuple(labels)
+    def _bitplanes(self) -> np.ndarray:
+        """Labels as little-endian uint64 words, shape (words, N): one column per vertex.
 
-    @cached_property
-    def _bitsets(self) -> np.ndarray:
-        """Labels packed as little-endian uint64 words in export order, shape (N, words).
-
-        Each label is one Python int, taken from the _cycle_blocks walk
-        without a label object: an inner vertex's int is its tail's plus
-        its interval [a, b), which is (1 << b) - (1 << a).
+        Word-major, so per-word popcounts add as whole planes. Each label
+        is one Python int, taken from the _cycle_blocks walk without a
+        label object: an inner vertex's int is its tail's plus its
+        interval [a, b), which is (1 << b) - (1 << a).
         """
         total = self.dimension
         ints = [0, (1 << total) - 1]
@@ -495,12 +486,8 @@ class PointSet:
             ints += [base + (1 << start + b) - (1 << start + a) for a, b in ones]
         words = -(-total // 64)
         packed = b"".join(x.to_bytes(8 * words, "little") for x in ints)
-        return np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
-
-    @cached_property
-    def _bitplanes(self) -> np.ndarray:
-        """_bitsets word-major, shape (words, N), so per-word popcounts add as whole planes."""
-        return np.ascontiguousarray(self._bitsets.T)
+        rows = np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
+        return np.ascontiguousarray(rows.T)
 
     def label_distances(self, i0: int, i1: int, j0: int = 0, j1: int | None = None) -> np.ndarray:
         """Label distances of rows i0..i1-1 against columns j0..j1-1 (j1 None: N), as floats.
@@ -517,7 +504,7 @@ class PointSet:
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Exact pairwise label distances in export order (int64), one row block at a time."""
-        n, words = self._bitsets.shape
+        words, n = self._bitplanes.shape
         out = np.empty((n, n), dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // (n * words))
         for i0 in range(0, n, step):
@@ -587,9 +574,10 @@ def _cycle_spans(params: GraphParams):
         yield base, spans
 
 
-def _parse_intervals(text: str, length: int) -> IntervalLabel:
+def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
+    """The (a, b) pairs of a P1 interval token as written, for comparison with canonical ones."""
     if text == "-":
-        return IntervalLabel(length, ())
+        return ()
     parts = []
     for chunk in text.split(","):
         a, sep, b = chunk.partition("-")
@@ -599,13 +587,7 @@ def _parse_intervals(text: str, length: int) -> IntervalLabel:
             parts.append((int(a), int(b)))
         except ValueError as exc:
             raise FormatError(f"bad interval {chunk!r}") from exc
-    try:
-        label = IntervalLabel.make(length, parts)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    if label.intervals != tuple(parts):
-        raise FormatError(f"intervals not sorted/disjoint/maximal: {text!r}")
-    return label
+    return tuple(parts)
 
 
 def pointset_to_text(ps: PointSet) -> str:
@@ -659,9 +641,10 @@ def pointset_from_text(text: str) -> PointSet:
 
     The returned point set is the in-memory construction; any divergence of
     the file from it (order, addresses, labels, counts) is a FormatError. A
-    file equal to the canonical text is accepted with one comparison and no
-    label object; any other file is checked line by line, which accepts
-    valid non-canonical spellings and names the first bad line.
+    file equal to the canonical text is accepted with one comparison; in
+    any other, a token that differs from its canonical one is parsed and
+    compared with it, which accepts valid non-canonical spellings, names
+    the first bad line and builds no label and at most one address a line.
     """
     lines = text.splitlines()
     if not lines:
@@ -688,11 +671,12 @@ def pointset_from_text(text: str) -> PointSet:
             raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
         # Canonical tokens need no parse; any other spelling must parse equal.
         name, intervals = want.split(" ")
-        if tokens[0] != name and parse_address(tokens[0], params) != ps.addresses[lineno - 2]:
-            raise FormatError(f"line {lineno}: address {tokens[0]!r} out of canonical order")
-        if (
-            tokens[1] != intervals
-            and _parse_intervals(tokens[1], params.label_length) != ps.labels[lineno - 2]
-        ):
-            raise FormatError(f"line {lineno}: label does not match the construction")
+        address, spans = tokens
+        try:
+            if address != name and str(parse_address(address, params)) != name:
+                raise FormatError(f"address {address!r} out of canonical order")
+            if spans != intervals and _parse_intervals(spans) != _parse_intervals(intervals):
+                raise FormatError("label does not match the construction")
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return ps

@@ -27,6 +27,7 @@ from .certifier import (
     dimension_bound,
     lift_recover,
     nonneg_lift,
+    predictor_success,
 )
 from .infotheory import (
     JointDistribution,
@@ -40,7 +41,6 @@ from .l1metric import (
     Embedding,
     distortion,
     identity_embedding,
-    l1_interval_distance,
     normalize_lipschitz,
     scale_embedding,
 )
@@ -76,25 +76,26 @@ class _Tally:
 
 
 def check_construction(t, ps: PointSet) -> None:
-    """Vertex and edge counts, distinct labels, unit edges and antipodal distances."""
-    graph, labels = ps.graph, ps.labels
+    """Vertex and edge counts, distinct labels, unit edges and antipodal distances.
+
+    Labels are read as packed columns: distinct when no two neighbours in
+    lexicographic order are equal, at popcount-of-XOR distances.
+    """
+    graph, bits = ps.graph, ps._bitplanes
     params = graph.params
     t.check(len(graph.vertices) == vertex_count(params))
     t.check(len(graph.level_edges[-1][0]) == params.cycle_length**params.n)
-    t.check(len({label.intervals for label in labels}) == len(graph.vertices))
+    cols = bits[:, np.lexsort(bits)]
+    t.check(cols.shape[1] == len(graph.vertices) and (cols[:, 1:] != cols[:, :-1]).any(0).all())
     tails, heads = graph.level_edges[-1]
-    t.check(
-        all(
-            l1_interval_distance(labels[tail], labels[head]) == 1
-            for tail, head in zip(tails.tolist(), heads.tolist())
-        )
-    )
+    t.check((np.bitwise_count(bits[:, tails] ^ bits[:, heads]).sum(axis=0) == 1).all())
     row = {name: i for i, name in enumerate(graph.vertex_names)}
     for level in range(1, params.n + 1):
         pairs = [(row[str(a)], row[str(b)]) for a, b in antipodal_pairs(graph, level)]
         t.check(len(pairs) == params.k * params.cycle_length ** (level - 1))
         want = params.k ** (params.n - level + 1)
-        t.check(all(l1_interval_distance(labels[a], labels[b]) == want for a, b in pairs))
+        a, b = np.array(pairs).T
+        t.check((np.bitwise_count(bits[:, a] ^ bits[:, b]).sum(axis=0) == want).all())
 
 
 def check_identity_constraints(t, ps: PointSet) -> None:
@@ -143,7 +144,7 @@ def fano_trial(t, rng: np.random.Generator, trial: int) -> bool:
             sharp[a, int(rng.integers(m))] = 1.0
         lam = rng.uniform(0.0, 0.6)
         rows = (1 - lam) * sharp + lam * rows
-    success = float(rows.max(axis=0).sum()) / k
+    _, success = predictor_success(rows)
     if success < 0.5:
         return False
     joint = JointDistribution((k, m), rows / k)

@@ -18,7 +18,16 @@ from l1cert.l1metric import (
     identity_embedding,
     make_embedding,
 )
-from l1cert.pointset import IntervalLabel, VertexAddress, pointset_from_text, pointset_to_text
+from l1cert.pointset import (
+    GraphParams,
+    IntervalLabel,
+    PointSet,
+    VertexAddress,
+    build_graph,
+    pointset_from_text,
+    pointset_to_text,
+)
+from l1cert.selftest import run_selftest
 
 
 @pytest.fixture()
@@ -97,6 +106,24 @@ class TestAddressFreePaths:
         report = constraint_report(ps.graph, embedding_from_text(emb.read_text("utf-8"), ps))
         dimension_bound(3, 4, report.epsilon)
         assert (len(addresses), len(labels)) == (0, 0)
+        # One non-canonical line per file goes through the per-line readers,
+        # which parse its tokens but build at most one address per line.
+        p1_lines = p1.read_text(encoding="utf-8").splitlines()
+        emb_lines = emb.read_text(encoding="utf-8").splitlines()
+        assert p1_lines[7].startswith("1/1 ") and emb_lines[7].startswith("1/1 ")
+        p1_lines[7] = "0" + p1_lines[7].replace(" ", " 0")  # "01/1 0<a>-<b>,..."
+        emb_lines[7] = "0" + emb_lines[7]
+        ps = pointset_from_text("\n".join(p1_lines) + "\n")
+        embedding_from_text("\n".join(emb_lines) + "\n", ps)
+        assert len(addresses) <= 2
+        assert len(labels) == 0
+
+    def test_identity_and_construction_suites_build_no_label(self, monkeypatch):
+        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        identity_embedding(PointSet(build_graph(GraphParams(3, 4))))
+        results = run_selftest(["construction", "identity_equality"])
+        assert [failed for _, _, failed in results] == [0, 0]
+        assert len(labels) == 0
 
     def test_certify_builds_no_address(self, tmp_path, pointsets, monkeypatch, capsys):
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"

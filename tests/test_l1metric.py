@@ -3,7 +3,9 @@
 Core claims:
     - l1_interval_distance equals the dense symmetric-difference oracle
       and satisfies the triangle inequality
-    - the identity embedding is an exact isometry (all ratios exactly 1)
+    - the identity embedding is an exact isometry (all ratios exactly 1),
+      and its rows, unpacked from the packed labels, are the reference
+      labels' dense rows
     - distortion is scale invariant; normalize_lipschitz brings expansion
       to 1, preserves distortion, and is idempotent
     - degenerate embeddings are flagged with infinite contraction
@@ -34,7 +36,7 @@ import warnings
 import numpy as np
 import pytest
 
-from l1cert import l1metric
+from l1cert import l1metric, pointset
 from l1cert.certifier import certify, constraint_report, constraint_table_csv, edge_difference_map
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
@@ -68,6 +70,11 @@ def ones_set(label):
     return {i for a, b in label.intervals for i in range(a, b)}
 
 
+def reference_labels(ps):
+    """Every vertex label in export order, from the recursive per-vertex reference."""
+    return [pointset._label_of(ps.params, v) for v in ps.addresses]
+
+
 def random_label(rng, length):
     bits = rng.integers(0, 2, size=length)
     return IntervalLabel.make(length, [(i, i + 1) for i in range(length) if bits[i]])
@@ -81,7 +88,7 @@ class TestIntervalDistance:
 
     def test_self_distance_zero(self, pointsets):
         ps = pointsets(3, 2)
-        for label in ps.labels:
+        for label in reference_labels(ps):
             assert l1_interval_distance(label, label) == 0
 
     def test_root_left_to_adjacent_vertex(self, pointsets):
@@ -91,7 +98,8 @@ class TestIntervalDistance:
         tails, heads = ps.graph.level_edges[-1]
         tail, head = int(tails[0]), int(heads[0])
         assert ps.graph.vertex_names[tail] == "L"
-        assert l1_interval_distance(ps.labels[tail], ps.labels[head]) == 1
+        labels = reference_labels(ps)
+        assert l1_interval_distance(labels[tail], labels[head]) == 1
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -135,6 +143,15 @@ class TestDistortion:
             assert report.expansion == 1.0
             assert report.contraction == 1.0
             assert report.distortion == 1.0
+
+    # (3, 4) has 81-bit labels, two words per row; (4, 3) exactly one word.
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (2, 6), (5, 2)])
+    def test_identity_rows_are_the_reference_labels(self, pointsets, k, n):
+        ps = pointsets(k, n)
+        want = np.stack([label.to_dense() for label in reference_labels(ps)])
+        got = identity_embedding(ps).matrix
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     def test_scaled_identity_still_distortion_one(self, pointsets):
         ps = pointsets(2, 2)
@@ -196,7 +213,7 @@ def full_matrix_report(points, original):
 def dense_distortion(ps, emb):
     """The full-square triu_indices formula over dense 0/1 labels."""
     points = np.stack([emb.vectors[a] for a in ps.addresses])
-    bits = np.stack([label.to_dense() for label in ps.labels])
+    bits = np.stack([label.to_dense() for label in reference_labels(ps)])
     report = full_matrix_report(points, naive_pairwise(bits))
     return report.expansion, report.contraction, report.distortion
 
@@ -480,15 +497,26 @@ class TestEmbeddingFormat:
         back = embedding_from_text("\n".join(lines) + "\n", ps)
         assert embedding_to_text(ps, back) == text
 
-    @pytest.mark.parametrize("token", ["2/3", "+2/3", "02/3"])
-    def test_rejects_wrong_address_with_line_number(self, pointsets, token):
+    ADDRESS_ERRORS = [
+        ("2/3", "line 7: address '2/3' out of canonical order"),
+        ("+2/3", "line 7: address '+2/3' out of canonical order"),
+        ("02/3", "line 7: address '02/3' out of canonical order"),
+        ("x/1", "line 7: bad vertex address 'x/1'"),
+        ("1/9", "line 7: position out of range in address '1/9'"),
+        ("1.9/1", "line 7: edge path out of range in address '1.9/1'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "token,message", ADDRESS_ERRORS, ids=[token for token, _ in ADDRESS_ERRORS]
+    )
+    def test_rejects_wrong_address_with_line_number(self, pointsets, token, message):
         ps = pointsets(2, 2)
         lines = embedding_to_text(ps, identity_embedding(ps)).splitlines()
         assert lines[6].split()[0] == "1/3"
         lines[6] = token + " " + lines[6].split(" ", 1)[1]
         with pytest.raises(FormatError) as info:
             embedding_from_text("\n".join(lines) + "\n", ps)
-        assert str(info.value) == f"line 7: address {token!r} out of canonical order"
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "header",

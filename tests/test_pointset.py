@@ -16,10 +16,11 @@ Core claims:
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
 
-Label distances here are checked against an independent dense oracle
-(explicit ones-sets), not the library's merge-based distance. The packed
-bitset distance matrix is checked against both the merge-based distance
-and a dense 0/1 product, and the packed words against numpy's packbits.
+The program holds labels only as packed bits. The reference labels are
+the recursive `_label_of`'s: the canonical P1 text is checked against
+them, and the packed words against numpy's packbits of them. The packed
+distance matrix, which the metric-structure tests read, is checked
+against both the merge-based distance and a dense 0/1 product.
 """
 
 import collections
@@ -52,13 +53,9 @@ from l1cert.pointset import (
 )
 
 
-def ones_set(label):
-    """Independent dense view of a label: the set of one-bit positions."""
-    return {i for a, b in label.intervals for i in range(a, b)}
-
-
-def dense_distance(a, b):
-    return len(ones_set(a) ^ ones_set(b))
+def reference_labels(ps):
+    """Every vertex label in export order, from the recursive per-vertex reference."""
+    return [pointset._label_of(ps.params, v) for v in ps.addresses]
 
 
 class TestParams:
@@ -225,10 +222,13 @@ class TestLevelArrays:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
     def test_labels_equal_recursive_reference(self, pointsets, k, n):
+        # The P1 writer splices every line from the _cycle_spans walk.
         ps = pointsets(k, n)
-        assert len(ps.labels) == len(ps.addresses)
-        for v, label in zip(ps.addresses, ps.labels):
-            assert label == pointset._label_of(ps.params, v)
+        lines = pointset_to_text(ps).splitlines()[1:]
+        assert len(lines) == len(ps.addresses)
+        for v, line in zip(ps.addresses, lines):
+            intervals = pointset._label_of(ps.params, v).intervals
+            assert line == f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-")
 
     def test_no_recursive_helper_calls(self, monkeypatch):
         # Building labels and the constraint report must not fall back on the
@@ -276,13 +276,14 @@ class TestVertexLabels:
 
     def test_label_length_is_k_to_the_n(self, pointsets):
         ps = pointsets(3, 2)
-        assert all(label.length == 9 for label in ps.labels)
+        assert ps.dimension == 9
+        assert all(label.length == 9 for label in reference_labels(ps))
 
     @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
     def test_labels_distinct_and_well_formed(self, pointsets, k, n):
         ps = pointsets(k, n)
         seen = set()
-        for label in ps.labels:
+        for label in reference_labels(ps):
             assert label.intervals not in seen
             seen.add(label.intervals)
             for (a, b), nxt in itertools.zip_longest(
@@ -304,7 +305,7 @@ class TestMetricStructure:
         ps = pointsets(k, n)
         tails, heads = ps.graph.level_edges[-1]
         for tail, head in zip(tails.tolist(), heads.tolist()):
-            assert dense_distance(ps.labels[tail], ps.labels[head]) == 1
+            assert ps.distance_matrix[tail, head] == 1
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_antipodal_distances(self, pointsets, k, n):
@@ -315,7 +316,7 @@ class TestMetricStructure:
             assert len(pairs) == k * (2 * k) ** (level - 1)
             expected = k ** (n - level + 1)
             for a, b in pairs:
-                assert dense_distance(ps.labels[row[a]], ps.labels[row[b]]) == expected
+                assert ps.distance_matrix[row[a], row[b]] == expected
 
     def test_depth_one_pairs(self):
         graph = build_graph(GraphParams(2, 1))
@@ -339,23 +340,24 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 4), (4, 3), (2, 6)])
     def test_bitsets_equal_dense_bit_packing(self, pointsets, k, n):
         # Reference: every label as an (N, 64 * words) bool row, packed
-        # little-endian into bytes and read as uint64 words.
+        # little-endian into bytes and read as uint64 words, one column per
+        # vertex in the word-major packed array.
         ps = pointsets(k, n)
         words = -(-ps.dimension // 64)
         bits = np.zeros((len(ps), 64 * words), dtype=bool)
-        for i, label in enumerate(ps.labels):
+        for i, label in enumerate(reference_labels(ps)):
             for a, b in label.intervals:
                 bits[i, a:b] = True
         want = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        got = PointSet(ps.graph)._bitsets
-        assert got.dtype == want.dtype and got.shape == (len(ps), words)
-        assert np.array_equal(got, want)
+        got = PointSet(ps.graph)._bitplanes
+        assert got.dtype == want.dtype and got.shape == (words, len(ps))
+        assert np.array_equal(got, want.T)
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3)])
     def test_equals_interval_distance_on_every_pair(self, pointsets, k, n):
         # (4, 3) has labels of exactly 64 bits, one full word.
         ps = pointsets(k, n)
-        labs = ps.labels
+        labs = reference_labels(ps)
         want = np.array([[l1_interval_distance(a, b) for b in labs] for a in labs])
         got = ps.distance_matrix
         assert got.dtype == np.int64
@@ -367,7 +369,7 @@ class TestDistanceMatrix:
         ps = pointsets(3, 4)
         monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", block)
         got = PointSet(ps.graph).distance_matrix
-        dense = np.stack([label.to_dense() for label in ps.labels])
+        dense = np.stack([label.to_dense() for label in reference_labels(ps)])
         ones = dense.sum(axis=1)
         want = ones[:, None] + ones[None, :] - 2 * (dense @ dense.T)
         assert np.array_equal(got, want.astype(np.int64))
@@ -393,7 +395,6 @@ class TestExportFormat:
         again = pointset_from_text(text)
         assert pointset_to_text(again) == text
         assert again.addresses == ps.addresses
-        assert again.labels == ps.labels
 
     def test_header_contents(self, pointsets):
         text = pointset_to_text(pointsets(3, 2))
@@ -442,6 +443,14 @@ class TestExportFormat:
             (7, "+1/1 2-3", "line 7: address '+1/1' out of canonical order"),
             (9, "2/3 0-1,2-3", "line 9: label does not match the construction"),
             (9, "+2/3 0-1,02-3", "line 9: label does not match the construction"),
+            (9, "2/3 2-4,0-1", "line 9: label does not match the construction"),
+            (9, "2/3 0-1,2-3,3-4", "line 9: label does not match the construction"),
+            (6, "1/1 3-9", "line 6: label does not match the construction"),
+            (6, "x/1 3-4", "line 6: bad vertex address 'x/1'"),
+            (6, "1/1 0-x", "line 6: bad interval '0-x'"),
+            (6, "1/1 3", "line 6: bad interval '3'"),
+            (6, "1/9 0-1", "line 6: position out of range in address '1/9'"),
+            (6, "1.9/1 3-4", "line 6: edge path out of range in address '1.9/1'"),
         ],
     )
     def test_rejects_wrong_tokens_with_line_number(self, pointsets, lineno, line, message):
