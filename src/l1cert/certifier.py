@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import ProbVector, fano_term
+from .infotheory import SUM_TOLERANCE, ProbVector, fano_term
 from .l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -282,6 +282,26 @@ def choose_k(eps: float) -> int:
     return max(2, math.floor(1.0 / (eps * math.log2(1.0 / eps))))
 
 
+def _stochastic_table(rows) -> np.ndarray | None:
+    """The rows as one (k >= 2, m >= 1) table of nonnegative rows, each summing
+    to 1 within SUM_TOLERANCE, or None.
+
+    None covers every table with a row ProbVector rejects, and also ragged
+    rows, too few rows and negative entries ProbVector would clip to 0.
+    NaN fails both comparisons, an infinite entry the sum's. A row's sum
+    over the contiguous last axis is the one the row alone gives.
+    """
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
+        return None
+    if not (table.min() >= 0.0 and (np.abs(table.sum(axis=1) - 1.0) <= SUM_TOLERANCE).all()):
+        return None
+    return table
+
+
 def predictor_success(distributions) -> tuple[np.ndarray, float]:
     """Best symbol-wise predictor of which of k distributions produced a sample.
 
@@ -289,16 +309,23 @@ def predictor_success(distributions) -> tuple[np.ndarray, float]:
     the distribution maximizing the weight of symbol j (ties to the
     smallest index) and success is its probability of being right under a
     uniformly random source: (1/k) * || max(Q_1..Q_k) ||_1.
+
+    The rows are checked as one table. A table that fails is taken row by
+    row into ProbVectors, so an error raised is the one the first bad row
+    gives on its own, and rows ProbVector clips are clipped as before.
     """
-    qs = [q if isinstance(q, ProbVector) else ProbVector(q) for q in distributions]
-    if len(qs) < 2:
-        raise ValueError("need at least two distributions")
-    sizes = {len(q) for q in qs}
-    if len(sizes) != 1:
-        raise ValueError(f"alphabet mismatch among distributions: {sorted(sizes)}")
-    stacked = np.stack([q.weights for q in qs])
-    predictor = stacked.argmax(axis=0)
-    success = float(stacked.max(axis=0).sum()) / len(qs)
+    rows = [q.weights if isinstance(q, ProbVector) else q for q in distributions]
+    table = _stochastic_table(rows)
+    if table is None:
+        qs = [ProbVector(q) for q in rows]
+        if len(qs) < 2:
+            raise ValueError("need at least two distributions")
+        sizes = {len(q) for q in qs}
+        if len(sizes) != 1:
+            raise ValueError(f"alphabet mismatch among distributions: {sorted(sizes)}")
+        table = np.stack([q.weights for q in qs])
+    predictor = table.argmax(axis=0)
+    success = float(table.max(axis=0).sum()) / len(table)
     return predictor, success
 
 

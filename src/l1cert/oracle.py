@@ -156,9 +156,10 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     restart wins (ties to the lowest index). Best effort only.
 
     The embedded distances and the violation matrix are built once per
-    restart. A step moves at most points i and j, so only their rows (and
-    mirrored columns) are refreshed, each summed per pair exactly as
-    `pairwise_l1` does: O(N*d) arithmetic plus one O(N**2) argmax per step.
+    restart. A step moves at most points i and j, so one refresh recomputes
+    both their rows (and mirrored columns) as a single (2, N) block, each
+    pair summed exactly as `pairwise_l1` does; the pair's distance is read
+    from that matrix. O(N*d) arithmetic plus one O(N**2) argmax per step.
     Each restart is reported by `distortion` over its final points.
     """
     n = len(ps)
@@ -170,13 +171,24 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     scale = float(original[np.triu_indices(n, 1)].mean())
     log_original = np.log(original)
 
-    def refresh(m: int) -> None:
-        """Recompute row and column m of `embedded` and `violation`."""
-        row = np.abs(points[m] - points).sum(axis=-1)
-        embedded[m] = embedded[:, m] = row
-        worst = np.abs(np.log(np.maximum(row, 1e-300)) - log_original[m])
-        worst[m] = -math.inf
-        violation[m] = violation[:, m] = worst
+    def refresh(a: int, b: int) -> None:
+        """Recompute rows a <= b (one row when equal) and their mirrored
+        columns of `embedded` and `violation`, as one block.
+
+        The rows are taken by a basic slice, so no copy is made; each pair
+        is summed over its own contiguous d terms, as in `pairwise_l1`.
+        """
+        rows = slice(a, b + 1, max(b - a, 1))
+        block = np.abs(points[rows, None, :] - points).sum(axis=-1)
+        embedded[rows] = block
+        embedded[:, rows] = block.T
+        np.maximum(block, 1e-300, out=block)
+        np.log(block, out=block)
+        np.subtract(block, log_original[rows], out=block)
+        np.abs(block, out=block)
+        block[0, a] = block[-1, b] = -math.inf
+        violation[rows] = block
+        violation[:, rows] = block.T
 
     best: SearchResult | None = None
     for restart in range(cfg.restarts):
@@ -186,21 +198,20 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
         violation = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
         np.fill_diagonal(violation, -math.inf)
         for t in range(1, cfg.iterations + 1):
-            i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
-            diff = points[i] - points[j]
-            dist = float(np.abs(diff).sum())
+            i, j = divmod(int(violation.argmax()), n)
+            dist = float(embedded[i, j])
             if dist < 1e-12:
                 points[i] = points[i] + rng.standard_normal(d) * (1e-6 * scale)
-                refresh(i)
+                refresh(i, i)
                 continue
-            direction = np.sign(diff)
+            direction = np.sign(points[i] - points[j])
             moving = int(np.count_nonzero(direction))
             residual = dist - original[i, j]
             step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
-            points[i] -= step * direction
-            points[j] += step * direction
-            refresh(i)
-            refresh(j)
+            delta = step * direction
+            points[i] -= delta
+            points[j] += delta
+            refresh(min(i, j), max(i, j))
 
         # Split coincident points so the result is a genuine embedding.
         for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):

@@ -245,7 +245,11 @@ def _assert_identical(ps, got, want):
 
 class TestIncrementalSearch:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (3, 2), (2, 3)])
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    # numpy sums under 8 terms in sequence, 8 to 128 as eight stride-8
+    # partial sums plus a tail, and more as two halves; the per-step (2, N)
+    # row sums and the pair distance read from them must match the
+    # reference's all-pairs and per-pair sums bit for bit in every branch.
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 16, 130])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_full_recompute(self, pointsets, k, n, d, seed):
         ps = pointsets(k, n)
