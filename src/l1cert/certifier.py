@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import SUM_TOLERANCE, ProbVector, fano_term
+from .infotheory import ProbVector, fano_term, stochastic_table
 from .l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -282,26 +282,6 @@ def choose_k(eps: float) -> int:
     return max(2, math.floor(1.0 / (eps * math.log2(1.0 / eps))))
 
 
-def _stochastic_table(rows) -> np.ndarray | None:
-    """The rows as one (k >= 2, m >= 1) table of nonnegative rows, each summing
-    to 1 within SUM_TOLERANCE, or None.
-
-    None covers every table with a row ProbVector rejects, and also ragged
-    rows, too few rows and negative entries ProbVector would clip to 0.
-    NaN fails both comparisons, an infinite entry the sum's. A row's sum
-    over the contiguous last axis is the one the row alone gives.
-    """
-    try:
-        table = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
-        return None
-    if not (table.min() >= 0.0 and (np.abs(table.sum(axis=1) - 1.0) <= SUM_TOLERANCE).all()):
-        return None
-    return table
-
-
 def predictor_success(distributions) -> tuple[np.ndarray, float]:
     """Best symbol-wise predictor of which of k distributions produced a sample.
 
@@ -315,7 +295,7 @@ def predictor_success(distributions) -> tuple[np.ndarray, float]:
     gives on its own, and rows ProbVector clips are clipped as before.
     """
     rows = [q.weights if isinstance(q, ProbVector) else q for q in distributions]
-    table = _stochastic_table(rows)
+    table = stochastic_table(rows)
     if table is None:
         qs = [ProbVector(q) for q in rows]
         if len(qs) < 2:

@@ -34,6 +34,28 @@ def _clean_weights(raw, what: str) -> np.ndarray:
     return arr
 
 
+def stochastic_table(rows) -> np.ndarray | None:
+    """The rows as one C-ordered (k >= 2, m >= 1) table of nonnegative rows,
+    each summing to 1 within SUM_TOLERANCE, or None.
+
+    A one-pass form of _clean_weights for a stack of probability vectors.
+    None covers every table with a row ProbVector rejects, and also ragged
+    rows, too few rows and negative entries _clean_weights would clip to 0.
+    NaN fails both comparisons, an infinite entry the sum's. The table is
+    copied to C order, so each row sum runs over a contiguous last axis
+    and is the one _clean_weights gives for that row alone.
+    """
+    try:
+        table = np.array(rows, dtype=float, order="C")
+    except (TypeError, ValueError):
+        return None
+    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
+        return None
+    if not (table.min() >= 0.0 and (np.abs(table.sum(axis=1) - 1.0) <= SUM_TOLERANCE).all()):
+        return None
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class ProbVector:
     """A probability distribution over a finite alphabet."""

@@ -492,16 +492,17 @@ class PointSet:
     def label_distances(self, i0: int, i1: int, j0: int = 0, j1: int | None = None) -> np.ndarray:
         """Label distances of rows i0..i1-1 against columns j0..j1-1 (j1 None: N), as floats.
 
-        Popcounts of XORed packed labels, converted once and added over
-        words as whole planes, so no ufunc casts; a single word's plane is
-        only converted. The values are exact (at most k**n < 2**48).
+        Popcounts of XORed packed labels, converted to floats once; each
+        further word's plane is added into the first in place, so no ufunc
+        casts. The values are exact (at most k**n < 2**48).
         l1metric.l1_interval_distance is the interval-merge reference.
         """
         bits = self._bitplanes
-        counts = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1])
-        if len(bits) == 1:
-            return counts[0].astype(np.float64)
-        return np.add.reduce(counts.astype(np.float64), axis=0)
+        planes = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1]).astype(np.float64)
+        total = planes[0]
+        for word in range(1, len(planes)):
+            total += planes[word]
+        return total
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:

@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from l1cert.certifier import predictor_success  # noqa: E402
-from l1cert.infotheory import ProbVector  # noqa: E402
+from l1cert.infotheory import ProbVector, stochastic_table  # noqa: E402
 
 # Most rows are left valid, so that whole tables often pass and the
 # returned values are compared too.
@@ -66,15 +66,20 @@ def tables(draw):
             rows.append(row.tolist() if draw(st.booleans()) else row)
     if rows and draw(st.booleans()):
         try:
-            return np.array(rows, dtype=float)
+            table = np.array(rows, dtype=float)
         except (TypeError, ValueError):
-            pass
+            return rows
+        # A transposed (F-ordered) copy holds the same rows with strided
+        # storage, whose row sums need not add in a row's own order.
+        return np.asfortranarray(table) if draw(st.booleans()) else table
     return rows
 
 
 @settings(max_examples=400)
 @given(tables())
 def test_matches_one_probvector_per_row(distributions):
+    if not any(isinstance(q, ProbVector) for q in distributions):
+        _assert_rows_accepted_alone(distributions)
     try:
         want = _per_row_reference(distributions)
     except Exception as exc:
@@ -86,3 +91,35 @@ def test_matches_one_probvector_per_row(distributions):
     assert predictor.dtype == want[0].dtype
     assert np.array_equal(predictor, want[0])
     assert success == want[1]
+
+
+def _assert_rows_accepted_alone(distributions):
+    """stochastic_table accepts a table only if ProbVector accepts each row
+    alone, and then holds exactly the stacked ProbVector weights."""
+    table = stochastic_table(distributions)
+    if table is not None:
+        stacked = np.stack([ProbVector(q).weights for q in distributions])
+        assert table.flags.c_contiguous and np.array_equal(table, stacked)
+
+
+def test_transposed_tables_at_the_tolerance_edge():
+    """Rows scaled to within a few ulps of a 1 + SUM_TOLERANCE sum, stored
+    F-ordered: a table's row sum taken in another order than the row's own
+    can fall on the other side of the tolerance."""
+    rng = np.random.default_rng(7)
+    m = 40
+    for _ in range(20):
+        row = rng.random(m)
+        row /= row.sum()
+        for ulps in range(-4, 5):
+            scaled = row * (1.0 + 1e-9 + ulps * 1e-16)
+            table = np.asfortranarray(np.stack([scaled, np.full(m, 1.0 / m)]))
+            _assert_rows_accepted_alone(table)
+            try:
+                want = _per_row_reference(table)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    predictor_success(table)
+                continue
+            predictor, success = predictor_success(table)
+            assert np.array_equal(predictor, want[0]) and success == want[1]
