@@ -60,12 +60,19 @@ class ConstraintReport:
     values: row p is the p-th prefix in lexicographic order, column r-1 the
     split point r. `entries` lists the same values as ConstraintEntry
     objects in (level, prefix, r) order; it is built on first read, which
-    only the CSV table and the tests do.
+    only the CSV table and the tests do. `min_lhs` and `epsilon` are
+    derived from `lhs` on first read.
     """
 
     lhs: tuple[np.ndarray, ...]
-    min_lhs: float
-    epsilon: float
+
+    @cached_property
+    def min_lhs(self) -> float:
+        return min(float(values.min()) for values in self.lhs)
+
+    @cached_property
+    def epsilon(self) -> float:
+        return max(0.0, 1.0 - self.min_lhs)
 
     @cached_property
     def entries(self) -> tuple[ConstraintEntry, ...]:
@@ -91,17 +98,26 @@ class BoundResult:
     per_level_term: float
     raw_bound: float
     min_dimension: int
-    applicable: bool
+
+    @property
+    def applicable(self) -> bool:
+        return self.delta < 0.5
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     distortion: DistortionReport
-    epsilon: float
     bound: BoundResult
     embedding_dimension: int
-    consistent: bool
     constraints: ConstraintReport
+
+    @property
+    def epsilon(self) -> float:
+        return self.constraints.epsilon
+
+    @property
+    def consistent(self) -> bool:
+        return self.embedding_dimension >= self.bound.min_dimension
 
 
 def edge_difference_map(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
@@ -180,8 +196,7 @@ def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintR
         lhs = np.abs(2 * partial[:, :-1] - partial[:, -1:]).sum(axis=-1) / (2 * k)
         lhs.flags.writeable = False
         levels.append(lhs)
-    min_lhs = min(float(lhs.min()) for lhs in levels)
-    return ConstraintReport(tuple(levels), min_lhs, max(0.0, 1.0 - min_lhs))
+    return ConstraintReport(tuple(levels))
 
 
 def nonneg_lift(vec) -> ProbVector:
@@ -237,15 +252,15 @@ def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
         raise ValueError(f"epsilon must be a number >= 0, got {eps}")
     delta = (k - 1) * eps / 2.0
     if delta >= 0.5:
-        return BoundResult(delta, 0.0, 0.0, 1, False)
+        return BoundResult(delta, 0.0, 0.0, 1)
     per_level = fano_term(k, delta)
     exponent = per_level * n - 1.0
     try:
         raw = 2.0**exponent - 0.5
     except OverflowError:
-        return BoundResult(delta, per_level, math.inf, _power_floor(exponent), True)
+        return BoundResult(delta, per_level, math.inf, _power_floor(exponent))
     min_dim = max(1, math.ceil(raw - 1e-9))
-    return BoundResult(delta, per_level, raw, min_dim, True)
+    return BoundResult(delta, per_level, raw, min_dim)
 
 
 def _power_floor(exponent: float) -> int:
@@ -327,14 +342,7 @@ def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
     constraints = constraint_report(ps.graph, normalized)
     params = ps.params
     bound = dimension_bound(params.k, params.n, constraints.epsilon)
-    return CertificateReport(
-        distortion=report,
-        epsilon=constraints.epsilon,
-        bound=bound,
-        embedding_dimension=emb.dimension,
-        consistent=emb.dimension >= bound.min_dimension,
-        constraints=constraints,
-    )
+    return CertificateReport(report, bound, emb.dimension, constraints)
 
 
 def certificate_to_text(cert: CertificateReport) -> str:

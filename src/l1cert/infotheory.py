@@ -115,22 +115,6 @@ class JointDistribution:
     def entropy_of(self, coords) -> float:
         return _entropy_bits(self.marginal(coords))
 
-    def condition(self, assignment: dict[int, int]) -> "JointDistribution":
-        """Condition on fixed values of some coordinates and renormalize."""
-        fixed = dict(assignment)
-        self._coords(tuple(fixed))
-        index = tuple(
-            fixed[c] if c in fixed else slice(None) for c in range(self.num_coordinates)
-        )
-        sub = np.array(self.table[index], dtype=float)
-        mass = sub.sum()
-        if mass <= ZERO_WEIGHT:
-            raise ValueError(f"conditioning event {assignment} has zero probability")
-        rest = tuple(
-            s for c, s in enumerate(self.alphabet_sizes) if c not in fixed
-        )
-        return JointDistribution(rest, sub / mass)
-
 
 def _entropy_bits(weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float).ravel()

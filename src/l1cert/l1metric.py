@@ -27,7 +27,7 @@ from .pointset import (
     VertexAddress,
     _parse_header,
     build_graph,
-    parse_address,
+    check_address,
     vertex_count,
 )
 
@@ -59,32 +59,27 @@ def l1_interval_distance(a: IntervalLabel, b: IntervalLabel) -> int:
     return a.measure + b.measure - 2 * inter
 
 
-def l1_distance(u, v) -> float:
-    """Sum of coordinate-wise absolute differences of two real vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"vector length mismatch: {u.shape} != {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("non-finite vector entries")
-    return float(np.abs(u - v).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per vertex.
 
     Row i is the vector of `graph.vertices[i]`: the rows follow the
-    graph's export order, so no address is built to read them. A row
-    count other than the graph's vertex count and non-finite entries are
-    rejected. `vectors` is the per-address view that the slow references
-    and the tests read; the array paths never build it.
+    graph's export order, so no address is built to read them. The
+    matrix is held as float64, so an embedding certifies the same as its
+    L1EMB text; a float64 matrix is kept without a copy. A shape other
+    than (vertex count, d >= 1) and non-finite entries are rejected.
+    `vectors` is the per-address view that the slow references and the
+    tests read; the array paths never build it.
     """
 
     matrix: np.ndarray
     graph: RecursiveCycleGraph
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
+        if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
+            shape = self.matrix.shape
+            raise ValueError(f"embedding matrix must be (N, d) with d >= 1, got shape {shape}")
         rows = vertex_count(self.graph.params)
         if self.matrix.shape[0] != rows:
             raise ValueError(f"embedding has {self.matrix.shape[0]} rows for {rows} vertices")
@@ -401,8 +396,7 @@ def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
         if len(parts) != d + 1:
             raise FormatError(f"line {lineno}: expected address plus {d} coordinates")
         try:
-            if parts[0] != name and str(parse_address(parts[0], ps.params)) != name:
-                raise FormatError(f"address {parts[0]!r} out of canonical order")
+            check_address(parts[0], name, ps.params)
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         try:

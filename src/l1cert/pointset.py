@@ -131,6 +131,15 @@ def parse_address(text: str, params: GraphParams) -> VertexAddress:
     return VertexAddress("inner", path, position)
 
 
+def check_address(token: str, name: str, params: GraphParams) -> None:
+    """Raise FormatError unless `token` spells the address whose canonical form is `name`.
+
+    The canonical spelling needs no parse; any other must parse to it.
+    """
+    if token != name and str(parse_address(token, params)) != name:
+        raise FormatError(f"address {token!r} out of canonical order")
+
+
 @dataclass(frozen=True)
 class IntervalLabel:
     """A bit vector in {0,1}**length stored as sorted disjoint ones-intervals.
@@ -676,8 +685,7 @@ def pointset_from_text(text: str) -> PointSet:
         name, intervals = want.split(" ")
         address, spans = tokens
         try:
-            if address != name and str(parse_address(address, params)) != name:
-                raise FormatError(f"address {address!r} out of canonical order")
+            check_address(address, name, params)
             if spans != intervals and _parse_intervals(spans) != _parse_intervals(intervals):
                 raise FormatError("label does not match the construction")
         except FormatError as exc:

@@ -1,5 +1,6 @@
 import pytest
 
+from l1cert import pointset
 from l1cert.pointset import GraphParams, build_graph, point_set
 
 try:
@@ -13,6 +14,11 @@ else:
         "l1cert", derandomize=True, database=None, deadline=None, max_examples=80
     )
     settings.load_profile("l1cert")
+
+
+def reference_labels(ps):
+    """Every vertex label in export order, from the recursive per-vertex reference."""
+    return [pointset._label_of(ps.params, v) for v in ps.addresses]
 
 
 @pytest.fixture(scope="session")

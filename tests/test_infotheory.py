@@ -243,12 +243,3 @@ class TestJointDistribution:
         # The cell count is checked before the table is touched.
         with pytest.raises(CapacityError):
             JointDistribution((2,) * 25, np.zeros(1))
-
-    def test_condition(self):
-        table = np.array([[0.5, 0.0], [0.25, 0.25]])
-        joint = JointDistribution((2, 2), table)
-        cond = joint.condition({0: 1})
-        assert cond.alphabet_sizes == (2,)
-        assert np.allclose(cond.table, [0.5, 0.5])
-        with pytest.raises(ValueError):
-            joint.condition({1: 1, 0: 0})  # zero-probability event

@@ -20,24 +20,33 @@ Core claims:
       read-only matrix that equals a per-line float() reference bit for
       bit; any other file gets the per-line reader's exact message and
       line number
-    - an Embedding is one read-only matrix in its graph's export order;
-      scaling keeps the finiteness check, every consumer rejects an
-      embedding of another P(k, n) with ValueError, and parse, certify,
-      tabulate and search never build the per-address view; rows named by
-      a graph build no address until `vectors` is read
+    - an Embedding is one read-only float64 (N, d >= 1) matrix in its
+      graph's export order, so a float32 or int matrix certifies as its
+      own L1EMB text; scaling keeps the finiteness check, every consumer
+      rejects an embedding of another P(k, n) with ValueError, and parse,
+      certify, tabulate and search never build the per-address view; rows
+      named by a graph build no address until `vectors` is read
     - make_embedding stacks a mapping in any order into export order and
       rejects one that misses a vertex or names a foreign one
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import reference_labels
 from l1cert import l1metric, pointset
-from l1cert.certifier import certify, constraint_report, constraint_table_csv, edge_difference_map
+from l1cert.certifier import (
+    certificate_to_text,
+    certify,
+    constraint_report,
+    constraint_table_csv,
+    edge_difference_map,
+)
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -46,7 +55,6 @@ from l1cert.l1metric import (
     embedding_from_text,
     embedding_to_text,
     identity_embedding,
-    l1_distance,
     l1_interval_distance,
     make_embedding,
     normalize_lipschitz,
@@ -68,11 +76,6 @@ from l1cert.pointset import (
 
 def ones_set(label):
     return {i for a, b in label.intervals for i in range(a, b)}
-
-
-def reference_labels(ps):
-    """Every vertex label in export order, from the recursive per-vertex reference."""
-    return [pointset._label_of(ps.params, v) for v in ps.addresses]
 
 
 def random_label(rng, length):
@@ -120,19 +123,6 @@ class TestIntervalDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             l1_interval_distance(IntervalLabel.make(2, []), IntervalLabel.make(3, []))
-
-
-class TestVectorDistance:
-    def test_examples(self):
-        assert l1_distance([0, 0], [1, 1]) == 2.0
-        assert l1_distance([0.3, -1.5], [0.3, -1.5]) == 0.0
-        assert l1_distance([0.5, -0.25], [0, 0]) == 0.75
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            l1_distance([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            l1_distance([1, math.nan], [0, 0])
 
 
 class TestDistortion:
@@ -425,6 +415,22 @@ class TestMakeEmbedding:
         with pytest.raises(ValueError, match="^embedding has 11 rows for 12 vertices$"):
             Embedding(rows[1:], ps.graph)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_matrix_is_float64_and_certifies_as_its_text(self, pointsets, dtype):
+        ps = pointsets(2, 4)
+        rows = (np.random.default_rng(8).standard_normal((len(ps), 8)) * 100).astype(dtype)
+        emb = Embedding(rows, ps.graph)
+        assert emb.matrix.dtype == np.float64
+        text = embedding_to_text(ps, emb)
+        assert text == embedding_to_text(ps, Embedding(rows.astype(np.float64), ps.graph))
+        back = embedding_from_text(text, ps)
+        assert certificate_to_text(certify(ps, emb)) == certificate_to_text(certify(ps, back))
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 0)], ids=["one-axis", "no-columns"])
+    def test_rejects_a_matrix_that_is_not_n_by_d(self, pointsets, shape):
+        with pytest.raises(ValueError, match=rf"d >= 1, got shape {re.escape(str(shape))}$"):
+            Embedding(np.zeros(shape), pointsets(2, 2).graph)
+
 
 class TestScaleEmbedding:
     def test_scales_the_matrix(self, pointsets):
@@ -624,14 +630,14 @@ class TestEmbeddingFastPath:
         ps = pointsets(3, 3)
         text = gaussian_text(ps, 4, seed=9)
         calls = []
-        for name in ("make_embedding", "parse_address"):
-            real = getattr(l1metric, name)
+        for module, name in ((l1metric, "make_embedding"), (pointset, "parse_address")):
+            real = getattr(module, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(l1metric, name, counting)
+            monkeypatch.setattr(module, name, counting)
         embedding_from_text(text, ps)
         assert calls == []
         lines = text.splitlines()

@@ -15,6 +15,8 @@ Core claims:
       writer nor a canonical P1 parse builds the vertices
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
+    - importing l1cert.pointset loads no other l1cert module: the package
+      root re-exports nothing
 
 The program holds labels only as packed bits. The reference labels are
 the recursive `_label_of`'s: the canonical P1 text is checked against
@@ -25,10 +27,16 @@ against both the merge-based distance and a dense 0/1 product.
 
 import collections
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import reference_labels
+import l1cert
 from l1cert import pointset
 from l1cert.certifier import constraint_report
 from l1cert.l1metric import l1_interval_distance, make_embedding
@@ -51,11 +59,6 @@ from l1cert.pointset import (
     vertex_count,
     vertex_label,
 )
-
-
-def reference_labels(ps):
-    """Every vertex label in export order, from the recursive per-vertex reference."""
-    return [pointset._label_of(ps.params, v) for v in ps.addresses]
 
 
 class TestParams:
@@ -468,3 +471,22 @@ class TestExportFormat:
         for bad in ("x", "1.9/3", "/2", "1/0", "1/5", "1.2.3/1"):
             with pytest.raises(FormatError):
                 parse_address(bad, params)
+
+
+def test_importing_pointset_loads_only_the_package_root():
+    src = str(Path(l1cert.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, l1cert.pointset\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'l1cert'))\n"
+        "print(hasattr(sys.modules['l1cert'], 'certify'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert run.stdout == "['l1cert', 'l1cert.pointset']\nFalse\n"
