@@ -19,6 +19,7 @@ import numpy as np
 
 from .pointset import (
     BLOCK_ELEMENTS,
+    TEXT_BLOCK,
     FormatError,
     GraphParams,
     IntervalLabel,
@@ -276,20 +277,24 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     distances equal `pairwise_l1`'s bit for bit, its label distances are
     popcounts of XORed packed labels, and both are folded into the worst
     ratios over i < j at once. Only a tile that reaches the diagonal is
-    masked to its pairs i < j. A zero embedded distance makes the
-    contraction infinite: a tile whose worst contraction is infinite is
-    looked at for one, and counts as coincident points if it has one. An
-    embedded distance or a ratio past float range raises OverflowError:
-    the report would be meaningless, and a ratio could pass for a
-    coincident pair. No N x N matrix is built; memory beyond the inputs is
-    the (d, N) coordinate-major copy, O(N * words) packed labels and a few
-    tiles of at most BLOCK_ELEMENTS elements.
+    masked to its pairs i < j. Each pair's ratio embedded / original is
+    taken once; rounding is monotone, so only the pairs at the lowest
+    ratio so far can hold the worst contraction, and only they are divided
+    the other way. A zero embedded distance makes the contraction
+    infinite: a tile whose worst contraction is infinite is looked at for
+    one, and counts as coincident points if it has one. An embedded
+    distance or a ratio past float range raises OverflowError: the report
+    would be meaningless, and a ratio could pass for a coincident pair. No
+    N x N matrix is built; memory beyond the inputs is the (d, N)
+    coordinate-major copy, O(N * words) packed labels and a few tiles of at
+    most BLOCK_ELEMENTS elements.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
     points = vertex_matrix(ps.graph, emb)
     words = ps._bitplanes.shape[0]
     expansion = contraction = 0.0
+    lowest = math.inf
     coincident = False
     with _tile_numerics(over="ignore", divide="ignore"):
         for i0, j0, embedded in _l1_tiles(points, words):
@@ -298,9 +303,14 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
             if j0 < i0 + rows:
                 upper = np.arange(j0, j0 + cols) > np.arange(i0, i0 + rows)[:, None]
                 embedded, original = embedded[upper], original[upper]
-            expansion = max(expansion, float((embedded / original).max()))
-            worst = float((original / embedded).max())
-            if math.isinf(worst) and (embedded == 0.0).any():
+            ratio = embedded / original
+            expansion = max(expansion, float(ratio.max()))
+            low = float(ratio.min())
+            if low > lowest:
+                continue
+            lowest, at = low, ratio == low
+            worst = float((original[at] / embedded[at]).max())
+            if math.isinf(worst) and (embedded[at] == 0.0).any():
                 coincident = True
             else:
                 contraction = max(contraction, worst)
@@ -330,21 +340,9 @@ def embedding_to_text(ps: PointSet, emb: Embedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def embedding_from_text(text: str, ps: PointSet) -> Embedding:
-    """Parse an L1EMB v1 file against a point set.
-
-    Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
-    vector lengths, and non-finite entries. A file written in canonical
-    form is read by one C-level parse into one read-only (N, d) matrix
-    whose rows are the vectors; any other file goes through the per-line
-    loop, which accepts valid non-canonical address spellings and names
-    the first bad line. The rows are named by `ps.graph`, so the read
-    builds an address only for a non-canonical address token, one each.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty embedding file")
-    head = _parse_header(lines[0], "L1EMB v1", ("d", "N", "k", "n"))
+def _l1emb_dimension(line: str, ps: PointSet) -> int:
+    """The d of an L1EMB header line, once its N, k and n are checked against `ps`."""
+    head = _parse_header(line, "L1EMB v1", ("d", "N", "k", "n"))
     p = ps.params
     if head["k"] != p.k or head["n"] != p.n:
         raise FormatError(
@@ -354,14 +352,69 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
         raise FormatError(f"embedding N={head['N']} but point set has {len(ps)} points")
     if head["d"] < 1:
         raise FormatError("embedding dimension must be >= 1")
-    if len(lines) != head["N"] + 1:
-        raise FormatError(f"expected {head['N']} vector lines, found {len(lines) - 1}")
-    # The first line's width vouches for d before a matrix is sized by it.
-    if len(lines[1].split()) != head["d"] + 1:
-        raise FormatError(f"line 2: expected address plus {head['d']} coordinates")
-    matrix = _canonical_matrix(lines[1:], ps.graph.vertex_names, head["d"])
+    return head["d"]
+
+
+def _canonical_read(text: str, ps: PointSet) -> np.ndarray | None:
+    """The (N, d) matrix of a canonical L1EMB text, parsed in blocks of whole lines, or None.
+
+    Header errors raise as on the per-line path, which checks the header
+    first, and line 2's width vouches for d before the matrix is sized by
+    it. Each block of at least TEXT_BLOCK characters goes through
+    _canonical_matrix into its rows. Blocks end at newlines, so their lines
+    are those of the whole text; a line break other than a newline or a
+    CRLF leaves a line that _canonical_matrix refuses. None on any doubt:
+    other than N lines, or a block _canonical_matrix refuses.
+    """
+    cut = text.find("\n")
+    first = text[:cut]
+    if cut < 0 or first.splitlines() != [first]:
+        return None
+    d = _l1emb_dimension(first, ps)
+    end = text.find("\n", cut + 1)
+    if end < 0 or len(text[cut + 1 : end].split()) != d + 1:
+        return None
+    names = ps.graph.vertex_names
+    out = np.empty((len(names), d))
+    row, pos = 0, cut + 1
+    while pos < len(text):
+        end = text.find("\n", pos + TEXT_BLOCK - 1) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        rows = len(lines)
+        if row + rows > len(names):
+            return None
+        part = _canonical_matrix(lines, names[row : row + rows], d)
+        if part is None:
+            return None
+        out[row : row + rows] = part
+        row, pos = row + rows, end
+    return out if row == len(names) else None
+
+
+def embedding_from_text(text: str, ps: PointSet) -> Embedding:
+    """Parse an L1EMB v1 file against a point set.
+
+    Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
+    vector lengths, and non-finite entries. A file written in canonical
+    form is read by _canonical_read into one read-only (N, d) matrix whose
+    rows are the vectors, holding one block of text and its lines at a
+    time beside it; any other file goes through the per-line loop, which
+    accepts valid non-canonical address spellings and names the first bad
+    line. The rows are named by `ps.graph`, so the read builds an address
+    only for a non-canonical address token, one each.
+    """
+    matrix = _canonical_read(text, ps)
     if matrix is None:
-        matrix = _matrix_from_lines(lines[1:], ps, head["d"])
+        lines = text.splitlines()
+        if not lines:
+            raise FormatError("empty embedding file")
+        d = _l1emb_dimension(lines[0], ps)
+        if len(lines) != len(ps) + 1:
+            raise FormatError(f"expected {len(ps)} vector lines, found {len(lines) - 1}")
+        # The first line's width vouches for d before a matrix is sized by it.
+        if len(lines[1].split()) != d + 1:
+            raise FormatError(f"line 2: expected address plus {d} coordinates")
+        matrix = _matrix_from_lines(lines[1:], ps, d)
     return Embedding(matrix, ps.graph)
 
 

@@ -69,13 +69,19 @@ class LemmaReport:
     """Result of checking the separation-to-information lower bound."""
 
     separation: float
-    epsilon: float
     delta: float
     mi_exact: float
     mi_folded: float
     bound: float
-    applicable: bool
     holds: bool
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 - self.separation
+
+    @property
+    def applicable(self) -> bool:
+        return self.delta < 0.5
 
 
 def lemma_check(distributions) -> LemmaReport:
@@ -113,14 +119,13 @@ def lemma_check(distributions) -> LemmaReport:
     mi_folded = mutual_information(JointDistribution((k, d), folded / k), 0, 1)
     data_processing_ok = mi_exact >= mi_folded - 1e-9
 
-    applicable = delta < 0.5
-    if applicable:
+    if delta < 0.5:
         bound = fano_term(k, delta)
         holds = data_processing_ok and mi_exact >= bound - 1e-9
     else:
         bound = 0.0
         holds = data_processing_ok
-    return LemmaReport(separation, eps, delta, mi_exact, mi_folded, bound, applicable, holds)
+    return LemmaReport(separation, delta, mi_exact, mi_folded, bound, holds)
 
 
 @dataclass(frozen=True)

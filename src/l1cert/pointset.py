@@ -41,6 +41,12 @@ MAX_MATERIALIZED_EDGES = 2**22
 # with it than with 2**14 or 2**15 at both N=2,732 and N=10,924; 2**17 was
 # faster still but held more than N*N/4 floats at N=684.
 BLOCK_ELEMENTS = 2**16
+# Characters (the formats are ASCII: bytes) in one block of whole lines of
+# the P1 writer and the canonical P1 and L1EMB reads; only a last block is
+# shorter. A file of one block holds a copy of itself beside its lines and
+# its rows twice: at 2**20 the 0.9 MB L1EMB read of P(2,6), d=16 peaked
+# 0.8 MB above a single np.loadtxt of its lines, at 2**18 0.1 MB below it.
+TEXT_BLOCK = 2**18
 
 
 class CapacityError(ValueError):
@@ -553,39 +559,6 @@ def _cycle_blocks(params: GraphParams):
         starts = (starts[:, None] + offsets * sub).ravel()
 
 
-def _cycle_spans(params: GraphParams):
-    """Walk every cycle in export order: its tail's intervals and one interval per inner vertex.
-
-    Each inner vertex's interval from _cycle_blocks is inserted into the
-    tail's interval tuple at its bisected place and merged only with a
-    neighbour it touches: no sort and no recursion. Yields (base, spans)
-    per cycle, where base is the tail's interval tuple and the cycle's
-    i-th inner vertex has the intervals base[:lo] + ((a, b),) + base[hi:]
-    for (lo, a, b, hi) = spans[i]. Only the interval tuples of vertices
-    above depth n are kept, as the next level's bases. _label_of is the
-    per-vertex reference it is tested against.
-    """
-    bases = [(), ((0, params.label_length),)]
-    for level, tail, start, ones in _cycle_blocks(params):
-        base = bases[tail]
-        at = bisect.bisect_left(base, (start,))
-        left_end = base[at - 1][1] if at else -1
-        right_start = base[at][0] if at < len(base) else -1
-        spans = []
-        for a, b in ones:
-            a, b, lo, hi = a + start, b + start, at, at
-            if a == left_end:
-                lo -= 1
-                a = base[lo][0]
-            if b == right_start:
-                b = base[hi][1]
-                hi += 1
-            spans.append((lo, a, b, hi))
-        if level < params.n:
-            bases += [base[:lo] + ((a, b),) + base[hi:] for lo, a, b, hi in spans]
-        yield base, spans
-
-
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
     """The (a, b) pairs of a P1 interval token as written, for comparison with canonical ones."""
     if text == "-":
@@ -602,31 +575,63 @@ def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(parts)
 
 
-def pointset_to_text(ps: PointSet) -> str:
-    """Serialize in the P1 text format (header plus one vertex per line).
+def _p1_blocks(ps: PointSet):
+    """The P1 text of `ps` in blocks of whole lines of about TEXT_BLOCK characters.
 
-    The text is spliced from the _cycle_spans walk: each cycle's interval
-    runs left and right of the inserted interval are formatted once per
-    variant (with the touching interval merged or not), and each inner
-    vertex's line is its name, those runs and its own interval.
+    Each inner vertex's interval is inserted into its cycle tail's
+    intervals at its bisected place and merged only with a neighbour it
+    touches: no sort and no recursion. Only the vertices above depth n
+    keep their intervals, as the next level's tails. _label_of is the
+    per-vertex reference.
     """
     p = ps.params
     total = p.label_length
     names = iter(ps.graph.vertex_names)
-    lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={total}"]
-    lines += [f"{next(names)} -", f"{next(names)} 0-{total}"]
-    for base, spans in _cycle_spans(p):
-        # The top vertices share one (lo, hi) and the bottom ones another,
-        # so each run is formatted at most twice per cycle. spans goes
-        # first: zip must not draw a name past the cycle's last vertex.
+    chunks = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={total}\n"]
+    chunks += [f"{next(names)} -\n", f"{next(names)} 0-{total}\n"]
+    size = 0
+    bases = [(), ((0, total),)]
+    for level, tail, start, ones in _cycle_blocks(p):
+        base = bases[tail]
+        at = bisect.bisect_left(base, (start,))
+        left_end = base[at - 1][1] if at else -1
+        right_start = base[at][0] if at < len(base) else -1
         lo_done = hi_done = None
-        for (lo, a, b, hi), name in zip(spans, names):
+        lines = []
+        # The top vertices share one (lo, hi) and the bottom ones another,
+        # so each run is formatted at most twice per cycle. ones goes
+        # first: zip must not draw a name past the cycle's last vertex.
+        for (a, b), name in zip(ones, names):
+            a, b, lo, hi = a + start, b + start, at, at
+            if a == left_end:
+                lo -= 1
+                a = base[lo][0]
+            if b == right_start:
+                b = base[hi][1]
+                hi += 1
             if lo != lo_done:
                 lo_done, left = lo, "".join([f"{x}-{y}," for x, y in base[:lo]])
             if hi != hi_done:
                 hi_done, right = hi, "".join([f",{x}-{y}" for x, y in base[hi:]])
-            lines.append(f"{name} {left}{a}-{b}{right}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{name} {left}{a}-{b}{right}\n")
+            if level < p.n:
+                bases.append(base[:lo] + ((a, b),) + base[hi:])
+        # One string per cycle: a str object per line would cost more than its text.
+        chunks.append("".join(lines))
+        size += len(chunks[-1])
+        if size >= TEXT_BLOCK:
+            yield "".join(chunks)
+            chunks, size = [], 0
+    yield "".join(chunks)
+
+
+def pointset_to_text(ps: PointSet) -> str:
+    """Serialize in the P1 text format (header plus one vertex per line).
+
+    Beside the text it holds the graph's vertex names, the intervals of
+    the vertices above depth n and one block of about TEXT_BLOCK characters.
+    """
+    return "".join(_p1_blocks(ps))
 
 
 def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict[str, int]:
@@ -648,33 +653,67 @@ def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict[str, int
     return out
 
 
-def pointset_from_text(text: str) -> PointSet:
-    """Parse a P1 file, rebuilding and verifying against the canonical construction.
-
-    The returned point set is the in-memory construction; any divergence of
-    the file from it (order, addresses, labels, counts) is a FormatError. A
-    file equal to the canonical text is accepted with one comparison; in
-    any other, a token that differs from its canonical one is parsed and
-    compared with it, which accepts valid non-canonical spellings, names
-    the first bad line and builds no label and at most one address a line.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty point-set file")
-    head = _parse_header(lines[0], "P1", ("k", "n", "N", "dim"))
+def _p1_params(line: str) -> GraphParams:
+    """The parameters of a P1 header line, checked against its N and dim."""
+    head = _parse_header(line, "P1", ("k", "n", "N", "dim"))
     try:
         params = GraphParams(head["k"], head["n"])
     except ValueError as exc:
         raise FormatError(f"bad parameters in header: {exc}") from exc
     if head["N"] != vertex_count(params) or head["dim"] != params.label_length:
         raise FormatError("header N/dim inconsistent with k and n")
-    if len(lines) != head["N"] + 1:
-        raise FormatError(f"expected {head['N']} vertex lines, found {len(lines) - 1}")
-    ps = point_set(build_graph(params))
-    canonical = pointset_to_text(ps)
-    if text == canonical:
+    return params
+
+
+def _canonical_pointset(text: str) -> PointSet | None:
+    """The point set whose canonical P1 text `text` is, or None on any doubt.
+
+    Header errors raise as on the per-line path, which checks the header
+    first. The text is then compared in place with the _p1_blocks walk.
+    """
+    cut = text.find("\n")
+    first = text[:cut]
+    if cut < 0 or first.splitlines() != [first]:
+        return None
+    params = _p1_params(first)
+    # A short file naming a large graph is refused before the graph is walked.
+    if text.count("\n") != vertex_count(params) + 1:
+        return None
+    try:
+        ps = point_set(build_graph(params))
+    except CapacityError:
+        return None
+    pos = 0
+    for block in _p1_blocks(ps):
+        if not text.startswith(block, pos):
+            return None
+        pos += len(block)
+    return ps if pos == len(text) else None
+
+
+def pointset_from_text(text: str) -> PointSet:
+    """Parse a P1 file, rebuilding and verifying against the canonical construction.
+
+    The returned point set is the in-memory construction; any divergence of
+    the file from it (order, addresses, labels, counts) is a FormatError. A
+    file equal to the canonical text is accepted block by block, with no
+    list of its lines; in any other, a token that differs from its
+    canonical one is parsed and compared with it, which accepts valid
+    non-canonical spellings, names the first bad line and builds no label
+    and at most one address a line.
+    """
+    ps = _canonical_pointset(text)
+    if ps is not None:
         return ps
-    rows = zip(canonical.splitlines()[1:], lines[1:])
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty point-set file")
+    params = _p1_params(lines[0])
+    count = vertex_count(params)
+    if len(lines) != count + 1:
+        raise FormatError(f"expected {count} vertex lines, found {len(lines) - 1}")
+    ps = point_set(build_graph(params))
+    rows = zip(pointset_to_text(ps).splitlines()[1:], lines[1:])
     for lineno, (want, line) in enumerate(rows, start=2):
         if line == want:
             continue

@@ -303,6 +303,21 @@ class TestStreamingDistortion:
                 points = np.stack([emb.vectors[a] for a in ps.addresses])
                 assert distortion(ps, emb) == full_matrix_report(points, ps.distance_matrix)
 
+    @pytest.mark.parametrize("block", [1, 2**30])
+    def test_contraction_among_tied_lowest_ratios(self, pointsets, monkeypatch, block):
+        # Label distances 3 and 5 against embedded 1.0 and 1.6666666666666665
+        # give one ratio float, 1/3, but 5 / 1.6666666666666665 rounds above 3.
+        # With block 1 the second pair's row is a later tile than the first's.
+        ps = pointsets(3, 2)
+        assert ps.distance_matrix[0, 2] == 3 and ps.distance_matrix[1, 10] == 5
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", block)
+        points = np.array([[3000.0 * (i + 1)] * 2 for i in range(len(ps))])
+        points[[0, 2]] = [[0.0, 1000.0], [1.0, 1000.0]]
+        points[[1, 10]] = [[1000.0, 0.0], [1000.0, 1.6666666666666665]]
+        report = distortion(ps, Embedding(points, ps.graph))
+        assert report.contraction == 5 / 1.6666666666666665 > 3.0
+        assert report == full_matrix_report(points, ps.distance_matrix)
+
     def test_holds_no_square_matrix(self, pointsets):
         base = pointsets(2, 5)
         ps = PointSet(base.graph)  # the labels are built and packed inside the trace

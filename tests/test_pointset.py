@@ -225,7 +225,7 @@ class TestLevelArrays:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
     def test_labels_equal_recursive_reference(self, pointsets, k, n):
-        # The P1 writer splices every line from the _cycle_spans walk.
+        # The P1 writer splices every line from the _p1_blocks walk.
         ps = pointsets(k, n)
         lines = pointset_to_text(ps).splitlines()[1:]
         assert len(lines) == len(ps.addresses)

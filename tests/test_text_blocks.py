@@ -1,0 +1,247 @@
+"""The P1 and L1EMB text paths, streamed in blocks of whole lines.
+
+Core claims:
+    - with the block size also patched down to a few characters, the P1 writer
+      gives the bytes of the per-vertex reference, and both canonical
+      readers accept their canonical text and read the same point set and
+      the same float bits, on P(2,3), P(3,2) and P(2,6)
+    - every FormatError message is the per-line reader's, whether the
+      defect sits in the first, a middle or the last block or on a line
+      that straddles a block boundary
+    - CRLF and CR-only line ends and a missing final newline read as the
+      canonical file does; text after line N+1 is a line-count error
+    - memory: the canonical L1EMB read of a pre-read text holds the
+      matrix, its finiteness mask and a few blocks, and the canonical P1
+      read holds less than the writer less half the text
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from l1cert import l1metric, pointset
+from l1cert.l1metric import Embedding, _canonical_read, embedding_from_text, embedding_to_text
+from l1cert.pointset import (
+    TEXT_BLOCK,
+    FormatError,
+    GraphParams,
+    _canonical_pointset,
+    build_graph,
+    point_set,
+    pointset_from_text,
+    pointset_to_text,
+)
+
+SIZES = [(2, 3), (3, 2), (2, 6)]
+D = 3
+
+
+@pytest.fixture(params=[1, 300, TEXT_BLOCK])
+def block(request, monkeypatch):
+    """Both text paths with their block size set to the parameter, in characters."""
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", request.param)
+    monkeypatch.setattr(l1metric, "TEXT_BLOCK", request.param)
+    return request.param
+
+
+def reference_p1(ps):
+    """The P1 text from the recursive per-vertex label reference."""
+    p = ps.params
+    lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
+    for v in ps.addresses:
+        intervals = pointset._label_of(p, v).intervals
+        lines.append(f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-"))
+    return "\n".join(lines) + "\n"
+
+
+def l1emb(ps, d=D, seed=1):
+    rng = np.random.default_rng(seed)
+    return embedding_to_text(ps, Embedding(rng.standard_normal((len(ps), d)), ps.graph))
+
+
+def per_line_floats(text):
+    return np.array([[float(x) for x in line.split()[1:]] for line in text.splitlines()[1:]])
+
+
+def defect_lines(text, block):
+    """Line numbers of a defect in the first, a middle and the last block, and one straddling.
+
+    The straddling line holds the character `block` places past the
+    header's newline, where a block boundary falls.
+    """
+    lines = text.count("\n")
+    straddle = text.count("\n", 0, text.find("\n") + block) + 1
+    return sorted({2, lines // 2, lines, max(2, min(straddle, lines))})
+
+
+def read_error(read, text):
+    with pytest.raises(FormatError) as info:
+        read(text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("k,n", SIZES)
+def test_p1_round_trip_is_byte_identical(block, pointsets, k, n):
+    ps = pointsets(k, n)
+    text = pointset_to_text(ps)
+    assert text == reference_p1(ps)
+    blocks = list(pointset._p1_blocks(ps))
+    assert all(b.endswith("\n") and len(b) >= block for b in blocks[:-1])
+    assert _canonical_pointset(text).params == ps.params
+    assert pointset_to_text(pointset_from_text(text)) == text
+
+
+@pytest.mark.parametrize("k,n", SIZES)
+def test_l1emb_round_trip_is_bit_identical(block, pointsets, k, n):
+    ps = pointsets(k, n)
+    text = l1emb(ps)
+    want = per_line_floats(text)
+    assert np.array_equal(_canonical_read(text, ps).view(np.int64), want.view(np.int64))
+    emb = embedding_from_text(text, ps)
+    assert np.array_equal(emb.matrix.view(np.int64), want.view(np.int64))
+    assert embedding_to_text(ps, emb) == text
+
+
+P1_DEFECTS = [
+    (lambda line: line.split(" ")[0] + " 0-99999", "line {}: label does not match the construction"),
+    (lambda line: "x/1 " + line.split(" ")[1], "line {}: bad vertex address 'x/1'"),
+    (lambda line: line + " -", "line {}: expected '<address> <intervals>'"),
+    (lambda line: line.split(" ")[0] + " 0-x", "line {}: bad interval '0-x'"),
+]
+
+
+@pytest.mark.parametrize("defect,message", P1_DEFECTS)
+def test_p1_errors_name_the_line_in_any_block(block, pointsets, defect, message):
+    text = pointset_to_text(pointsets(2, 6))
+    for lineno in defect_lines(text, block):
+        lines = text.splitlines()
+        lines[lineno - 1] = defect(lines[lineno - 1])
+        got = read_error(pointset_from_text, "\n".join(lines) + "\n")
+        assert got == message.format(lineno)
+
+
+def test_p1_line_count_errors_in_any_block(block, pointsets):
+    text = pointset_to_text(pointsets(2, 6))
+    for lineno in defect_lines(text, block):
+        lines = text.splitlines()
+        dropped = "\n".join(lines[: lineno - 1] + lines[lineno:]) + "\n"
+        assert read_error(pointset_from_text, dropped) == "expected 2732 vertex lines, found 2731"
+        repeated = "\n".join(lines[:lineno] + lines[lineno - 1 :]) + "\n"
+        assert read_error(pointset_from_text, repeated) == "expected 2732 vertex lines, found 2733"
+
+
+L1EMB_DEFECTS = [
+    (lambda line: line.rpartition(" ")[0] + " abc", "line {}: bad coordinate"),
+    (lambda line: line.rpartition(" ")[0] + " inf", "line {}: non-finite coordinate"),
+    (lambda line: line.rpartition(" ")[0], "line {}: expected address plus 3 coordinates"),
+    (lambda line: line + " 1.0", "line {}: expected address plus 3 coordinates"),
+    (lambda line: "x/1 " + line.partition(" ")[2], "line {}: bad vertex address 'x/1'"),
+    (lambda line: "R " + line.partition(" ")[2], "line {}: address 'R' out of canonical order"),
+]
+
+
+@pytest.mark.parametrize("defect,message", L1EMB_DEFECTS)
+def test_l1emb_errors_name_the_line_in_any_block(block, pointsets, defect, message):
+    ps = pointsets(2, 6)
+    text = l1emb(ps)
+    for lineno in defect_lines(text, block):
+        lines = text.splitlines()
+        if lines[lineno - 1].startswith("R "):
+            continue  # the address defect would leave line 3 as it is
+        lines[lineno - 1] = defect(lines[lineno - 1])
+        got = read_error(lambda t: embedding_from_text(t, ps), "\n".join(lines) + "\n")
+        assert got == message.format(lineno)
+
+
+def test_l1emb_line_count_errors_in_any_block(block, pointsets):
+    ps = pointsets(2, 6)
+    text = l1emb(ps)
+    read = lambda t: embedding_from_text(t, ps)  # noqa: E731
+    for lineno in defect_lines(text, block):
+        lines = text.splitlines()
+        dropped = "\n".join(lines[: lineno - 1] + lines[lineno:]) + "\n"
+        assert read_error(read, dropped) == "expected 2732 vector lines, found 2731"
+        repeated = "\n".join(lines[:lineno] + lines[lineno - 1 :]) + "\n"
+        assert read_error(read, repeated) == "expected 2732 vector lines, found 2733"
+
+
+def after_header(respell):
+    """Respell only the lines after the header, which the canonical reads take in blocks."""
+    return lambda t: t[: t.find("\n") + 1] + respell(t[t.find("\n") + 1 :])
+
+
+CRLF = lambda t: t.replace("\n", "\r\n")  # noqa: E731
+CR = lambda t: t.replace("\n", "\r")  # noqa: E731
+
+
+@pytest.mark.parametrize(
+    "respell", [CRLF, CR, after_header(CRLF), after_header(CR), lambda t: t[:-1]]
+)
+def test_other_line_ends_read_as_the_canonical_file(block, pointsets, respell):
+    ps = pointsets(2, 3)
+    text = pointset_to_text(ps)
+    assert pointset_to_text(pointset_from_text(respell(text))) == text
+    emb_text = l1emb(ps)
+    emb = embedding_from_text(respell(emb_text), ps)
+    assert np.array_equal(emb.matrix.view(np.int64), per_line_floats(emb_text).view(np.int64))
+
+
+@pytest.mark.parametrize("tail", ["x\n", "x", "\n"])
+def test_text_after_the_last_line_is_a_line_count_error(block, pointsets, tail):
+    ps = pointsets(2, 3)
+    got = read_error(pointset_from_text, pointset_to_text(ps) + tail)
+    assert got == "expected 44 vertex lines, found 45"
+    got = read_error(lambda t: embedding_from_text(t, ps), l1emb(ps) + tail)
+    assert got == "expected 44 vector lines, found 45"
+
+
+def test_other_line_breaks_in_the_header_give_the_per_line_message(pointsets):
+    # splitlines ends the header at the form feed, so the fields after it are not read.
+    ps = pointsets(2, 3)
+    p1_rest = pointset_to_text(ps).partition("\n")[2]
+    got = read_error(pointset_from_text, "P1 k=2\x0cn=x N=44 dim=8\n" + p1_rest)
+    assert got == "bad P1 header: 'P1 k=2'"
+    emb_rest = l1emb(ps).partition("\n")[2]
+    got = read_error(lambda t: embedding_from_text(t, ps), "L1EMB v1 d=3\x0cN=x k=2 n=3\n" + emb_rest)
+    assert got == "bad L1EMB header: 'L1EMB v1 d=3'"
+
+
+def test_short_file_naming_a_large_graph_is_refused_unbuilt(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(pointset, "build_graph", no_build)
+    got = read_error(pointset_from_text, "P1 k=2 n=10 N=699052 dim=1024\nL -\n")
+    assert got == "expected 699052 vertex lines, found 1"
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch):
+    # P(2,7) at d=16 is a 3.6 MB text, so blocks of 64 KB make it many blocks long.
+    monkeypatch.setattr(l1metric, "TEXT_BLOCK", 2**16)
+    ps = point_set(build_graph(GraphParams(2, 7)))
+    text = l1emb(ps, d=16)
+    ps.graph.vertex_names  # built and kept by the P1 read that comes first
+    # 8 bytes an entry for the matrix and 1 for Embedding's finiteness mask.
+    bound = 9 * len(ps) * 16 + 4 * 2**16
+    assert traced_peak(lambda: embedding_from_text(text, ps)) <= bound
+
+
+def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
+    # Both build the same graph caches and walk; only the writer keeps the
+    # text. P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
+    fresh = lambda: point_set(build_graph(GraphParams(2, 7)))  # noqa: E731
+    text = pointset_to_text(fresh())
+    write = traced_peak(lambda: pointset_to_text(fresh()))
+    read = traced_peak(lambda: pointset_from_text(text))
+    assert read < write - len(text) // 2
