@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import ProbVector, fano_term, stochastic_table
+from .infotheory import fano_term, probability_table
 from .l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -199,36 +199,39 @@ def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintR
     return ConstraintReport(tuple(levels))
 
 
-def nonneg_lift(vec) -> ProbVector:
+def nonneg_lift(vec) -> np.ndarray:
     """Lift a vector of L1 norm at most 1 to a probability vector on [2d+1].
 
     Concatenates the positive part, the negative part, and the leftover
     mass 1 - ||v||_1. Tiny norm overshoot (float dust) is clamped to 1.
+    Lifts along the last axis; the first bad vector raises its own error.
     """
-    arr = np.asarray(vec, dtype=float)
-    norm = float(np.abs(arr).sum())
-    if norm > 1.0 + LIFT_NORM_SLACK:
-        raise ValueError(f"vector has L1 norm {norm} > 1; cannot lift")
-    pos = np.maximum(arr, 0.0)
-    neg = np.maximum(-arr, 0.0)
-    if norm > 1.0:
-        pos /= norm
-        neg /= norm
-        norm = 1.0
-    return ProbVector(np.concatenate([pos, neg, [1.0 - norm]]))
+    arr = np.ascontiguousarray(vec, dtype=float)
+    norm = np.abs(arr).sum(axis=-1)
+    bad = np.flatnonzero(~(norm <= 1.0 + LIFT_NORM_SLACK))
+    if bad.size:
+        first = float(np.ravel(norm)[bad[0]])
+        if math.isnan(first):
+            raise ValueError("probability vector has non-finite entries")
+        raise ValueError(f"vector has L1 norm {first} > 1; cannot lift")
+    scale = np.maximum(norm, 1.0)[..., None]
+    pos = np.maximum(arr, 0.0) / scale
+    neg = np.maximum(-arr, 0.0) / scale
+    return np.concatenate([pos, neg, 1.0 - np.minimum(norm, 1.0)[..., None]], axis=-1)
 
 
 def lift_recover(y) -> np.ndarray:
     """Undo the lift: y in R**(2d+1) maps to (y_j - y_{j+d}) in R**d.
 
     Never increases the L1 norm, and recovers the original vector exactly
-    on lifted inputs.
+    on lifted inputs. Undoes each lift along the last axis of a stack.
     """
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 3 or arr.size % 2 == 0:
-        raise ValueError(f"lifted vector must have odd length >= 3, got {arr.size}")
-    d = (arr.size - 1) // 2
-    return arr[:d] - arr[d : 2 * d]
+    arr = np.ascontiguousarray(y, dtype=float)
+    size = arr.shape[-1]
+    if size < 3 or size % 2 == 0:
+        raise ValueError(f"lifted vector must have odd length >= 3, got {size}")
+    d = (size - 1) // 2
+    return arr[..., :d] - arr[..., d : 2 * d]
 
 
 def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
@@ -303,25 +306,21 @@ def predictor_success(distributions) -> tuple[np.ndarray, float]:
     Returns (predictor, success) where predictor[j] is the 0-based index of
     the distribution maximizing the weight of symbol j (ties to the
     smallest index) and success is its probability of being right under a
-    uniformly random source: (1/k) * || max(Q_1..Q_k) ||_1.
+    uniformly random source: (1/k) * || max(Q_1..Q_k) ||_1. A (..., k, m)
+    stack gives one predictor and one success per table.
 
-    The rows are checked as one table. A table that fails is taken row by
-    row into ProbVectors, so an error raised is the one the first bad row
-    gives on its own, and rows ProbVector clips are clipped as before.
+    The rows are checked by infotheory.probability_table: an error raised
+    is the one the first bad row gives on its own.
     """
-    rows = [q.weights if isinstance(q, ProbVector) else q for q in distributions]
-    table = stochastic_table(rows)
-    if table is None:
-        qs = [ProbVector(q) for q in rows]
-        if len(qs) < 2:
-            raise ValueError("need at least two distributions")
-        sizes = {len(q) for q in qs}
-        if len(sizes) != 1:
-            raise ValueError(f"alphabet mismatch among distributions: {sorted(sizes)}")
-        table = np.stack([q.weights for q in qs])
-    predictor = table.argmax(axis=0)
-    success = float(table.max(axis=0).sum()) / len(table)
+    table = probability_table(distributions, _at_least_two)
+    predictor = table.argmax(axis=-2)
+    success = table.max(axis=-2).sum(axis=-1) / table.shape[-2]
     return predictor, success
+
+
+def _at_least_two(rows: int) -> None:
+    if rows < 2:
+        raise ValueError("need at least two distributions")
 
 
 def certify(ps: PointSet, emb: Embedding) -> CertificateReport:

@@ -35,8 +35,8 @@ def _clean_weights(raw, what: str) -> np.ndarray:
 
 
 def stochastic_table(rows) -> np.ndarray | None:
-    """The rows as one C-ordered (k >= 2, m >= 1) table of nonnegative rows,
-    each summing to 1 within SUM_TOLERANCE, or None.
+    """The rows as one C-ordered (..., k >= 2, m >= 1) stack of tables of
+    nonnegative rows, each summing to 1 within SUM_TOLERANCE, or None.
 
     A one-pass form of _clean_weights for a stack of probability vectors.
     None covers every table with a row ProbVector rejects, and also ragged
@@ -49,11 +49,36 @@ def stochastic_table(rows) -> np.ndarray | None:
         table = np.array(rows, dtype=float, order="C")
     except (TypeError, ValueError):
         return None
-    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
+    if table.ndim < 2 or table.shape[-2] < 2 or table.shape[-1] < 1:
         return None
-    if not (table.min() >= 0.0 and (np.abs(table.sum(axis=1) - 1.0) <= SUM_TOLERANCE).all()):
+    if not (table.min() >= 0.0 and (np.abs(table.sum(axis=-1) - 1.0) <= SUM_TOLERANCE).all()):
         return None
     return table
+
+
+def probability_table(rows, check_count) -> np.ndarray:
+    """The rows as a (..., k, m) stack of probability tables, checked by
+    stochastic_table; else one table at a time, each row into a ProbVector
+    then check_count(k), so an error is the one the first bad table gives
+    alone, and rows ProbVector clips are clipped. Alphabets are compared last.
+    """
+    if not isinstance(rows, np.ndarray):
+        rows = [q.weights if isinstance(q, ProbVector) else q for q in rows]
+    table = stochastic_table(rows)
+    if table is not None:
+        check_count(table.shape[-2])
+        return table
+    stacked = isinstance(rows, np.ndarray) and rows.ndim > 2
+    cases = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:]) if stacked else [rows]
+    qs = []
+    for case in cases:
+        qs += [ProbVector(q) for q in case]
+        check_count(len(case))
+    sizes = {len(q) for q in qs}
+    if len(sizes) != 1:
+        raise ValueError(f"alphabet mismatch among distributions: {sorted(sizes)}")
+    table = np.stack([q.weights for q in qs])
+    return table.reshape(rows.shape) if stacked else table
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,30 +138,40 @@ class JointDistribution:
         return self.table.sum(axis=drop) if drop else self.table
 
     def entropy_of(self, coords) -> float:
-        return _entropy_bits(self.marginal(coords))
+        return float(_entropy_bits(self.marginal(coords).ravel()))
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=float).ravel()
-    w = w[w > ZERO_WEIGHT]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each distribution along the last axis; weights at
+    most ZERO_WEIGHT count as exact zeros, masked before the log."""
+    w = np.asarray(weights, dtype=float)
+    logs = np.log2(w, out=np.zeros_like(w), where=w > ZERO_WEIGHT)
+    return -(w * logs).sum(axis=-1)
 
 
-def binary_entropy(x: float) -> float:
-    """-x*log2(x) - (1-x)*log2(1-x) on [0, 1], with 0*log(0) = 0."""
-    if not -ZERO_WEIGHT <= x <= 1.0 + ZERO_WEIGHT:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(1.0, max(0.0, x))
-    return _entropy_bits(np.array([x, 1.0 - x]))
+def binary_entropy(x):
+    """-x*log2(x) - (1-x)*log2(1-x) on [0, 1], 0*log(0) = 0; elementwise on an array."""
+    arr = np.asarray(x, dtype=float)
+    outside = ~((arr >= -ZERO_WEIGHT) & (arr <= 1.0 + ZERO_WEIGHT))
+    if outside.any():
+        raise ValueError(f"binary entropy argument {arr[outside][0]} outside [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    h = _entropy_bits(np.stack([arr, 1.0 - arr], axis=-1))
+    return h if h.ndim else float(h)
 
 
 def entropy(p) -> float:
     """Shannon entropy in bits; at most log2 of the alphabet size."""
     if not isinstance(p, ProbVector):
         p = ProbVector(p)
-    return _entropy_bits(p.weights)
+    return float(_entropy_bits(p.weights))
+
+
+def table_information(tables) -> np.ndarray:
+    """I(A:B) = H(A) + H(B) - H(A, B) of each (..., a, b) joint table, unchecked."""
+    t = np.ascontiguousarray(tables, dtype=float)
+    joint = t.reshape(t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
+    return _entropy_bits(t.sum(axis=-1)) + _entropy_bits(t.sum(axis=-2)) - _entropy_bits(joint)
 
 
 def mutual_information(joint: JointDistribution, i, j) -> float:
@@ -165,8 +200,9 @@ def conditional_mutual_information(joint: JointDistribution, i, j, given=()) -> 
     )
 
 
-def fano_term(k: int, delta: float) -> float:
-    """log2 k - delta*log2(k-1) - H(delta): fano_bound at error delta = 1 - p, unchecked."""
+def fano_term(k: int, delta):
+    """log2 k - delta*log2(k-1) - H(delta): fano_bound at error delta = 1 - p,
+    unchecked; elementwise on an array of delta."""
     log_km1 = 0.0 if k == 2 else math.log2(k - 1)
     return math.log2(k) - delta * log_km1 - binary_entropy(delta)
 

@@ -84,8 +84,9 @@ class Embedding:
         rows = vertex_count(self.graph.params)
         if self.matrix.shape[0] != rows:
             raise ValueError(f"embedding has {self.matrix.shape[0]} rows for {rows} vertices")
-        finite = np.isfinite(self.matrix).all(axis=1)
-        if not finite.all():
+        # NaN propagates through min and max; the row mask is built only on failure.
+        if not (math.isfinite(self.matrix.min()) and math.isfinite(self.matrix.max())):
+            finite = np.isfinite(self.matrix).all(axis=1)
             name = self.graph.vertex_names[int(finite.argmin())]
             raise ValueError(f"non-finite entries in vector for {name}")
         self.matrix.flags.writeable = False

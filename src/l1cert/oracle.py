@@ -18,7 +18,7 @@ import numpy as np
 
 from . import infotheory
 from .certifier import edge_difference_map, nonneg_lift
-from .infotheory import JointDistribution, ProbVector, fano_term, mutual_information
+from .infotheory import JointDistribution, fano_term, probability_table, table_information
 from .l1metric import DistortionReport, Embedding, distortion, pairwise_l1
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
@@ -51,22 +51,24 @@ def max_claim_gap(values) -> tuple[float, float]:
     rhs = (1/2) * sum_r (sum(p) - |sum_{i<=r} p_i - sum_{i>r} p_i|)
 
     lhs <= rhs always; for two entries both sides collapse to min(p1, p2).
+    A stack of vectors along the last axis gives an array of each side.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    arr = np.ascontiguousarray(values, dtype=float)
+    if arr.shape[-1] < 2:
         raise ValueError("need a one-dimensional vector with at least two entries")
-    if (arr < 0).any():
-        raise ValueError(f"negative entry: {arr.min()}")
-    total = float(arr.sum())
-    lhs = total - float(arr.max())
-    prefix = np.cumsum(arr)[:-1]
-    rhs = 0.5 * float((total - np.abs(2.0 * prefix - total)).sum())
-    return lhs, rhs
+    negative = (arr < 0).any(axis=-1)
+    if negative.any():
+        raise ValueError(f"negative entry: {arr[negative][0].min()}")
+    total = arr.sum(axis=-1, keepdims=True)
+    prefix = np.cumsum(arr, axis=-1)[..., :-1]
+    rhs = 0.5 * (total - np.abs(2.0 * prefix - total)).sum(axis=-1)
+    return total[..., 0] - arr.max(axis=-1), rhs
 
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Result of checking the separation-to-information lower bound."""
+    """Result of checking the separation-to-information lower bound; each
+    field is an array over the tables when lemma_check is given a stack."""
 
     separation: float
     delta: float
@@ -91,41 +93,33 @@ def lemma_check(distributions) -> LemmaReport:
     worst prefix-split separation 1 - eps, and when delta = (k-1)*eps/2 <
     1/2 verifies that the exact mutual information I(A:B) of (A uniform on
     [2k], B ~ P_A) is at least log2(k) - delta*log2(k-1) - H(delta). Also
-    checks I(A:B) >= I(A':B) where A' folds A modulo k.
+    checks I(A:B) >= I(A':B) where A' folds A modulo k. A (..., 2k, d)
+    stack of such tables gives a report whose fields are arrays over it.
     """
-    ps = [p if isinstance(p, ProbVector) else ProbVector(p) for p in distributions]
-    if len(ps) < 4 or len(ps) % 2 != 0:
-        raise ValueError(f"need an even number >= 4 of distributions, got {len(ps)}")
-    k = len(ps) // 2
-    if k > 6:
-        raise ValueError(f"k={k} too large for exact checking (max 6)")
-    sizes = {len(p) for p in ps}
-    if len(sizes) != 1:
-        raise ValueError(f"alphabet mismatch among distributions: {sorted(sizes)}")
-    d = sizes.pop()
+    table = probability_table(distributions, _lemma_rows)
+    k, d = table.shape[-2] // 2, table.shape[-1]
     if d > 16:
         raise ValueError(f"alphabet size {d} too large for exact checking (max 16)")
 
-    table = np.stack([p.weights for p in ps])
-    folded = (table[:k] + table[k:]) / 2.0
-    prefix = np.cumsum(folded, axis=0)[:-1]
-    separation = float(
-        np.abs(2.0 * prefix - folded.sum(axis=0)).sum(axis=1).min() / k
-    )
-    eps = 1.0 - separation
-    delta = (k - 1) * eps / 2.0
+    folded = (table[..., :k, :] + table[..., k:, :]) / 2.0
+    prefix = np.cumsum(folded, axis=-2)[..., :-1, :]
+    total = folded.sum(axis=-2, keepdims=True)
+    separation = np.abs(2.0 * prefix - total).sum(axis=-1).min(axis=-1) / k
+    delta = (k - 1) * (1.0 - separation) / 2.0
 
-    mi_exact = mutual_information(JointDistribution((2 * k, d), table / (2 * k)), 0, 1)
-    mi_folded = mutual_information(JointDistribution((k, d), folded / k), 0, 1)
-    data_processing_ok = mi_exact >= mi_folded - 1e-9
+    mi_exact = table_information(table / (2 * k))
+    mi_folded = table_information(folded / k)
+    applicable = delta < 0.5
+    bound = np.where(applicable, fano_term(k, np.where(applicable, delta, 0.0)), 0.0)
+    holds = (mi_exact >= mi_folded - 1e-9) & (~applicable | (mi_exact >= bound - 1e-9))
+    return LemmaReport(separation, delta, mi_exact, mi_folded, bound[()], holds[()])
 
-    if delta < 0.5:
-        bound = fano_term(k, delta)
-        holds = data_processing_ok and mi_exact >= bound - 1e-9
-    else:
-        bound = 0.0
-        holds = data_processing_ok
-    return LemmaReport(separation, delta, mi_exact, mi_folded, bound, holds)
+
+def _lemma_rows(rows: int) -> None:
+    if rows < 4 or rows % 2 != 0:
+        raise ValueError(f"need an even number >= 4 of distributions, got {rows}")
+    if rows // 2 > 6:
+        raise ValueError(f"k={rows // 2} too large for exact checking (max 6)")
 
 
 @dataclass(frozen=True)
@@ -241,6 +235,5 @@ def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDist
         raise CapacityError(
             f"message joint with {cells} cells exceeds {infotheory.MAX_TABLE_CELLS}"
         )
-    weight = 1.0 / edges
-    lifted = [nonneg_lift(vec).weights * weight for vec in edge_difference_map(graph, emb)]
-    return JointDistribution(shape, np.stack(lifted).reshape(shape))
+    lifted = nonneg_lift(edge_difference_map(graph, emb)) * (1.0 / edges)
+    return JointDistribution(shape, lifted.reshape(shape))

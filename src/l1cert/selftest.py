@@ -1,14 +1,15 @@
 """Built-in invariant suites behind the `selftest` CLI command.
 
 Each proof check has one implementation here: a `check_*` function that
-takes a checker `t` (anything with `check(ok)`) and one case, or a
-`*_trial` function that also draws its case from a seeded generator. A
-suite is a fixed case list over these functions, with its own seed, trial
-count and vacuity floor, and reports pass/fail counts. The tests call the
-same functions with their own case lists and a checker whose `check`
-asserts, so each check has one owner. The identity-constraints suite is
-the one that pins the edge orientation convention; running it with
-flip_bottom=True demonstrates that a flipped convention is caught.
+takes a checker `t` (anything with `check(ok)`) and its case, or for the
+lift, inner claim, Fano and lemma steps a stack of same-shape cases, with
+one `t.check` per case; `draw_*` draws such cases one trial at a time and
+`stack_by_shape` stacks them. A suite is a fixed case list over these
+functions, with its own seed, trial count and vacuity floor, and reports
+pass/fail counts. The tests call the same functions with their own case
+lists and a checker whose `check` asserts, so each check has one owner.
+The identity-constraints suite pins the edge orientation convention;
+running it with flip_bottom=True demonstrates that a flip is caught.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .certifier import (
     predictor_success,
 )
 from .infotheory import (
-    JointDistribution,
-    ProbVector,
     binary_entropy,
     chain_rule_terms,
     fano_bound,
+    fano_term,
     mutual_information,
+    table_information,
 )
 from .l1metric import (
     Embedding,
@@ -117,72 +118,115 @@ def check_averaging(t, graph: RecursiveCycleGraph, emb: Embedding) -> None:
             t.check(float(np.abs(closed - brute).max()) <= 1e-12)
 
 
-def check_lift(t, vec: np.ndarray, y: np.ndarray) -> ProbVector:
-    """vec (L1 norm <= 1) lifts to a distribution and back exactly; lift_recover
-    never grows the norm of any y. Returns the lift."""
-    lifted = nonneg_lift(vec)
-    t.check(abs(lifted.weights.sum() - 1.0) <= 1e-9)
-    t.check(np.array_equal(lift_recover(lifted.weights), vec))
-    t.check(np.abs(lift_recover(y)).sum() <= np.abs(y).sum() + 1e-12)
+def _check_each(t, oks) -> None:
+    for ok in np.ravel(oks).tolist():
+        t.check(ok)
+
+
+def stack_by_shape(cases) -> list[tuple[np.ndarray, ...]]:
+    """Stack an iterable of case tuples by their first array's shape: one
+    tuple of float stacks per shape, in first-seen order. Each column grows
+    as one bytes buffer, so no drawn case is kept as an array of its own."""
+    groups: dict[tuple[int, ...], list[tuple[bytearray, tuple[int, ...]]]] = {}
+    for case in cases:
+        columns = groups.setdefault(case[0].shape, [(bytearray(), np.shape(a)) for a in case])
+        for (buf, _), a in zip(columns, case):
+            buf += np.asarray(a, dtype=float).tobytes()
+    return [
+        tuple(np.frombuffer(buf).reshape((-1,) + shape) for buf, shape in columns)
+        for columns in groups.values()
+    ]
+
+
+def draw_lift_cases(rng: np.random.Generator, trials: int, spread: float):
+    """Vectors in [-1, 1]**d, d in 1..8, shrunk below norm 1, and y's in [0, 1)**(2d+1)."""
+    for _ in range(trials):
+        d = int(rng.integers(1, 9))
+        vec = rng.uniform(-1.0, 1.0, size=d)
+        norm = np.abs(vec).sum()
+        vec = vec / (norm * rng.uniform(1.0, spread)) if norm > 1.0 else vec
+        yield vec, rng.uniform(0.0, 1.0, size=2 * d + 1)
+
+
+def check_lift(t, vecs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Each row of vecs (L1 norm <= 1) lifts to a distribution and back
+    exactly; lift_recover never grows the norm of any row of ys. Returns
+    the lifts."""
+    lifted = nonneg_lift(vecs)
+    _check_each(t, np.abs(lifted.sum(axis=-1) - 1.0) <= 1e-9)
+    _check_each(t, (lift_recover(lifted) == vecs).all(axis=-1))
+    _check_each(t, np.abs(lift_recover(ys)).sum(axis=-1) <= np.abs(ys).sum(axis=-1) + 1e-12)
     return lifted
 
 
-def fano_trial(t, rng: np.random.Generator, trial: int) -> bool:
-    """Draw k rows over an alphabet m, mixing near-deterministic and diffuse
-    rows, and check I(X:Y) >= fano_bound for X uniform on the rows.
-
-    Returns whether the argmax predictor's success reached 1/2, the only
-    case the bound covers and the only one checked.
-    """
-    k = 2 + trial % 5
-    m = int(rng.integers(2, 9))
-    rows = rng.exponential(size=(k, m))
-    rows /= rows.sum(axis=1, keepdims=True)
-    if rng.uniform() < 0.5:
-        sharp = np.zeros((k, m))
-        for a in range(k):
-            sharp[a, int(rng.integers(m))] = 1.0
-        lam = rng.uniform(0.0, 0.6)
-        rows = (1 - lam) * sharp + lam * rows
-    _, success = predictor_success(rows)
-    if success < 0.5:
-        return False
-    joint = JointDistribution((k, m), rows / k)
-    t.check(mutual_information(joint, 0, 1) >= fano_bound(k, success) - 1e-9)
-    return True
+def draw_fano_cases(rng: np.random.Generator, trials: int):
+    """k = 2 + trial % 5 rows over m in 2..8 symbols, half pulled to one point each."""
+    for trial in range(trials):
+        k = 2 + trial % 5
+        m = int(rng.integers(2, 9))
+        rows = rng.exponential(size=(k, m))
+        rows /= rows.sum(axis=1, keepdims=True)
+        if rng.uniform() < 0.5:
+            sharp = np.eye(m)[[int(rng.integers(m)) for _ in range(k)]]
+            lam = rng.uniform(0.0, 0.6)
+            rows = (1 - lam) * sharp + lam * rows
+        yield (rows,)
 
 
-def check_inner_claim(t, values, exact: bool = False) -> tuple[float, float]:
-    """max_claim_gap's lhs <= rhs, or lhs == rhs where `exact` (dyadic
-    pairs, on which every float op is exact). Returns (lhs, rhs)."""
+def check_fano(t, tables: np.ndarray) -> int:
+    """I(X:Y) >= fano_bound(k, p) for X uniform on each table's k rows where
+    the argmax predictor's success p reached 1/2, the only case the bound
+    covers and the only one checked. Returns how many were."""
+    k = tables.shape[-2]
+    _, success = predictor_success(tables)
+    covered = success >= 0.5
+    info = table_information(tables[covered] / k)
+    _check_each(t, info >= fano_term(k, 1.0 - success[covered]) - 1e-9)
+    return int(covered.sum())
+
+
+def draw_claim_values(rng: np.random.Generator, trials: int):
+    """2 + trial % 7 entries in [0, 4) per trial."""
+    for trial in range(trials):
+        yield (rng.uniform(0.0, 4.0, size=2 + trial % 7),)
+
+
+def draw_dyadic_pairs(rng: np.random.Generator, pairs: int) -> np.ndarray:
+    """Pairs of dyadic entries in [0, 1), on which every float op is exact."""
+    return np.array([rng.integers(0, 2**20, size=2) / 2.0**20 for _ in range(pairs)])
+
+
+def check_inner_claim(t, values: np.ndarray, exact: bool = False):
+    """max_claim_gap's lhs <= rhs on each row, or lhs == rhs where `exact`
+    (dyadic pairs). Returns the (lhs, rhs) arrays."""
     lhs, rhs = max_claim_gap(values)
-    t.check(lhs == rhs if exact else lhs <= rhs + 1e-12)
+    _check_each(t, lhs == rhs if exact else lhs <= rhs + 1e-12)
     return lhs, rhs
 
 
-def lemma_trial(t, rng: np.random.Generator, trial: int) -> bool:
-    """Draw 2k rows over an alphabet d, in most trials pulled toward one
-    point per opposite pair (a, a+k), and check lemma_check's bound and
-    its data-processing inequality.
+def draw_lemma_cases(rng: np.random.Generator, trials: int):
+    """2k rows, k = 2 + trial % 4, over d in k..8 symbols, most pulled to one
+    point per opposite pair (a, a+k)."""
+    for trial in range(trials):
+        k = 2 + trial % 4
+        d = int(rng.integers(k, 9))
+        rows = rng.exponential(size=(2 * k, d))
+        rows /= rows.sum(axis=1, keepdims=True)
+        if rng.uniform() < 0.7:
+            targets = rng.permutation(d)[:k]
+            sharp = np.tile(np.eye(d)[targets], (2, 1))
+            lam = rng.uniform(0.0, 0.5)
+            rows = (1 - lam) * sharp + lam * rows
+        yield (rows,)
 
-    Returns whether the bound applied (delta < 1/2).
-    """
-    k = 2 + trial % 4
-    d = int(rng.integers(k, 9))
-    rows = rng.exponential(size=(2 * k, d))
-    rows /= rows.sum(axis=1, keepdims=True)
-    if rng.uniform() < 0.7:
-        targets = rng.permutation(d)[:k]
-        sharp = np.zeros((2 * k, d))
-        for a in range(k):
-            sharp[a, targets[a]] = 1.0
-            sharp[a + k, targets[a]] = 1.0
-        lam = rng.uniform(0.0, 0.5)
-        rows = (1 - lam) * sharp + lam * rows
-    report = lemma_check(rows)
-    t.check(report.holds)
-    t.check(report.mi_exact >= report.mi_folded - 1e-9)
-    return report.applicable
+
+def check_lemma(t, tables: np.ndarray) -> int:
+    """lemma_check's bound and its data-processing inequality hold on each
+    (2k, d) table. Returns how many the bound applied to (delta < 1/2)."""
+    report = lemma_check(tables)
+    _check_each(t, report.holds)
+    _check_each(t, report.mi_exact >= report.mi_folded - 1e-9)
+    return int(np.sum(report.applicable))
 
 
 def check_chain_per_level(t, graph: RecursiveCycleGraph, emb: Embedding) -> list[float]:
@@ -252,40 +296,31 @@ def _suite_averaging(flip: bool) -> _Tally:
 
 def _suite_lift(flip: bool) -> _Tally:
     t = _Tally()
-    rng = np.random.default_rng(7)
-    for _ in range(2000):
-        d = int(rng.integers(1, 9))
-        vec = rng.uniform(-1.0, 1.0, size=d)
-        norm = np.abs(vec).sum()
-        if norm > 1.0:
-            vec = vec / (norm * rng.uniform(1.0, 3.0))
-        check_lift(t, vec, rng.uniform(0.0, 1.0, size=2 * d + 1))
+    for vecs, ys in stack_by_shape(draw_lift_cases(np.random.default_rng(7), 2000, 3.0)):
+        check_lift(t, vecs, ys)
     return t
 
 
 def _suite_fano(flip: bool) -> _Tally:
     t = _Tally()
-    rng = np.random.default_rng(11)
-    checked = sum(fano_trial(t, rng, trial) for trial in range(400))
-    t.check(checked >= 100)
+    cases = draw_fano_cases(np.random.default_rng(11), 400)
+    t.check(sum(check_fano(t, tables) for tables, in stack_by_shape(cases)) >= 100)
     return t
 
 
 def _suite_inner_claim(flip: bool) -> _Tally:
     t = _Tally()
     rng = np.random.default_rng(13)
-    for trial in range(3000):
-        check_inner_claim(t, rng.uniform(0.0, 4.0, size=2 + trial % 7))
-    for _ in range(500):
-        check_inner_claim(t, rng.integers(0, 2**20, size=2) / 2.0**20, exact=True)
+    for values, in stack_by_shape(draw_claim_values(rng, 3000)):
+        check_inner_claim(t, values)
+    check_inner_claim(t, draw_dyadic_pairs(rng, 500), exact=True)
     return t
 
 
 def _suite_lemma(flip: bool) -> _Tally:
     t = _Tally()
-    rng = np.random.default_rng(17)
-    applicable = sum(lemma_trial(t, rng, trial) for trial in range(400))
-    t.check(applicable >= 50)
+    cases = draw_lemma_cases(np.random.default_rng(17), 400)
+    t.check(sum(check_lemma(t, tables) for tables, in stack_by_shape(cases)) >= 50)
     return t
 
 

@@ -28,10 +28,16 @@ from l1cert.selftest import (
     check_construction,
     check_end_to_end,
     check_identity_constraints,
+    check_fano,
     check_inner_claim,
+    check_lemma,
     check_lift,
-    fano_trial,
-    lemma_trial,
+    draw_claim_values,
+    draw_dyadic_pairs,
+    draw_fano_cases,
+    draw_lemma_cases,
+    draw_lift_cases,
+    stack_by_shape,
 )
 
 
@@ -69,23 +75,24 @@ def test_criterion_04_bound_values(checker):
 def test_criterion_05_fano_suite(checker):
     started = time.monotonic()
     rng = np.random.default_rng(211)
-    checked = sum(fano_trial(checker, rng, trial) for trial in range(1000))
+    stacks = stack_by_shape(draw_fano_cases(rng, 1000))
+    checked = sum(check_fano(checker, tables) for tables, in stacks)
     assert checked >= 300  # the suite must not pass vacuously
     assert time.monotonic() - started < 60.0
 
 
 def test_criterion_06_inner_claim_suite(checker):
     rng = np.random.default_rng(223)
-    for trial in range(10_000):
-        check_inner_claim(checker, rng.uniform(0.0, 4.0, size=2 + trial % 7))
-    for _ in range(1000):
-        # Dyadic entries keep float arithmetic exact: equality is exact at k=2.
-        check_inner_claim(checker, rng.integers(0, 2**20, size=2) / 2.0**20, exact=True)
+    for values, in stack_by_shape(draw_claim_values(rng, 10_000)):
+        check_inner_claim(checker, values)
+    # Dyadic entries keep float arithmetic exact: equality is exact at k=2.
+    check_inner_claim(checker, draw_dyadic_pairs(rng, 1000), exact=True)
 
 
 def test_criterion_07_lemma_suite(checker):
     rng = np.random.default_rng(227)
-    applicable = sum(lemma_trial(checker, rng, trial) for trial in range(1000))
+    stacks = stack_by_shape(draw_lemma_cases(rng, 1000))
+    applicable = sum(check_lemma(checker, tables) for tables, in stacks)
     assert applicable >= 200
 
 
@@ -97,14 +104,9 @@ def test_criterion_08_chain_rule_and_per_level_bound(pointsets, checker):
 
 def test_criterion_09_lift_suite(checker):
     rng = np.random.default_rng(229)
-    for _ in range(10_000):
-        d = int(rng.integers(1, 9))
-        vec = rng.uniform(-1.0, 1.0, size=d)
-        norm = np.abs(vec).sum()
-        if norm > 1.0:
-            vec /= norm * rng.uniform(1.0, 2.0)
-        lifted = check_lift(checker, vec, rng.uniform(0.0, 1.0, size=2 * d + 1))
-        assert lifted.weights.min() >= 0.0
+    for vecs, ys in stack_by_shape(draw_lift_cases(rng, 10_000, 2.0)):
+        lifted = check_lift(checker, vecs, ys)
+        assert lifted.min() >= 0.0
 
 
 def test_criterion_10_end_to_end_theorem_consistency(pointsets, checker):

@@ -60,7 +60,7 @@ from l1cert.l1metric import (
     scale_embedding,
 )
 from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_graph
-from l1cert.selftest import check_identity_constraints, check_lift
+from l1cert.selftest import check_identity_constraints, check_lift, stack_by_shape
 
 
 class TestEdgeDifferenceMap:
@@ -274,15 +274,15 @@ class TestConstraintReportEqualsReference:
 class TestLift:
     def test_example(self):
         lifted = nonneg_lift([0.5, -0.25])
-        assert lifted.weights.tolist() == [0.5, 0.0, 0.0, 0.25, 0.25]
+        assert lifted.tolist() == [0.5, 0.0, 0.0, 0.25, 0.25]
 
     def test_zero_vector(self):
         lifted = nonneg_lift(np.zeros(3))
-        assert lifted.weights.tolist() == [0.0] * 6 + [1.0]
+        assert lifted.tolist() == [0.0] * 6 + [1.0]
 
     def test_unit_norm_vector_has_zero_leftover(self):
         lifted = nonneg_lift([0.25, -0.75])
-        assert lifted.weights[-1] == pytest.approx(0.0, abs=1e-9)
+        assert lifted[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_large_norm(self):
         with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ class TestLift:
 
     def test_recover_examples(self):
         assert lift_recover(np.array([1.0, 0, 0, 0, 0])).tolist() == [1.0, 0.0]
-        assert lift_recover(nonneg_lift([0.5, -0.25]).weights).tolist() == [0.5, -0.25]
+        assert lift_recover(nonneg_lift([0.5, -0.25])).tolist() == [0.5, -0.25]
 
     def test_recover_rejects_even_length(self):
         with pytest.raises(ValueError):
@@ -298,14 +298,18 @@ class TestLift:
 
     def test_roundtrip_and_norm_properties(self, checker):
         rng = np.random.default_rng(83)
+        vecs, ys = [], []
         for _ in range(2000):
             d = int(rng.integers(1, 7))
             vec = rng.uniform(-1, 1, size=d)
             norm = np.abs(vec).sum()
             if norm > 1:
                 vec /= norm * 1.25
-            lifted = check_lift(checker, vec, rng.uniform(0, 2, size=2 * d + 1))
-            assert isinstance(lifted, ProbVector)
+            vecs.append(vec)
+            ys.append(rng.uniform(0, 2, size=2 * d + 1))
+        for vec_stack, y_stack in stack_by_shape(zip(vecs, ys)):
+            for row in check_lift(checker, vec_stack, y_stack):
+                ProbVector(row)  # raises unless the lift is a distribution
 
 
 class TestDimensionBound:

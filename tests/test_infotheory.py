@@ -28,7 +28,7 @@ from l1cert.infotheory import (
     mutual_information,
 )
 from l1cert.pointset import CapacityError
-from l1cert.selftest import fano_trial
+from l1cert.selftest import check_fano, draw_fano_cases, stack_by_shape
 
 
 def random_joint(rng, sizes):
@@ -198,7 +198,8 @@ class TestFanoBound:
         # X uniform on [k]; the argmax predictor's success p gives
         # I(X:Y) >= fano_bound(k, p) whenever p >= 1/2.
         rng = np.random.default_rng(53)
-        checked = sum(fano_trial(checker, rng, trial) for trial in range(300))
+        stacks = stack_by_shape(draw_fano_cases(rng, 300))
+        checked = sum(check_fano(checker, tables) for tables, in stacks)
         assert checked >= 80
 
 

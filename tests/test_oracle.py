@@ -36,7 +36,10 @@ from l1cert.selftest import (
     check_chain_per_level,
     check_end_to_end,
     check_inner_claim,
-    lemma_trial,
+    check_lemma,
+    draw_dyadic_pairs,
+    draw_lemma_cases,
+    stack_by_shape,
 )
 
 
@@ -79,16 +82,16 @@ class TestMaxClaimGap:
 
     def test_two_entries_collapse_to_min(self, checker):
         rng = np.random.default_rng(103)
-        for _ in range(500):
-            # Dyadic entries keep every float operation exact.
-            pair = rng.integers(0, 2**20, size=2) / 2.0**20
-            lhs, _ = check_inner_claim(checker, pair, exact=True)
-            assert lhs == min(pair)
+        # Dyadic entries keep every float operation exact.
+        pairs = draw_dyadic_pairs(rng, 500)
+        lhs, _ = check_inner_claim(checker, pairs, exact=True)
+        assert np.array_equal(lhs, pairs.min(axis=1))
 
     def test_inequality_random(self, checker):
         rng = np.random.default_rng(107)
-        for trial in range(2000):
-            check_inner_claim(checker, rng.uniform(0, 5, size=2 + trial % 7))
+        values = [(rng.uniform(0, 5, size=2 + trial % 7),) for trial in range(2000)]
+        for stack, in stack_by_shape(values):
+            check_inner_claim(checker, stack)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -111,7 +114,8 @@ class TestLemmaCheck:
 
     def test_random_trials_hold(self, checker):
         rng = np.random.default_rng(109)
-        applicable = sum(lemma_trial(checker, rng, trial) for trial in range(300))
+        stacks = stack_by_shape(draw_lemma_cases(rng, 300))
+        applicable = sum(check_lemma(checker, tables) for tables, in stacks)
         assert applicable >= 60
 
     def test_rejects_bad_shapes(self):
