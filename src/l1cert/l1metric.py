@@ -422,16 +422,18 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
     """The vectors of lines that all read `<canonical name> <d floats>`, or None.
 
-    Each line's width is checked by its count of single spaces and the
-    names with one list comparison; then np.loadtxt parses every coordinate
-    in C, skipping the name column. Its float parse is correctly rounded,
-    like float(). None as soon as anything differs (a name, a width, a
+    The lines' widths are checked by one count of their single spaces,
+    which must be d a line, and the names with one list comparison; then
+    np.loadtxt parses every coordinate in C, skipping the name column. It
+    refuses a line of fewer than d + 1 columns, so with the count every
+    line has exactly d + 1. Its float parse is correctly rounded, like
+    float(). None as soon as anything differs (a name, a width, a
     coordinate loadtxt rejects, such as `1_0` that float() reads, or a
     non-finite value), so the caller can read the file line by line.
     """
-    if any(line.count(" ") != d for line in lines):
+    if " ".join(lines).count(" ") != len(lines) * (d + 1) - 1:
         return None
-    if [line[: line.find(" ")] for line in lines] != list(names):
+    if [line.partition(" ")[0] for line in lines] != list(names):
         return None
     try:
         out = np.loadtxt(lines, delimiter=" ", comments=None, usecols=range(1, d + 1), ndmin=2)

@@ -24,7 +24,6 @@ after construction and all operations are pure.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -460,11 +459,11 @@ class PointSet:
     """The labels of a built graph, with fast distance access.
 
     Everything is derived from the graph on first read. The labels are
-    held in one form, packed bits (`_bitplanes`), taken from the cycle
-    walk directly, so no program path builds a label object: `certify`,
-    `identity_embedding` and the self test read the bits, the P1 writer
-    splices the canonical text from the same walk, and the P1 reader
-    compares with it. Per-vertex `IntervalLabel`s come only from the
+    held in one form, packed bits (`_bitplanes`), built from the level
+    arrays of _cycle_levels, so no program path builds a label object:
+    `certify`, `identity_embedding` and the self test read the bits, the
+    P1 writer builds the canonical text from the same arrays, and the P1
+    reader compares with it. Per-vertex `IntervalLabel`s come only from the
     references (`_label_of`, `vertex_label`).
     """
 
@@ -489,20 +488,29 @@ class PointSet:
     def _bitplanes(self) -> np.ndarray:
         """Labels as little-endian uint64 words, shape (words, N): one column per vertex.
 
-        Word-major, so per-word popcounts add as whole planes. Each label
-        is one Python int, taken from the _cycle_blocks walk without a
-        label object: an inner vertex's int is its tail's plus its
-        interval [a, b), which is (1 << b) - (1 << a).
+        Word-major, so per-word popcounts add as whole planes. Built level
+        by level from _cycle_levels without a label object: an inner
+        vertex's words are its tail's ORed with the mask of its interval.
         """
         total = self.dimension
-        ints = [0, (1 << total) - 1]
-        for _, tail, start, ones in _cycle_blocks(self.params):
-            base = ints[tail]
-            ints += [base + (1 << start + b) - (1 << start + a) for a, b in ones]
-        words = -(-total // 64)
-        packed = b"".join(x.to_bytes(8 * words, "little") for x in ints)
-        rows = np.frombuffer(packed, dtype="<u8").reshape(len(self), words)
-        return np.ascontiguousarray(rows.T)
+        bit = 64 * np.arange(-(-total // 64))[:, None]
+        # low[m] has the m lowest bits set, m = 0..64.
+        low = np.array([(1 << m) - 1 for m in range(65)], dtype="<u8")
+
+        def masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            """The words of the ones-intervals [a, b), one column each."""
+            out = low[np.clip(b - bit, 0, 64)]
+            out &= ~low[np.clip(a - bit, 0, 64)]
+            return out
+
+        planes = np.empty((len(bit), len(self)), dtype="<u8")
+        planes[:, :2] = masks(np.array([0, 0]), np.array([0, total]))
+        for _, first, tails, starts, ones in _cycle_levels(self.params):
+            a, b = (starts[:, None, None] + ones).reshape(-1, 2).T
+            words = masks(a, b)
+            words |= planes[:, tails.repeat(len(ones))]
+            planes[:, first : first + a.size] = words
+        return planes
 
     def label_distances(self, i0: int, i1: int, j0: int = 0, j1: int | None = None) -> np.ndarray:
         """Label distances of rows i0..i1-1 against columns j0..j1-1 (j1 None: N), as floats.
@@ -535,28 +543,36 @@ def point_set(graph: RecursiveCycleGraph) -> PointSet:
     return PointSet(graph)
 
 
-def _cycle_blocks(params: GraphParams):
-    """Walk every cycle in export order: (level, tail, start, ones) per cycle.
+def _cycle_levels(params: GraphParams):
+    """Every level's cycles as arrays: (level, first, tails, starts, ones) for l = 1..n.
 
-    The cycle's inner vertices follow in export order; the i-th one's
-    label is the tail's label plus the ones-interval [start + a, start + b)
-    for (a, b) = ones[i], inside the cycle's coordinate block, on which
-    the tail's label is all zeros. tail is the tail's row index.
+    Level l has (2k)**(l-1) cycles in export order, and cycle c's 2k-2
+    inner vertices are rows first + c*(2k-2) onward, in export order.
+    tails[c] is the row of the cycle's tail and starts[c] the start of its
+    coordinate block, on which the tail's label is all zeros; the i-th inner
+    vertex's label is the tail's plus the ones-interval
+    [starts[c] + a, starts[c] + b) for (a, b) = ones[i]. Only these two
+    arrays are kept per level, not the whole cycles of _level_cycles.
     """
     k, n = params.k, params.n
-    inner = [q for q in range(1, 2 * k) if q != k]
+    cyc = 2 * k
+    inner = [q for q in range(1, cyc) if q != k]
+    # The cycle position of edge b's canonical tail (see _cycle_edges) as an
+    # inner-vertex number, or -1 for position 0, the cycle's own tail.
+    tail_at = np.array([inner.index(q) if q else -1 for q in [*range(k), *range(k + 1, cyc), 0]])
     # Block offset of edge b inside its parent's block, in sub-block units.
-    offsets = np.array([k - (b if b <= k else b - k) for b in range(1, 2 * k + 1)])
-    starts = np.zeros(1, dtype=np.int64)
-    for level, cycles in enumerate(_level_cycles(params), start=1):
+    offsets = np.array([k - (b if b <= k else b - k) for b in range(1, cyc + 1)])
+    tails, starts, first = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64), 2
+    for level in range(1, n + 1):
         sub = k ** (n - level)
-        block = k * sub
-        # Ones of inner position q relative to the block start: top q < k
-        # has the last q sub-blocks, bottom q the first 2k-q.
-        ones = [((k - q) * sub, block) if q < k else (0, (2 * k - q) * sub) for q in inner]
-        for tail, start in zip(cycles[:, 0].tolist(), starts.tolist()):
-            yield level, tail, start, ones
-        starts = (starts[:, None] + offsets * sub).ravel()
+        # Top q < k has the last q sub-blocks, bottom q the first 2k-q.
+        ones = [((k - q) * sub, k * sub) if q < k else (0, (cyc - q) * sub) for q in inner]
+        yield level, first, tails, starts, np.array(ones)
+        if level < n:
+            end = first + tails.size * (cyc - 2)
+            rows = np.arange(first, end, cyc - 2)[:, None] + tail_at
+            rows[:, tail_at < 0] = tails[:, None]
+            tails, starts, first = rows.ravel(), (starts[:, None] + offsets * sub).ravel(), end
 
 
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
@@ -575,61 +591,113 @@ def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(parts)
 
 
+def _digit_words(top: int) -> np.ndarray:
+    """The decimal digits of 0..top as little-endian words, the first digit in the lowest byte."""
+    # A separator byte goes below the digits, so at most 7 of them fit a word.
+    assert top < 10**7, "numbers of more than 7 digits"
+    x = np.arange(top + 1, dtype="<u8")
+    words = x % 10 + ord("0")
+    x //= 10
+    while x.any():
+        words = np.where(x > 0, words << 8 | x % 10 + ord("0"), words)
+        x //= 10
+    return words
+
+
+def _inserted(base: np.ndarray, starts: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """The ones-intervals of every inner vertex of m cycles, shape (m, 2k-2, w, 2).
+
+    base (m, w, 2) holds the intervals of each cycle's tail, padded on the
+    right with pad intervals that sort after every real one; the last
+    column is always pad. Each vertex's interval [start + a, start + b)
+    for (a, b) in `ones` goes in at the index of the first tail interval
+    right of its block and is merged only with a neighbour it touches: a
+    top vertex's interval ends at the block's end, so it can merge only
+    right, and a bottom vertex's starts at the block's start, so only left.
+    """
+    m, w = base.shape[:2]
+    tops = np.arange(len(ones)) < len(ones) // 2
+    new = starts[:, None, None] + ones
+    end = starts + ones[0, 1]  # the block's end, where every top interval ends
+    at = (base[:, :, 0] < starts[:, None]).sum(axis=1)
+    cycle = np.arange(m)
+    right, left = base[cycle, at], base[cycle, at - 1]  # column -1 is pad
+    merge_right, merge_left = right[:, 0] == end, left[:, 1] == starts
+    new[:, tops, 1] = np.where(merge_right, right[:, 1], end)[:, None]
+    new[:, ~tops, 0] = np.where(merge_left, left[:, 0], starts)[:, None]
+    # Each vertex's interval lands at column `pos`; the tail intervals right
+    # of it shift one column right, less the one it absorbs.
+    pos = np.where(tops, at[:, None], (at - merge_left)[:, None])[..., None]
+    merged = np.where(tops, merge_right[:, None], merge_left[:, None])[..., None]
+    col = np.arange(w)
+    src = np.where(col < pos, col, col - 1 + merged)
+    src = np.where(col == pos, w + np.arange(len(ones))[:, None], src)
+    return np.concatenate([base, new], axis=1)[cycle[:, None, None], src]
+
+
 def _p1_blocks(ps: PointSet):
     """The P1 text of `ps` in blocks of whole lines of about TEXT_BLOCK characters.
 
-    Each inner vertex's interval is inserted into its cycle tail's
-    intervals at its bisected place and merged only with a neighbour it
-    touches: no sort and no recursion. Only the vertices above depth n
-    keep their intervals, as the next level's tails. _label_of is the
-    per-vertex reference.
+    Built level by level from _cycle_levels, in slices of cycles whose
+    line words take about TEXT_BLOCK bytes; a block is yielded once it has
+    TEXT_BLOCK characters. Only the vertices above depth n keep their
+    intervals (`held`, padded rows), as the next level's tails; _inserted
+    builds each slice's rows from its tails' rows. A line is one row of
+    8-byte words, each a separator and a number in ASCII padded with NUL
+    bytes, and one translate strips the NULs of a whole slice. _label_of is
+    the per-vertex reference.
     """
     p = ps.params
-    total = p.label_length
-    names = iter(ps.graph.vertex_names)
-    chunks = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={total}\n"]
-    chunks += [f"{next(names)} -\n", f"{next(names)} 0-{total}\n"]
-    size = 0
-    bases = [(), ((0, total),)]
-    for level, tail, start, ones in _cycle_blocks(p):
-        base = bases[tail]
-        at = bisect.bisect_left(base, (start,))
-        left_end = base[at - 1][1] if at else -1
-        right_start = base[at][0] if at < len(base) else -1
-        lo_done = hi_done = None
-        lines = []
-        # The top vertices share one (lo, hi) and the bottom ones another,
-        # so each run is formatted at most twice per cycle. ones goes
-        # first: zip must not draw a name past the cycle's last vertex.
-        for (a, b), name in zip(ones, names):
-            a, b, lo, hi = a + start, b + start, at, at
-            if a == left_end:
-                lo -= 1
-                a = base[lo][0]
-            if b == right_start:
-                b = base[hi][1]
-                hi += 1
-            if lo != lo_done:
-                lo_done, left = lo, "".join([f"{x}-{y}," for x, y in base[:lo]])
-            if hi != hi_done:
-                hi_done, right = hi, "".join([f",{x}-{y}" for x, y in base[hi:]])
-            lines.append(f"{name} {left}{a}-{b}{right}\n")
-            if level < p.n:
-                bases.append(base[:lo] + ((a, b),) + base[hi:])
-        # One string per cycle: a str object per line would cost more than its text.
-        chunks.append("".join(lines))
-        size += len(chunks[-1])
-        if size >= TEXT_BLOCK:
-            yield "".join(chunks)
-            chunks, size = [], 0
+    k, n, total, cyc = p.k, p.n, p.label_length, p.cycle_length
+    digits = _digit_words(max(total, cyc))
+    # Interval words: row 0 " a" (a first start), row 1 ",a" (a later one),
+    # row 2 "-b" (an end); column pad = total + 1 is the empty word.
+    pad = total + 1
+    table = np.zeros((3, pad + 1), dtype="<u8")
+    table[:, :pad] = digits[:pad] << 8 | np.array([ord(" "), ord(","), ord("-")], "<u8")[:, None]
+    # Every number is below 10**7 (see _digit_words), so int32 holds it.
+    above = vertex_count(GraphParams(k, n - 1)) if n > 1 else 2
+    held = np.full((above, n, 2), pad, dtype=np.int32)
+    held[1, 0] = 0, total
+    # "/q" for the inner cycle positions q in export order.
+    slash = digits[[q for q in range(1, cyc) if q != k]] << 8 | ord("/")
+    chunks = [f"P1 k={k} n={n} N={len(ps)} dim={total}\n", "L -\n", f"R 0-{total}\n"]
+    size = sum(map(len, chunks))
+    for level, first, tails, starts, ones in _cycle_levels(p):
+        # A line: level - 1 path words ("c", ".c", ...), "/q", 2 * level
+        # interval words (pad after the last interval) and "\n".
+        width = 3 * level + 1
+        powers = cyc ** np.arange(level - 2, -1, -1)
+        dots = np.full(level - 1, ord("."), dtype="<u8")
+        dots[:1] = 0
+        seps = np.array([[0, 2]] + [[1, 2]] * (level - 1))
+        step = max(1, TEXT_BLOCK // (8 * width * (cyc - 2)))
+        for c0 in range(0, tails.size, step):
+            cycles = np.arange(c0, min(c0 + step, tails.size))
+            iv = _inserted(held[tails[cycles], :level], starts[cycles], ones)
+            if level < n:
+                row = first + c0 * (cyc - 2)
+                held[row : row + iv.shape[0] * (cyc - 2), :level] = iv.reshape(-1, level, 2)
+            words = np.empty((cycles.size, cyc - 2, width), dtype="<u8")
+            path = digits[cycles[:, None] // powers % cyc + 1] << 8 | dots
+            words[:, :, : level - 1] = path[:, None]
+            words[:, :, level - 1] = slash
+            words[:, :, level:-1] = table[seps, iv].reshape(cycles.size, cyc - 2, -1)
+            words[:, :, -1] = ord("\n")
+            chunks.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+            size += len(chunks[-1])
+            if size >= TEXT_BLOCK:
+                yield "".join(chunks)
+                chunks, size = [], 0
     yield "".join(chunks)
 
 
 def pointset_to_text(ps: PointSet) -> str:
     """Serialize in the P1 text format (header plus one vertex per line).
 
-    Beside the text it holds the graph's vertex names, the intervals of
-    the vertices above depth n and one block of about TEXT_BLOCK characters.
+    Beside the text it holds the intervals of the vertices above depth n,
+    the last level's per-cycle arrays and a few blocks of about TEXT_BLOCK
+    characters.
     """
     return "".join(_p1_blocks(ps))
 
@@ -669,7 +737,7 @@ def _canonical_pointset(text: str) -> PointSet | None:
     """The point set whose canonical P1 text `text` is, or None on any doubt.
 
     Header errors raise as on the per-line path, which checks the header
-    first. The text is then compared in place with the _p1_blocks walk.
+    first. The text is then compared in place, block by block, with _p1_blocks.
     """
     cut = text.find("\n")
     first = text[:cut]

@@ -225,7 +225,7 @@ class TestLevelArrays:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (4, 3)])
     def test_labels_equal_recursive_reference(self, pointsets, k, n):
-        # The P1 writer splices every line from the _p1_blocks walk.
+        # The P1 writer builds every line from the level arrays of _p1_blocks.
         ps = pointsets(k, n)
         lines = pointset_to_text(ps).splitlines()[1:]
         assert len(lines) == len(ps.addresses)
@@ -340,7 +340,7 @@ class TestMetricStructure:
 class TestDistanceMatrix:
     """The packed bitset matrix against the interval-merge reference."""
 
-    @pytest.mark.parametrize("k,n", [(2, 3), (3, 4), (4, 3), (2, 6)])
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 4), (4, 3), (2, 6), (2, 7)])
     def test_bitsets_equal_dense_bit_packing(self, pointsets, k, n):
         # Reference: every label as an (N, 64 * words) bool row, packed
         # little-endian into bytes and read as uint64 words, one column per

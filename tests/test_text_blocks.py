@@ -4,23 +4,31 @@ Core claims:
     - with the block size also patched down to a few characters, the P1 writer
       gives the bytes of the per-vertex reference, and both canonical
       readers accept their canonical text and read the same point set and
-      the same float bits, on P(2,3), P(3,2) and P(2,6)
+      the same float bits, on P(2,3), P(3,2) and P(2,6); the P1 paths also
+      on sizes that reach each width of the writer's words: one and two
+      levels, two-digit edge coordinates, endpoints of four digits
+    - `generate` writes the bytes the per-cycle writer wrote at P(3,6),
+      P(2,8) and P(2,10)
     - every FormatError message is the per-line reader's, whether the
       defect sits in the first, a middle or the last block or on a line
       that straddles a block boundary
     - CRLF and CR-only line ends and a missing final newline read as the
       canonical file does; text after line N+1 is a line-count error
     - memory: the canonical L1EMB read of a pre-read text holds the
-      matrix, its finiteness mask and a few blocks, and the canonical P1
+      matrix, its finiteness mask and a few blocks; the P1 writer holds
+      its text, the intervals of the vertices above depth n, the last
+      level's per-cycle arrays and a few blocks; and the canonical P1
       read holds less than the writer less half the text
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from l1cert import l1metric, pointset
+from l1cert.cli import main
 from l1cert.l1metric import Embedding, _canonical_read, embedding_from_text, embedding_to_text
 from l1cert.pointset import (
     TEXT_BLOCK,
@@ -31,9 +39,14 @@ from l1cert.pointset import (
     point_set,
     pointset_from_text,
     pointset_to_text,
+    vertex_count,
 )
 
 SIZES = [(2, 3), (3, 2), (2, 6)]
+# The P1 writer's words at each width: P(2,1) and P(2,2) have one and two
+# levels, P(5,2) two-digit edge coordinates (names like 10/3), P(10,3) the
+# first four-digit endpoints (dim 1000) and P(32,2) dim 1024.
+P1_SIZES = SIZES + [(2, 1), (2, 2), (5, 2), (10, 3), (32, 2), (3, 5)]
 D = 3
 
 
@@ -81,7 +94,7 @@ def read_error(read, text):
     return str(info.value)
 
 
-@pytest.mark.parametrize("k,n", SIZES)
+@pytest.mark.parametrize("k,n", P1_SIZES)
 def test_p1_round_trip_is_byte_identical(block, pointsets, k, n):
     ps = pointsets(k, n)
     text = pointset_to_text(ps)
@@ -101,6 +114,22 @@ def test_l1emb_round_trip_is_bit_identical(block, pointsets, k, n):
     emb = embedding_from_text(text, ps)
     assert np.array_equal(emb.matrix.view(np.int64), want.view(np.int64))
     assert embedding_to_text(ps, emb) == text
+
+
+# sha256 of the P1 files that `generate` wrote with the per-cycle writer
+# that the level-array writer replaced.
+GENERATE_SHA256 = {
+    (3, 6): "46b9b3063cfa325260bf6e049e6ed9b7c28f29eec9926ab9d90395374115f144",
+    (2, 8): "fbca58fb0d7666f6bd768f612a557045832e9137c916c843e177497579d56b4b",
+    (2, 10): "dae20961983d13cc019a2ad3189fb96d83d9cdfd1eabdb4ef0da438dfde5115c",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(GENERATE_SHA256))
+def test_generate_writes_the_per_cycle_writers_bytes(tmp_path, k, n):
+    out = tmp_path / "p1.txt"
+    assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[(k, n)]
 
 
 P1_DEFECTS = [
@@ -234,6 +263,21 @@ def test_canonical_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch):
     # 8 bytes an entry for the matrix and 1 for Embedding's finiteness mask.
     bound = 9 * len(ps) * 16 + 4 * 2**16
     assert traced_peak(lambda: embedding_from_text(text, ps)) <= bound
+
+
+def test_p1_writer_holds_its_text_the_upper_intervals_and_a_few_blocks(monkeypatch):
+    # P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
+    k, n = 2, 7
+    ps = point_set(build_graph(GraphParams(k, n)))
+    texts = []
+    peak = traced_peak(lambda: texts.append(pointset_to_text(ps)))
+    # n padded int32 intervals of every vertex above depth n, and a few
+    # int64 entries per last-level cycle: its tail and block start, and the
+    # temporaries they are built from.
+    above = vertex_count(GraphParams(k, n - 1))
+    bound = 4 * 2 * n * above + 8 * 4 * (2 * k) ** (n - 1) + 16 * 2**12
+    assert peak - len(texts[0]) <= bound
 
 
 def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
