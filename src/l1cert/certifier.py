@@ -60,7 +60,7 @@ class ConstraintReport:
     values: row p is the p-th prefix in lexicographic order, column r-1 the
     split point r. `entries` lists the same values as ConstraintEntry
     objects in (level, prefix, r) order; it is built on first read, which
-    only the CSV table and the tests do. `min_lhs` and `epsilon` are
+    only the benchmark harness and the tests do. `min_lhs` and `epsilon` are
     derived from `lhs` on first read.
     """
 
@@ -362,9 +362,19 @@ def certificate_to_text(cert: CertificateReport) -> str:
 
 
 def constraint_table_csv(report: ConstraintReport) -> str:
-    """Per-constraint CSV: level,prefix,r,lhs (prefix dotted, empty for level 1)."""
+    """Per-constraint CSV: level,prefix,r,lhs (prefix dotted, empty for level 1).
+
+    Written from `report.lhs` level by level: the dotted prefixes of a
+    level are the previous level's, each extended by 1..2k, and each row's
+    head "level,prefix,r," is joined with the repr of its value.
+    """
     lines = ["level,prefix,r,lhs"]
-    for e in report.entries:
-        prefix = ".".join(str(c) for c in e.prefix)
-        lines.append(f"{e.level},{prefix},{e.r},{e.lhs!r}")
+    prefixes = [""]
+    for level, values in enumerate(report.lhs, start=1):
+        k = values.shape[1] + 1
+        heads = [f"{level},{prefix},{r}," for prefix in prefixes for r in range(1, k)]
+        lines += map(str.__add__, heads, map(repr, values.ravel().tolist()))
+        if level < len(report.lhs):
+            coords = [str(b) for b in range(1, 2 * k + 1)]
+            prefixes = [f"{p}.{c}" if p else c for p in prefixes for c in coords]
     return "\n".join(lines) + "\n"

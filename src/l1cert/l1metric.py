@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,17 +191,8 @@ def _sum_planes(planes: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _l1_tiles(points: np.ndarray, words: int = 0):
-    """Yield (i0, j0, tile) over the pairs i < j of the rows of `points`.
-
-    tile[r, c] is the L1 distance of rows i0 + r and j0 + c. A strip of
-    rows i0..i1-1 is met against the columns from i0 + 1 on, so only a
-    strip's first tile holds pairs with j <= i. The points are held
-    coordinate-major, (d, N); each tile is computed in one preallocated
-    (d, rows, cols) buffer (subtract, then abs in place) and its d planes
-    are added by _sum_planes, so each pair's distance equals
-    np.abs(points[i] - points[j]).sum() bit for bit. The tile is a view
-    of that buffer, valid until the next one is yielded.
+def _tile_shape(n: int, d: int, words: int = 0) -> tuple[int, int]:
+    """(rows, cols) of the tiles of the all-pairs passes over n points in R**d.
 
     Tiles are 512 columns wide: numpy pays a fixed cost per call and per
     tile row, small next to rows of 512, where rows of 64 made the
@@ -209,18 +201,35 @@ def _l1_tiles(points: np.ndarray, words: int = 0):
     words per pair a caller holds beside each tile; there is at least one
     row, and neither side exceeds the n - 1 rows or columns there are.
     """
-    n, d = points.shape
     cols = max(1, min(n - 1, 512))
-    rows = max(1, min(n - 1, BLOCK_ELEMENTS // (max(d, words) * cols)))
-    planes = np.ascontiguousarray(points.T)
-    flat = np.empty(d * rows * cols)
+    return max(1, min(n - 1, BLOCK_ELEMENTS // (max(d, words) * cols))), cols
+
+
+def _l1_tile(planes: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1: int):
+    """L1 distances of columns i0..i1-1 against j0..j1-1 of coordinate-major `planes`.
+
+    The (d, rows, cols) differences are taken in the flat buffer `flat`
+    of planes' dtype (subtract, then abs in place) and their d planes are
+    added by _sum_planes, so each pair's distance equals
+    np.abs(points[i] - points[j]).sum() bit for bit in that dtype. The
+    result is a view of `flat`, valid until it is next written.
+    """
+    buf = flat[: planes.shape[0] * (i1 - i0) * (j1 - j0)].reshape(-1, i1 - i0, j1 - j0)
+    np.subtract(planes[:, i0:i1, None], planes[:, None, j0:j1], out=buf)
+    return _sum_planes(np.abs(buf, out=buf))
+
+
+def _tile_bounds(n: int, rows: int, cols: int):
+    """Yield (i0, i1, j0, j1) over the tiles of the pairs i < j of n points.
+
+    A strip of rows i0..i1-1 is met against the columns from i0 + 1 on,
+    cols at a time, so only a strip's first tile, the one with
+    j0 == i0 + 1, holds pairs with j <= i.
+    """
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n)
         for j0 in range(i0 + 1, n, cols):
-            j1 = min(j0 + cols, n)
-            buf = flat[: d * (i1 - i0) * (j1 - j0)].reshape(d, i1 - i0, j1 - j0)
-            np.subtract(planes[:, i0:i1, None], planes[:, None, j0:j1], out=buf)
-            yield i0, j0, _sum_planes(np.abs(buf, out=buf))
+            yield i0, i1, j0, min(j0 + cols, n)
 
 
 @contextmanager
@@ -242,18 +251,21 @@ def _tile_numerics(**errors: str):
 def pairwise_l1(points: np.ndarray) -> np.ndarray:
     """All pairwise L1 distances of the rows of `points`, tile by tile.
 
-    The tiles of _l1_tiles cover the upper triangle and are mirrored
-    below it. |a - b| == |b - a| exactly and each pair is summed in
-    numpy's order for a contiguous axis, so this equals
-    np.abs(points[:, None] - points[None]).sum(axis=-1).
+    The tiles of _tile_bounds, each from _l1_tile, cover the upper
+    triangle and are mirrored below it. |a - b| == |b - a| exactly and
+    each pair is summed in numpy's order for a contiguous axis, so this
+    equals np.abs(points[:, None] - points[None]).sum(axis=-1).
     """
-    n = points.shape[0]
+    n, d = points.shape
+    rows, cols = _tile_shape(n, d)
+    planes = np.ascontiguousarray(points.T)
+    flat = np.empty(d * rows * cols)
     out = np.zeros((n, n))
     with _tile_numerics():
-        for i0, j0, tile in _l1_tiles(points):
-            rows, cols = tile.shape
-            out[i0 : i0 + rows, j0 : j0 + cols] = tile
-            out[j0 : j0 + cols, i0 : i0 + rows] = tile.T
+        for i0, i1, j0, j1 in _tile_bounds(n, rows, cols):
+            tile = _l1_tile(planes, flat, i0, i1, j0, j1)
+            out[i0:i1, j0:j1] = tile
+            out[j0:j1, i0:i1] = tile.T
     return out
 
 
@@ -271,57 +283,191 @@ class DistortionReport:
     distortion: float
 
 
+def _screen_points(planes: np.ndarray, label_length: int, flat: np.ndarray, cols: int):
+    """The float32 screen's inputs for coordinate-major `planes`: (points, weights), or None.
+
+    points is the (d, N) float32 copy of the points less each coordinate's
+    midrange, the subtraction made in float64. weights[b] is
+    2(d+3) * 2**-24 times the largest L1 norm of the centred rows
+    b * cols to (b + 1) * cols - 1: a tile side of at most cols rows or
+    columns spans at most two such blocks. The blocks are centred in
+    `flat`, the float64 tile buffer. None when float32 cannot bound the
+    input (see distortion): d >= 2**22, labels of 2**24 bits or more, a
+    nonzero centred coordinate below float32's smallest normal 2**-126,
+    or a centred row norm of 2**125 or more (which includes one past the
+    float range).
+    """
+    d, n = planes.shape
+    if d >= 2**22 or label_length >= 2**24:
+        return None
+    centre = (planes.max(axis=1) * 0.5 + planes.min(axis=1) * 0.5)[:, None]
+    points = np.empty((d, n), dtype=np.float32)
+    norms = []
+    smallest = math.inf
+    for j0 in range(0, n, cols):
+        block = flat[: d * min(cols, n - j0)].reshape(d, -1)
+        np.subtract(planes[:, j0 : j0 + cols], centre, out=block)
+        points[:, j0 : j0 + cols] = block
+        np.abs(block, out=block)
+        smallest = min(smallest, float(block.min(where=block > 0.0, initial=math.inf)))
+        norms.append(float(block.sum(axis=0).max()))
+    if not (smallest >= 2.0**-126 and max(norms) < 2.0**125):
+        return None
+    return points, [2 * (d + 3) * 2.0**-24 * norm for norm in norms]
+
+
+def _screen_range(
+    ps: PointSet, points: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1: int
+) -> tuple[float, float]:
+    """The least and largest float32 ratio of a tile, from _screen_points' points.
+
+    Its L1 distances come from _l1_tile in float32 in `flat`, its label
+    distances from popcounts converted to float32, and the quotient is
+    taken in place. Diagonal entries are 0 / 0, which fmin and fmax pass
+    over; the pairs j < i of a strip's first tile repeat pairs i < j of
+    the same tile bit for bit.
+    """
+    ratio = ps.label_distances(i0, i1, j0, j1, np.float32)
+    np.divide(_l1_tile(points, flat, i0, i1, j0, j1), ratio, out=ratio)
+    return float(np.fmin.reduce(ratio, axis=None)), float(np.fmax.reduce(ratio, axis=None))
+
+
 def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     """Distortion of an embedding relative to the exact label metric.
 
-    One streaming pass over the tiles of _l1_tiles: each tile's embedded
-    distances equal `pairwise_l1`'s bit for bit, its label distances are
-    popcounts of XORed packed labels, and both are folded into the worst
-    ratios over i < j at once. Only a tile that reaches the diagonal is
-    masked to its pairs i < j. Each pair's ratio embedded / original is
-    taken once; rounding is monotone, so only the pairs at the lowest
-    ratio so far can hold the worst contraction, and only they are divided
-    the other way. A zero embedded distance makes the contraction
-    infinite: a tile whose worst contraction is infinite is looked at for
-    one, and counts as coincident points if it has one. An embedded
-    distance or a ratio past float range raises OverflowError: the report
-    would be meaningless, and a ratio could pass for a coincident pair. No
-    N x N matrix is built; memory beyond the inputs is the (d, N)
-    coordinate-major copy, O(N * words) packed labels and a few tiles of at
-    most BLOCK_ELEMENTS elements.
+    One streaming pass over the tiles of _tile_bounds. An exact tile's
+    embedded distances come from _l1_tile in float64 and equal
+    `pairwise_l1`'s bit for bit, its label distances are popcounts of
+    XORed packed labels, and both are folded into the worst ratios over
+    i < j at once. Only a tile that reaches the diagonal is masked to its
+    pairs i < j. Each pair's ratio embedded / original is taken once;
+    rounding is monotone, so only the pairs at the lowest ratio so far can
+    hold the worst contraction, and only they are divided the other way.
+    A zero embedded distance makes the contraction infinite: a tile whose
+    worst contraction is infinite is looked at for one, and counts as
+    coincident points if it has one. An embedded distance or a ratio past
+    float range raises OverflowError: the report would be meaningless, and
+    a ratio could pass for a coincident pair.
+
+    When there is more than one tile, every tile after the first is first
+    screened in float32: _screen_range takes its least and largest ratio
+    r32 over the centred float32 points of _screen_points, in the bytes of
+    the tile buffer that the exact tile then reuses. The tile is skipped
+    only when max r32 + M < expansion and min r32 - M > lowest, strictly,
+    against the running extremes of the exact tiles, with M the largest
+    weight of the row blocks its rows meet plus that of its columns';
+    otherwise it is computed exactly and folded as above.
+
+    Why M bounds |r32 - r64| for a pair i, j, r64 being the exact pass's
+    ratio: with u = 2**-24, D the real L1 distance, B = A'[i] + A'[j]
+    and L >= 1 the label distance (exact in float32 below 2**24), every
+    nonzero centred coordinate is a float32 normal, so each conversion,
+    subtraction and division errs by at most u relatively, and the d-term
+    sum of nonnegative terms by gamma = (d-1)u / (1 - (d-1)u) <= 4/3 (d-1)u
+    for d < 2**22; D <= B (1 + 2**-52) since the centring rounds in
+    float64. So |r32 - D/L| <= 5/3 (d+2) u B, plus 2**-150 if the
+    quotient is subnormal. The float64 pass subtracts the raw coordinates,
+    each difference rounding relative to itself, so |r64 - D/L| <= (d+1)
+    2**-53 D + 2**-1075, not relative to the raw magnitudes. Both fit in
+    2(d+3) u B, with room for the float64 rounding of the norms and of M,
+    whenever B > 0 (then B >= 2**-126); when B = 0 both ratios are 0 and
+    the strict test keeps the tile. A sum in float64
+    that meets expansion rounds to at least it, so the float comparisons
+    hold for the real values: a skipped tile's exact ratios are all below
+    the running expansion, which only grows, and all above the running
+    lowest, which only falls.
+
+    So skipping keeps the report bit-identical: no skipped pair holds the
+    largest ratio, and none sits at the final lowest ratio; by monotone
+    rounding, every pair's original / embedded is at most that of the
+    pairs at the final lowest ratio, which are all folded, so the
+    contraction is the same largest label / embedded over all pairs.
+    Ties need the strict comparison: a pair tied with the lowest ratio can
+    still hold a larger contraction.
+
+    The screen stops paying when its redone tiles leave the extremes as
+    they were: a tile that sets a new extreme had to be computed anyway,
+    and those grow rare once the extremes settle, but on an exact isometry
+    every ratio ties and every screened tile is redone for nothing. So it
+    turns itself off for the rest of the call when a strip starts with
+    more than half of the tiles screened so far redone without moving
+    expansion, lowest or contraction, and it is never set up when
+    _screen_points finds that float32 cannot bound the input. No N x N
+    matrix is built; memory beyond the inputs is the (d, N)
+    coordinate-major copy and its float32 copy, O(N * words) packed
+    labels and one tile buffer of at most BLOCK_ELEMENTS float64 elements
+    with a few tile-sized temporaries.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
     points = vertex_matrix(ps.graph, emb)
-    words = ps._bitplanes.shape[0]
-    expansion = contraction = 0.0
-    lowest = math.inf
-    coincident = False
-    with _tile_numerics(over="ignore", divide="ignore"):
-        for i0, j0, embedded in _l1_tiles(points, words):
-            rows, cols = embedded.shape
-            original = ps.label_distances(i0, i0 + rows, j0, j0 + cols)
-            if j0 < i0 + rows:
-                upper = np.arange(j0, j0 + cols) > np.arange(i0, i0 + rows)[:, None]
-                embedded, original = embedded[upper], original[upper]
-            ratio = embedded / original
-            expansion = max(expansion, float(ratio.max()))
-            low = float(ratio.min())
-            if low > lowest:
-                continue
-            lowest, at = low, ratio == low
-            worst = float((original[at] / embedded[at]).max())
-            if math.isinf(worst) and (embedded[at] == 0.0).any():
-                coincident = True
-            else:
-                contraction = max(contraction, worst)
-    if math.isinf(expansion):
+    n, d = points.shape
+    rows, cols = _tile_shape(n, d, ps._bitplanes.shape[0])
+    planes = np.ascontiguousarray(points.T)
+    flat = np.empty(d * rows * cols)
+    worst = _Worst(0.0, math.inf, 0.0, False)
+    screen = None
+    screened = wasted = 0
+    with _tile_numerics(over="ignore", divide="ignore", invalid="ignore"):
+        if rows < n - 1 or cols < n - 1:  # more than one tile
+            screen = _screen_points(planes, ps.dimension, flat, cols)
+        for tile in _tile_bounds(n, rows, cols):
+            i0, i1, j0, j1 = tile
+            if j0 == i0 + 1 and 2 * wasted > screened:
+                screen = None
+            before = None
+            # The first tile sets the extremes the screen compares with.
+            if screen is not None and worst.lowest < math.inf:
+                points32, weights = screen
+                lo32, hi32 = _screen_range(ps, points32, flat.view(np.float32), *tile)
+                margin = max(weights[i0 // cols], weights[(i1 - 1) // cols]) + max(
+                    weights[j0 // cols], weights[(j1 - 1) // cols]
+                )
+                screened += 1
+                if hi32 + margin < worst.expansion and lo32 - margin > worst.lowest:
+                    continue
+                before = worst
+            worst = _fold_tile(ps, planes, flat, tile, worst)
+            if worst == before:
+                wasted += 1
+    if math.isinf(worst.expansion):
         raise OverflowError("an embedded distance overflows the float range")
-    if coincident:
-        return DistortionReport(expansion, math.inf, math.inf)
-    if math.isinf(contraction):
+    if worst.coincident:
+        return DistortionReport(worst.expansion, math.inf, math.inf)
+    if math.isinf(worst.contraction):
         raise OverflowError("a label to embedded distance ratio overflows the float range")
-    return DistortionReport(expansion, contraction, expansion * contraction)
+    return DistortionReport(
+        worst.expansion, worst.contraction, worst.expansion * worst.contraction
+    )
+
+
+class _Worst(NamedTuple):
+    """The running extremes of the distortion pass over the exact tiles so far."""
+
+    expansion: float
+    lowest: float  # the lowest ratio embedded / original
+    contraction: float
+    coincident: bool
+
+
+def _fold_tile(ps: PointSet, planes: np.ndarray, flat: np.ndarray, tile, worst: _Worst) -> _Worst:
+    """`worst` with the exact tile (i0, i1, j0, j1) of _tile_bounds folded in (see distortion)."""
+    i0, i1, j0, j1 = tile
+    embedded = _l1_tile(planes, flat, i0, i1, j0, j1)
+    original = ps.label_distances(i0, i1, j0, j1)
+    if j0 < i1:
+        upper = np.arange(j0, j1) > np.arange(i0, i1)[:, None]
+        embedded, original = embedded[upper], original[upper]
+    ratio = embedded / original
+    expansion = max(worst.expansion, float(ratio.max()))
+    low = float(ratio.min())
+    if low > worst.lowest:
+        return _Worst(expansion, worst.lowest, worst.contraction, worst.coincident)
+    at = ratio == low
+    most = float((original[at] / embedded[at]).max())
+    if math.isinf(most) and (embedded[at] == 0.0).any():
+        return _Worst(expansion, low, worst.contraction, True)
+    return _Worst(expansion, low, max(worst.contraction, most), worst.coincident)
 
 
 def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:

@@ -491,6 +491,9 @@ class PointSet:
         Word-major, so per-word popcounts add as whole planes. Built level
         by level from _cycle_levels without a label object: an inner
         vertex's words are its tail's ORed with the mask of its interval.
+        A level is taken in slices of cycles whose words take about
+        TEXT_BLOCK bytes, as the P1 writer takes them, so the masks and
+        tail gathers beside the planes stay a few slices' size.
         """
         total = self.dimension
         bit = 64 * np.arange(-(-total // 64))[:, None]
@@ -506,22 +509,28 @@ class PointSet:
         planes = np.empty((len(bit), len(self)), dtype="<u8")
         planes[:, :2] = masks(np.array([0, 0]), np.array([0, total]))
         for _, first, tails, starts, ones in _cycle_levels(self.params):
-            a, b = (starts[:, None, None] + ones).reshape(-1, 2).T
-            words = masks(a, b)
-            words |= planes[:, tails.repeat(len(ones))]
-            planes[:, first : first + a.size] = words
+            step = max(1, TEXT_BLOCK // (8 * len(bit) * len(ones)))
+            for c0 in range(0, tails.size, step):
+                a, b = (starts[c0 : c0 + step, None, None] + ones).reshape(-1, 2).T
+                words = masks(a, b)
+                words |= planes[:, tails[c0 : c0 + step].repeat(len(ones))]
+                row = first + c0 * len(ones)
+                planes[:, row : row + a.size] = words
         return planes
 
-    def label_distances(self, i0: int, i1: int, j0: int = 0, j1: int | None = None) -> np.ndarray:
+    def label_distances(
+        self, i0: int, i1: int, j0: int = 0, j1: int | None = None, dtype=np.float64
+    ) -> np.ndarray:
         """Label distances of rows i0..i1-1 against columns j0..j1-1 (j1 None: N), as floats.
 
-        Popcounts of XORed packed labels, converted to floats once; each
+        Popcounts of XORed packed labels, converted to `dtype` once; each
         further word's plane is added into the first in place, so no ufunc
-        casts. The values are exact (at most k**n < 2**48).
+        casts. The float64 values are exact (at most k**n < 2**48), the
+        float32 ones while k**n < 2**24.
         l1metric.l1_interval_distance is the interval-merge reference.
         """
         bits = self._bitplanes
-        planes = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1]).astype(np.float64)
+        planes = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1]).astype(dtype)
         total = planes[0]
         for word in range(1, len(planes)):
             total += planes[word]

@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from l1cert import pointset
+from l1cert.l1metric import DistortionReport
 from l1cert.pointset import GraphParams, build_graph, point_set
 
 try:
@@ -19,6 +23,22 @@ else:
 def reference_labels(ps):
     """Every vertex label in export order, from the recursive per-vertex reference."""
     return [pointset._label_of(ps.params, v) for v in ps.addresses]
+
+
+def naive_pairwise(points):
+    return np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+
+
+def full_matrix_report(points, original):
+    """The worst ratios by definition: naive_pairwise(points) against `original`, over i < j."""
+    iu = np.triu_indices(len(points), 1)
+    de = naive_pairwise(points)[iu]
+    do = original[iu]
+    expansion = float(np.max(de / do))
+    if np.any(de == 0.0):
+        return DistortionReport(expansion, math.inf, math.inf)
+    contraction = float(np.max(do / de))
+    return DistortionReport(expansion, contraction, expansion * contraction)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,9 @@ Core claims:
     - constraint_lhs is exactly 1 for the identity embedding and, for any
       embedding, equals the embedded/original ratio of one antipodal pair
       (an independent route through completely different quantities)
-    - a report's entries are built only when read, and certify and its
-      text never build one
+    - a report's entries are built only when read, and certify, its text
+      and the CSV table never build one; the table, written from the
+      per-level arrays, equals the text built from the entries
     - the per-level vectorized constraint_report equals the per-prefix loop
       it replaced float for float, in (level, prefix, r) order, and
       constraint_lhs to rounding
@@ -52,6 +53,7 @@ from l1cert.infotheory import (
 )
 from l1cert.l1metric import (
     DegenerateEmbeddingError,
+    Embedding,
     distortion,
     embedding_to_text,
     identity_embedding,
@@ -269,6 +271,29 @@ class TestConstraintReportEqualsReference:
             assert e.lhs == pytest.approx(
                 constraint_lhs(graph, emb, e.prefix, e.r), rel=1e-12, abs=1e-12
             )
+
+
+def _entries_table(report):
+    """The CSV table as it was built from the report's ConstraintEntry objects."""
+    lines = ["level,prefix,r,lhs"]
+    for e in report.entries:
+        prefix = ".".join(str(c) for c in e.prefix)
+        lines.append(f"{e.level},{prefix},{e.r},{e.lhs!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConstraintTable:
+    # P(3, 5) and P(3, 6) have 3- and 4-digit prefixes past level 1, and
+    # P(4, 3) has the two-digit coordinates 1..8 beside three split points.
+    @pytest.mark.parametrize("k,n", [(2, 6), (3, 5), (4, 3), (3, 6)])
+    def test_table_equals_the_entries_built_text(self, pointsets, k, n):
+        ps = pointsets(k, n)
+        rng = np.random.default_rng([k, n])
+        emb = Embedding(rng.standard_normal((len(ps), 4)), ps.graph)
+        report = constraint_report(ps.graph, emb)
+        text = constraint_table_csv(report)
+        assert "entries" not in report.__dict__
+        assert text == _entries_table(report)
 
 
 class TestLift:

@@ -7,7 +7,9 @@ the selftest checks, and the d=16 and d=13 certificates before the
 all-pairs pass summed coordinate planes instead of rows. Their seeds are
 ones whose output changes if the per-pair sums are taken in sequence, or
 with d=13's five trailing terms added before the eight partial sums are
-combined. Any refactor that keeps behaviour keeps them;
+combined. The P(2,6) and P(3,5) certificates, the certify_deep shape and
+one with two-word labels, were recorded before the all-pairs pass
+screened its tiles in float32. Any refactor that keeps behaviour keeps them;
 a change here is a change of output format or numerics and must be
 deliberate.
 """
@@ -82,6 +84,36 @@ CERTIFY_CASES = [
         "constraint_table -> <table>\n"
         "certify: consistent epsilon=0.965988 min_dimension=1 d=13\n",
         "dc3ab17aa5e8f4643fa5ee77ec89daecb7c0268e9eb12adcdba8ecd03483f569",
+    ),
+    (
+        2, 6, 16, 1,
+        "epsilon=0.9927564037961065\n"
+        "delta=0.49637820189805326\n"
+        "per_level_term=3.784920886285015e-05\n"
+        "raw_bound=7.87114120653909e-05\n"
+        "min_dimension=1\n"
+        "embedding_dimension=16\n"
+        "distortion=365.36422861845944\n"
+        "applicable=true\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.992756 min_dimension=1 d=16\n",
+        "59649285ee9136ab294d5a74666b024ea62e6a4fbb72bec708f0cc8266e0cc33",
+    ),
+    (
+        3, 5, 16, 1,
+        "epsilon=0.9982314899815593\n"
+        "delta=0.9982314899815593\n"
+        "per_level_term=0.0\n"
+        "raw_bound=0.0\n"
+        "min_dimension=1\n"
+        "embedding_dimension=16\n"
+        "distortion=1568.4706029509698\n"
+        "applicable=false\n"
+        "consistent=true\n"
+        "constraint_table -> <table>\n"
+        "certify: consistent epsilon=0.998231 min_dimension=1 d=16\n",
+        "e6480f4ec29616b0e1fbb12b6413d85d7918dbeb45106fa3655af38ac3d3c4ae",
     ),
 ]
 

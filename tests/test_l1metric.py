@@ -14,6 +14,11 @@ Core claims:
     - the streaming distortion pass equals a fold over the full matrices
       field for field at any block size, holds no N x N matrix, and
       certify builds neither the label distance matrix nor pairwise_l1
+    - its float32 screen skips nine tiles in ten of a Gaussian P(2,6),
+      d=16, screens an exact isometry in the first strip only, redoes the
+      tiles of tied lowest ratios in a later strip, and is not set up for
+      inputs float32 cannot bound (tests/test_distortion_properties.py
+      stresses its margin)
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
     - a canonical L1EMB file is read by one np.loadtxt parse into one
@@ -38,7 +43,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import reference_labels
+from conftest import full_matrix_report, naive_pairwise, reference_labels
 from l1cert import l1metric, pointset
 from l1cert.certifier import (
     certificate_to_text,
@@ -182,22 +187,6 @@ class TestDistortion:
         ):
             with pytest.raises(ValueError, match="^embedding is for k=2 n=2, graph has k=2 n=3$"):
                 consumer()
-
-
-def naive_pairwise(points):
-    return np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
-
-
-def full_matrix_report(points, original):
-    """The worst ratios by definition: naive_pairwise(points) against `original`, over i < j."""
-    iu = np.triu_indices(len(points), 1)
-    de = naive_pairwise(points)[iu]
-    do = original[iu]
-    expansion = float(np.max(de / do))
-    if np.any(de == 0.0):
-        return DistortionReport(expansion, math.inf, math.inf)
-    contraction = float(np.max(do / de))
-    return DistortionReport(expansion, contraction, expansion * contraction)
 
 
 def dense_distortion(ps, emb):
@@ -347,6 +336,84 @@ class TestStreamingDistortion:
         assert cert.consistent
         assert "distance_matrix" not in ps.__dict__
         assert calls == []
+
+
+def count_tiles(monkeypatch):
+    """Patch l1metric._l1_tile to log (bytes per float, i0, j0) per call; returns the log."""
+    calls = []
+    real = l1metric._l1_tile
+
+    def counting(planes, flat, i0, i1, j0, j1):
+        calls.append((planes.itemsize, i0, j0))
+        return real(planes, flat, i0, i1, j0, j1)
+
+    monkeypatch.setattr(l1metric, "_l1_tile", counting)
+    return calls
+
+
+def tile_count(ps, d):
+    rows, cols = l1metric._tile_shape(len(ps), d, ps._bitplanes.shape[0])
+    return len(list(l1metric._tile_bounds(len(ps), rows, cols)))
+
+
+class TestFloat32Screen:
+    """The float32 screen skips tiles without changing the report, and knows when to stop."""
+
+    def test_skips_nine_tiles_in_ten_of_a_gaussian_embedding(self, pointsets, monkeypatch):
+        ps = pointsets(2, 6)
+        emb = Embedding(np.random.default_rng(1).standard_normal((len(ps), 16)), ps.graph)
+        calls = count_tiles(monkeypatch)
+        distortion(ps, emb)
+        total = tile_count(ps, 16)
+        exact = sum(1 for size, *_ in calls if size == 8)
+        assert sum(1 for size, *_ in calls if size == 4) == total - 1
+        assert total - exact >= 0.9 * total
+
+    def test_identity_is_screened_in_the_first_strip_at_most(self, pointsets, monkeypatch):
+        # Every ratio ties, so every screened tile is redone for nothing.
+        ps = pointsets(2, 6)
+        calls = count_tiles(monkeypatch)
+        report = distortion(ps, identity_embedding(ps))
+        assert report == DistortionReport(1.0, 1.0, 1.0)
+        screened = [i0 for size, i0, _ in calls if size == 4]
+        assert 0 < len(screened) and set(screened) == {0}
+        assert sum(1 for size, *_ in calls if size == 8) == tile_count(ps, ps.dimension)
+
+    @pytest.mark.parametrize("block", [1, 1025, pointset.BLOCK_ELEMENTS])
+    def test_tied_lowest_ratios_in_a_later_strip(self, pointsets, monkeypatch, block):
+        # The construction of test_contraction_among_tied_lowest_ratios, on
+        # rows 960 to 1007 of P(3,4): strips after the first exact tiles.
+        ps = pointsets(3, 4)
+        assert ps.distance_matrix[960, 963] == 3 and ps.distance_matrix[1000, 1007] == 5
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", block)
+        points = np.array([[3000.0 * (i + 1)] * 2 for i in range(len(ps))])
+        points[[960, 963]] = [[0.0, 1000.0], [1.0, 1000.0]]
+        points[[1000, 1007]] = [[1000.0, 0.0], [1000.0, 1.6666666666666665]]
+        calls = count_tiles(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = distortion(ps, Embedding(points, ps.graph))
+        assert report.contraction == 5 / 1.6666666666666665 > 3.0
+        assert report == full_matrix_report(points, ps.distance_matrix)
+        # The strips of both tied pairs were screened and redone exactly.
+        rows, _ = l1metric._tile_shape(len(ps), 2, ps._bitplanes.shape[0])
+        strips = {960 // rows * rows, 1000 // rows * rows}
+        assert strips <= {i0 for size, i0, _ in calls if size == 4}
+        assert strips <= {i0 for size, i0, _ in calls if size == 8}
+
+    def test_inputs_float32_cannot_bound_are_not_screened(self, pointsets, monkeypatch):
+        ps = pointsets(2, 5)
+        rows = np.random.default_rng(3).standard_normal((len(ps), 4))
+        calls = count_tiles(monkeypatch)
+        # Past float32's range once centred, and below its smallest normal.
+        for points in (1e308 * (1.0 + 1e-3 * rows), rows * 2.0**-140):
+            calls.clear()
+            distortion(ps, Embedding(points, ps.graph))
+            assert calls and all(size == 8 for size, *_ in calls)
+        planes = np.ascontiguousarray(rows.T)
+        flat = np.empty(4 * 512)
+        assert l1metric._screen_points(planes, 2**24 - 1, flat, 512) is not None
+        assert l1metric._screen_points(planes, 2**24, flat, 512) is None
 
 
 class TestNormalizeLipschitz:

@@ -10,6 +10,8 @@ Core claims:
     - the per-level index arrays and the level-by-level labels equal the
       recursive per-edge and per-vertex references, and building a point
       set plus its constraint report never calls those references
+    - the packed labels are built in slices of cycles: the same words with
+      slices of one cycle, and a traced peak of the planes and a few slices
     - vertex_names equals str() of every vertex; the vertices tuple and the
       edges dict are built only when read, and neither point_set, the P1
       writer nor a canonical P1 parse builds the vertices
@@ -30,6 +32,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +358,29 @@ class TestDistanceMatrix:
         got = PointSet(ps.graph)._bitplanes
         assert got.dtype == want.dtype and got.shape == (words, len(ps))
         assert np.array_equal(got, want.T)
+
+    @pytest.mark.parametrize("k,n", [(2, 6), (3, 4), (5, 3)])
+    def test_bitsets_equal_in_slices_of_one_cycle(self, pointsets, monkeypatch, k, n):
+        # TEXT_BLOCK 1 takes every level one cycle at a time.
+        want = PointSet(pointsets(k, n).graph)._bitplanes
+        monkeypatch.setattr(pointset, "TEXT_BLOCK", 1)
+        got = PointSet(pointsets(k, n).graph)._bitplanes
+        assert np.array_equal(got, want)
+
+    def test_bitsets_hold_the_planes_and_a_few_slices(self, pointsets):
+        # P(2,8): 43,692 vertices of four words, 16,384 last-level cycles.
+        k, n = 2, 8
+        ps = PointSet(pointsets(k, n).graph)
+        tracemalloc.start()
+        try:
+            planes = ps._bitplanes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The planes, a few int64 entries per last-level cycle (its tail and
+        # block start, and the temporaries they are built from), and the
+        # masks and tail gathers of a few slices of TEXT_BLOCK bytes.
+        assert peak <= planes.nbytes + 8 * 4 * (2 * k) ** (n - 1) + 8 * pointset.TEXT_BLOCK
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3)])
     def test_equals_interval_distance_on_every_pair(self, pointsets, k, n):
