@@ -36,7 +36,7 @@ from .l1metric import (
     scale_embedding,
     vertex_matrix,
 )
-from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
+from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints, level_prefixes
 
 LIFT_NORM_SLACK = 1e-6
 # Largest exponent of an exact dimension bound: its decimal form stays under
@@ -184,6 +184,10 @@ def constraint_report(graph: RecursiveCycleGraph, emb: Embedding) -> ConstraintR
     partial sums accumulated over b in order; constraint_lhs, the
     per-prefix reference, sums the two sides separately and so agrees to
     rounding.
+
+    The paired edge sums telescope around each cycle: lhs(l, p, r) is
+    ||F(c_r) - F(c_{r+k})||_1 / k**(n-l+1), the embedded over label distance
+    of the antipodal pair (r, r+k) on prefix p's cycle c (to rounding).
     """
     params = graph.params
     k, n, cyc = params.k, params.n, params.cycle_length
@@ -364,17 +368,14 @@ def certificate_to_text(cert: CertificateReport) -> str:
 def constraint_table_csv(report: ConstraintReport) -> str:
     """Per-constraint CSV: level,prefix,r,lhs (prefix dotted, empty for level 1).
 
-    Written from `report.lhs` level by level: the dotted prefixes of a
-    level are the previous level's, each extended by 1..2k, and each row's
-    head "level,prefix,r," is joined with the repr of its value.
+    Written from `report.lhs` level by level, with the prefixes that
+    pointset.level_prefixes spells: each row's head "level,prefix,r," is
+    joined with the repr of its value.
     """
     lines = ["level,prefix,r,lhs"]
-    prefixes = [""]
-    for level, values in enumerate(report.lhs, start=1):
-        k = values.shape[1] + 1
+    k = report.lhs[0].shape[1] + 1
+    levels = zip(level_prefixes(k, len(report.lhs)), report.lhs)
+    for level, (prefixes, values) in enumerate(levels, start=1):
         heads = [f"{level},{prefix},{r}," for prefix in prefixes for r in range(1, k)]
         lines += map(str.__add__, heads, map(repr, values.ravel().tolist()))
-        if level < len(report.lhs):
-            coords = [str(b) for b in range(1, 2 * k + 1)]
-            prefixes = [f"{p}.{c}" if p else c for p in prefixes for c in coords]
     return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from .pointset import (
     build_graph,
     point_set,
     pointset_from_text,
-    pointset_to_text,
+    pointset_to_file,
 )
 from .selftest import SUITES, run_selftest
 
@@ -35,7 +35,7 @@ def _cmd_generate(args) -> int:
     params = GraphParams(args.k, args.n)
     ps = point_set(build_graph(params))
     out = Path(args.out) if args.out else Path(f"pointset_k{params.k}_n{params.n}.txt")
-    out.write_text(pointset_to_text(ps), encoding="utf-8")
+    pointset_to_file(ps, out)
     print(f"vertices={len(ps)}")
     print(f"label_dimension={params.label_length}")
     print(f"edges={params.cycle_length ** params.n}")

@@ -214,13 +214,9 @@ class RecursiveCycleGraph:
         """str(v) for every vertex in export order, built from path-prefix strings."""
         k, cyc, n = self.params.k, self.params.cycle_length, self.params.n
         positions = [f"/{q}" for q in range(1, cyc) if q != k]
-        coords = [str(b) for b in range(1, cyc + 1)]
         names = ["L", "R"]
-        paths = [""]
-        for level in range(1, n + 1):
+        for paths in level_prefixes(k, n):
             names += [path + pos for path in paths for pos in positions]
-            if level < n:
-                paths = [f"{path}.{c}" if path else c for path in paths for c in coords]
         return tuple(names)
 
     @cached_property
@@ -232,9 +228,10 @@ class RecursiveCycleGraph:
         edge_endpoints orients them (flip_bottom included).
         """
         k = self.params.k
+        ends = _edge_ends(k, self.flip_bottom)
         out = []
-        for cycles in _level_cycles(self.params):
-            tail, head = _cycle_edges(cycles, k, self.flip_bottom)
+        for _, first, tails, heads, _, _ in _levels(self.params):
+            tail, head = _edge_rows(first, tails.astype(np.intp), heads.astype(np.intp), k, ends)
             tail.flags.writeable = False
             head.flags.writeable = False
             out.append((tail, head))
@@ -298,45 +295,72 @@ def _edge_endpoints_raw(
     raise ValueError(f"edge coordinate {b} out of range 1..{2 * k}")
 
 
-def _level_cycles(params: GraphParams) -> list[np.ndarray]:
-    """Vertex indices around every cycle: one ((2k)**(l-1), 2k) matrix per level l.
+def level_prefixes(k: int, levels: int):
+    """Each level's dotted edge-coordinate prefixes in lexicographic order ("" for level 1)."""
+    coords = [str(b) for b in range(1, 2 * k + 1)]
+    prefixes = [""]
+    for level in range(1, levels + 1):
+        yield prefixes
+        if level < levels:
+            prefixes = [f"{p}.{c}" if p else c for p in prefixes for c in coords]
 
-    Row p is the cycle refining the p-th level-(l-1) edge in lexicographic
-    order (the root edge for l = 1) and column q is cycle position q. Columns
-    0 and k hold that edge's canonical (never flipped) tail and head; the
-    other columns are the cycle's new inner vertices, numbered in export
-    order. This is the array form of _cycle_vertex for a whole level.
+
+def _levels(params: GraphParams):
+    """Every level's cycles as arrays: (level, first, tails, heads, starts, ones) for l = 1..n.
+
+    Cycle c of level l refines the c-th level-(l-1) edge in lexicographic order; its
+    2k-2 inner vertices are rows first + c*(2k-2) onward. tails[c] and heads[c] are the
+    rows of that edge's canonical (never flipped) tail and head, and starts[c] the start
+    of its coordinate block, where the tail's label is all zeros; the i-th inner vertex's
+    label adds [starts[c] + a, starts[c] + b) for (a, b) = ones[i]. The next level's tails
+    and heads are this level's edge ends (_edge_rows). The three arrays are int32:
+    build_graph's graphs have under 2**22 rows and label bits.
     """
-    k, cyc = params.k, params.cycle_length
+    assert max(vertex_count(params), params.label_length) <= np.iinfo(np.int32).max
+    k, n, cyc = params.k, params.n, params.cycle_length
     inner = [q for q in range(1, cyc) if q != k]
-    tail, head = np.array([0]), np.array([1])
-    created = 2
-    out = []
-    for _ in range(params.n):
-        rows = tail.size
-        cycles = np.empty((rows, cyc), dtype=np.intp)
-        cycles[:, 0] = tail
-        cycles[:, k] = head
-        cycles[:, inner] = np.arange(created, created + rows * (cyc - 2)).reshape(rows, -1)
-        created += rows * (cyc - 2)
-        out.append(cycles)
-        tail, head = _cycle_edges(cycles, k, False)
-    return out
+    ends = _edge_ends(k, False)
+    # Block offset of edge b inside its parent's block, in sub-block units.
+    offsets = np.array([k - (b if b <= k else b - k) for b in range(1, cyc + 1)], np.int32)
+    tails, heads = np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.int32)
+    starts, first = np.zeros(1, dtype=np.int32), 2
+    for level in range(1, n + 1):
+        sub = k ** (n - level)
+        # Top q < k has the last q sub-blocks, bottom q the first 2k-q.
+        ones = [((k - q) * sub, k * sub) if q < k else (0, (cyc - q) * sub) for q in inner]
+        yield level, first, tails, heads, starts, np.array(ones)
+        if level < n:
+            starts = (starts[:, None] + offsets * sub).ravel()
+            tails, heads = _edge_rows(first, tails, heads, k, ends)
+            first += tails.size // cyc * (cyc - 2)  # the new rows of the level just walked
 
 
-def _cycle_edges(
-    cycles: np.ndarray, k: int, flip_bottom: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, head) of edge b = 1..2k of every cycle, flattened cycle-major.
+def _edge_rows(first: int, tails: np.ndarray, heads: np.ndarray, k: int, ends) -> tuple:
+    """(tail, head) rows of edge b = 1..2k of each cycle of a level of _levels, cycle-major.
+
+    Taken at `ends` (_edge_ends) from the level's cycle rows (_cycle_vertex for a level):
+    position q at [q // k, q % k] of a (cycles, 2, k) array holds the tails at 0, heads at
+    k, new rows from `first` on elsewhere; take, not a fancy index, so ravel copies nothing.
+    """
+    rows = tails.size
+    cycles = np.empty((rows, 2, k), dtype=tails.dtype)
+    cycles[:, 0, 0], cycles[:, 1, 0] = tails, heads
+    cycles[:, :, 1:] = np.arange(first, first + rows * (2 * k - 2)).reshape(rows, 2, -1)
+    cycles = cycles.reshape(rows, 2 * k)
+    return cycles.take(ends[0], axis=1).ravel(), cycles.take(ends[1], axis=1).ravel()
+
+
+def _edge_ends(k: int, flip_bottom: bool) -> tuple[list[int], list[int]]:
+    """The cycle positions of the tail and head of edge b = 1..2k.
 
     Top edge b runs from position b-1 to b, bottom edge b from position
     b mod 2k to b-1 (see _edge_endpoints_raw); flip_bottom swaps the latter.
     """
-    tails = list(range(k)) + [b % (2 * k) for b in range(k + 1, 2 * k + 1)]
-    heads = list(range(1, k + 1)) + list(range(k, 2 * k))
+    tails = [*range(k), *range(k + 1, 2 * k), 0]
+    heads = [*range(1, k + 1), *range(k, 2 * k)]
     if flip_bottom:
         tails, heads = tails[:k] + heads[k:], heads[:k] + tails[k:]
-    return cycles[:, tails].ravel(), cycles[:, heads].ravel()
+    return tails, heads
 
 
 def _validate_prefix(params: GraphParams, prefix: tuple[int, ...]) -> tuple[int, ...]:
@@ -460,10 +484,10 @@ class PointSet:
 
     Everything is derived from the graph on first read. The labels are
     held in one form, packed bits (`_bitplanes`), built from the level
-    arrays of _cycle_levels, so no program path builds a label object:
-    `certify`, `identity_embedding` and the self test read the bits, the
-    P1 writer builds the canonical text from the same arrays, and the P1
-    reader compares with it. Per-vertex `IntervalLabel`s come only from the
+    walk _levels, so no program path builds a label object: `certify`,
+    `identity_embedding` and the self test read the bits, the P1 writer
+    builds the canonical text from the same walk, and the P1 reader
+    compares with it. Per-vertex `IntervalLabel`s come only from the
     references (`_label_of`, `vertex_label`).
     """
 
@@ -489,7 +513,7 @@ class PointSet:
         """Labels as little-endian uint64 words, shape (words, N): one column per vertex.
 
         Word-major, so per-word popcounts add as whole planes. Built level
-        by level from _cycle_levels without a label object: an inner
+        by level from _levels without a label object: an inner
         vertex's words are its tail's ORed with the mask of its interval.
         A level is taken in slices of cycles whose words take about
         TEXT_BLOCK bytes, as the P1 writer takes them, so the masks and
@@ -508,7 +532,7 @@ class PointSet:
 
         planes = np.empty((len(bit), len(self)), dtype="<u8")
         planes[:, :2] = masks(np.array([0, 0]), np.array([0, total]))
-        for _, first, tails, starts, ones in _cycle_levels(self.params):
+        for _, first, tails, _, starts, ones in _levels(self.params):
             step = max(1, TEXT_BLOCK // (8 * len(bit) * len(ones)))
             for c0 in range(0, tails.size, step):
                 a, b = (starts[c0 : c0 + step, None, None] + ones).reshape(-1, 2).T
@@ -550,38 +574,6 @@ class PointSet:
 def point_set(graph: RecursiveCycleGraph) -> PointSet:
     """The point set of a built graph; its labels are computed on first read."""
     return PointSet(graph)
-
-
-def _cycle_levels(params: GraphParams):
-    """Every level's cycles as arrays: (level, first, tails, starts, ones) for l = 1..n.
-
-    Level l has (2k)**(l-1) cycles in export order, and cycle c's 2k-2
-    inner vertices are rows first + c*(2k-2) onward, in export order.
-    tails[c] is the row of the cycle's tail and starts[c] the start of its
-    coordinate block, on which the tail's label is all zeros; the i-th inner
-    vertex's label is the tail's plus the ones-interval
-    [starts[c] + a, starts[c] + b) for (a, b) = ones[i]. Only these two
-    arrays are kept per level, not the whole cycles of _level_cycles.
-    """
-    k, n = params.k, params.n
-    cyc = 2 * k
-    inner = [q for q in range(1, cyc) if q != k]
-    # The cycle position of edge b's canonical tail (see _cycle_edges) as an
-    # inner-vertex number, or -1 for position 0, the cycle's own tail.
-    tail_at = np.array([inner.index(q) if q else -1 for q in [*range(k), *range(k + 1, cyc), 0]])
-    # Block offset of edge b inside its parent's block, in sub-block units.
-    offsets = np.array([k - (b if b <= k else b - k) for b in range(1, cyc + 1)])
-    tails, starts, first = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64), 2
-    for level in range(1, n + 1):
-        sub = k ** (n - level)
-        # Top q < k has the last q sub-blocks, bottom q the first 2k-q.
-        ones = [((k - q) * sub, k * sub) if q < k else (0, (cyc - q) * sub) for q in inner]
-        yield level, first, tails, starts, np.array(ones)
-        if level < n:
-            end = first + tails.size * (cyc - 2)
-            rows = np.arange(first, end, cyc - 2)[:, None] + tail_at
-            rows[:, tail_at < 0] = tails[:, None]
-            tails, starts, first = rows.ravel(), (starts[:, None] + offsets * sub).ravel(), end
 
 
 def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
@@ -647,7 +639,7 @@ def _inserted(base: np.ndarray, starts: np.ndarray, ones: np.ndarray) -> np.ndar
 def _p1_blocks(ps: PointSet):
     """The P1 text of `ps` in blocks of whole lines of about TEXT_BLOCK characters.
 
-    Built level by level from _cycle_levels, in slices of cycles whose
+    Built level by level from _levels, in slices of cycles whose
     line words take about TEXT_BLOCK bytes; a block is yielded once it has
     TEXT_BLOCK characters. Only the vertices above depth n keep their
     intervals (`held`, padded rows), as the next level's tails; _inserted
@@ -672,7 +664,7 @@ def _p1_blocks(ps: PointSet):
     slash = digits[[q for q in range(1, cyc) if q != k]] << 8 | ord("/")
     chunks = [f"P1 k={k} n={n} N={len(ps)} dim={total}\n", "L -\n", f"R 0-{total}\n"]
     size = sum(map(len, chunks))
-    for level, first, tails, starts, ones in _cycle_levels(p):
+    for level, first, tails, _, starts, ones in _levels(p):
         # A line: level - 1 path words ("c", ".c", ...), "/q", 2 * level
         # interval words (pad after the last interval) and "\n".
         width = 3 * level + 1
@@ -709,6 +701,12 @@ def pointset_to_text(ps: PointSet) -> str:
     characters.
     """
     return "".join(_p1_blocks(ps))
+
+
+def pointset_to_file(ps: PointSet, path) -> None:
+    """Write the P1 text of `ps` to `path`, holding one block of it at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_p1_blocks(ps))
 
 
 def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict[str, int]:

@@ -12,7 +12,8 @@ Core claims:
       per-level arrays, equals the text built from the entries
     - the per-level vectorized constraint_report equals the per-prefix loop
       it replaced float for float, in (level, prefix, r) order, and
-      constraint_lhs to rounding
+      constraint_lhs and the antipodal pair ratios of antipodal_pairs to
+      rounding
     - the lift is a valid distribution, recovers exactly, never grows norms
     - dimension bounds reproduce independently computed values; the ceil
       guard rounds down within 1e-9 of an integer, and past float range
@@ -271,6 +272,23 @@ class TestConstraintReportEqualsReference:
             assert e.lhs == pytest.approx(
                 constraint_lhs(graph, emb, e.prefix, e.r), rel=1e-12, abs=1e-12
             )
+
+    # d=5 maps, from one to three levels; (2, 1) and (3, 1) have a single cycle.
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (5, 2), (2, 1), (3, 1)])
+    def test_every_entry_equals_its_antipodal_pair_ratio(self, k, n):
+        # The paired edge sums telescope around each cycle: lhs(l, p, r) is
+        # ||F(c_r) - F(c_{r+k})||_1 / k**(n-l+1) on prefix p's cycle, with
+        # the pairs taken from the per-address reference antipodal_pairs.
+        graph = build_graph(GraphParams(k, n))
+        row = {v: i for i, v in enumerate(graph.vertices)}
+        x = np.random.default_rng([k, n, 5]).standard_normal((len(row), 5))
+        report = constraint_report(graph, Embedding(x, graph))
+        for level, values in enumerate(report.lhs, start=1):
+            pairs = np.array([(row[a], row[b]) for a, b in antipodal_pairs(graph, level)])
+            # (cycle, r, end) for r = 1..k-1: pair r of each cycle is (c_r, c_{r+k}).
+            ends = pairs.reshape(-1, k, 2)[:, 1:]
+            want = np.abs(x[ends[..., 0]] - x[ends[..., 1]]).sum(axis=-1) / k ** (n - level + 1)
+            np.testing.assert_allclose(values, want, rtol=0, atol=1e-12)
 
 
 def _entries_table(report):

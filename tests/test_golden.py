@@ -9,7 +9,9 @@ ones whose output changes if the per-pair sums are taken in sequence, or
 with d=13's five trailing terms added before the eight partial sums are
 combined. The P(2,6) and P(3,5) certificates, the certify_deep shape and
 one with two-word labels, were recorded before the all-pairs pass
-screened its tiles in float32. Any refactor that keeps behaviour keeps them;
+screened its tiles in float32. The level_edges and packed-label digests
+were recorded before the graph, the packed labels and the P1 writer
+shared one level walk. Any refactor that keeps behaviour keeps them;
 a change here is a change of output format or numerics and must be
 deliberate.
 """
@@ -22,7 +24,7 @@ import pytest
 
 from l1cert.cli import main
 from l1cert.l1metric import embedding_to_text, make_embedding
-from l1cert.pointset import pointset_to_text
+from l1cert.pointset import GraphParams, build_graph, point_set, pointset_to_text
 
 CERTIFY_CASES = [
     (
@@ -123,6 +125,20 @@ GENERATE_SHA256 = {
     (4, 3): "f34c502549e6f8149501ab8b743be75c97d0bdbb9ad5521ae481c8dbf5ced824",
 }
 
+# sha256 over every level's tail then head indices as little-endian int64.
+LEVEL_EDGES_SHA256 = {
+    (3, 6, False): "8cd084ee6ac75ddfd0ce184c0e0f5e1782f0462bcfb7408abbf0136546f35df0",
+    (3, 6, True): "7fcdc123fa298c956762801f25e837118623d5978f65004b4a0cef050a89a1e9",
+    (2, 8, False): "de7f2dbd87b1f44307469374fd5e36fe201b93ab2195a476c308ead160b537bd",
+    (2, 8, True): "cd8bc50059d2b88afe2a026421e0947b35fd89b847440a4188486b2f52b8708a",
+}
+
+# sha256 of the (words, N) little-endian uint64 packed labels.
+BITPLANES_SHA256 = {
+    (2, 8): "8e5da665112fc02f26a0e835c613e770c67ff6f05a22d4e4e3c68fc92946c9dc",
+    (2, 10): "741937eaa8dd6cc626e674170467527e44b5b8c6c579c012b09ac0122930b25d",
+}
+
 SEARCH_REPORT = (
     "distortion=8.909305217664155\n"
     "expansion=3.459966081254861\n"
@@ -182,6 +198,22 @@ def test_generate_output(tmp_path, k, n):
     out = tmp_path / "p1.txt"
     assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(out)]) == 0
     assert sha256(out) == GENERATE_SHA256[(k, n)]
+
+
+@pytest.mark.parametrize("k,n,flip", sorted(LEVEL_EDGES_SHA256))
+def test_level_edges(k, n, flip):
+    digest = hashlib.sha256()
+    for tail, head in build_graph(GraphParams(k, n), flip_bottom=flip).level_edges:
+        digest.update(tail.astype("<i8").tobytes())
+        digest.update(head.astype("<i8").tobytes())
+    assert digest.hexdigest() == LEVEL_EDGES_SHA256[(k, n, flip)]
+
+
+@pytest.mark.parametrize("k,n", sorted(BITPLANES_SHA256))
+def test_bitplanes(k, n):
+    planes = point_set(build_graph(GraphParams(k, n)))._bitplanes
+    assert planes.dtype == np.dtype("<u8")
+    assert hashlib.sha256(planes.tobytes()).hexdigest() == BITPLANES_SHA256[(k, n)]
 
 
 @pytest.mark.parametrize("k,n,d,seed,stdout,table_sha256", CERTIFY_CASES)

@@ -186,7 +186,8 @@ class TestLevelArrays:
     """The level-by-level arrays against the recursive references."""
 
     @pytest.mark.parametrize("flip", [False, True])
-    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (9, 2)])
+    # Depth 1 is the walk's single level, with no next level to derive.
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (9, 2), (2, 1), (5, 1)])
     def test_level_edges_equal_edge_endpoints(self, k, n, flip):
         graph = build_graph(GraphParams(k, n), flip_bottom=flip)
         assert "edges" not in graph.__dict__

@@ -17,8 +17,9 @@ Core claims:
     - memory: the canonical L1EMB read of a pre-read text holds the
       matrix, its finiteness mask and a few blocks; the P1 writer holds
       its text, the intervals of the vertices above depth n, the last
-      level's per-cycle arrays and a few blocks; and the canonical P1
-      read holds less than the writer less half the text
+      level's per-cycle arrays and a few blocks; `generate`, which writes
+      the blocks as they come, holds less than its text; and the canonical
+      P1 read holds less than the writer less half the text
 """
 
 import hashlib
@@ -278,6 +279,18 @@ def test_p1_writer_holds_its_text_the_upper_intervals_and_a_few_blocks(monkeypat
     above = vertex_count(GraphParams(k, n - 1))
     bound = 4 * 2 * n * above + 8 * 4 * (2 * k) ** (n - 1) + 16 * 2**12
     assert peak - len(texts[0]) <= bound
+
+
+def test_generate_holds_less_than_its_text(tmp_path, monkeypatch):
+    # P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long:
+    # generate writes each block as it comes and never holds the text.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
+    out = tmp_path / "p1.txt"
+    argv = ["generate", "-k", "2", "-n", "7", "-o", str(out)]
+    peak = traced_peak(lambda: main(argv))
+    assert peak < out.stat().st_size
+    want = pointset_to_text(point_set(build_graph(GraphParams(2, 7))))
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
