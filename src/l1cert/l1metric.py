@@ -26,8 +26,9 @@ from .pointset import (
     IntervalLabel,
     PointSet,
     RecursiveCycleGraph,
-    VertexAddress,
+    _name,
     _parse_header,
+    _split,
     build_graph,
     check_address,
     vertex_count,
@@ -65,12 +66,13 @@ def l1_interval_distance(a: IntervalLabel, b: IntervalLabel) -> int:
 class Embedding:
     """Vectors in R**dimension: one row of the read-only (N, d) `matrix` per vertex.
 
-    Row i is the vector of `graph.vertices[i]`: the rows follow the
-    graph's export order, so no address is built to read them. The
-    matrix is held as float64, so an embedding certifies the same as its
-    L1EMB text; a float64 matrix is kept without a copy. A shape other
-    than (vertex count, d >= 1) and non-finite entries are rejected.
-    `vectors` is the per-address view that the slow references and the
+    Row i is the vector of the vertex named `graph.vertices[i]`: the
+    rows follow the graph's export order, so no name is looked up to read
+    them. The matrix is held as float64, so an embedding certifies the
+    same as its L1EMB text; a float64 matrix is kept without a copy. A
+    shape other than (vertex count, d >= 1) and non-finite entries are
+    rejected.
+    `vectors` is the name-keyed view that the slow references and the
     tests read; the array paths never build it.
     """
 
@@ -88,7 +90,7 @@ class Embedding:
         # NaN propagates through min and max; the row mask is built only on failure.
         if not (math.isfinite(self.matrix.min()) and math.isfinite(self.matrix.max())):
             finite = np.isfinite(self.matrix).all(axis=1)
-            name = self.graph.vertex_names[int(finite.argmin())]
+            name = self.graph.vertices[int(finite.argmin())]
             raise ValueError(f"non-finite entries in vector for {name}")
         self.matrix.flags.writeable = False
 
@@ -97,24 +99,38 @@ class Embedding:
         return self.matrix.shape[1]
 
     @cached_property
-    def vectors(self) -> Mapping[VertexAddress, np.ndarray]:
-        """Read-only address -> row view, built on first read (for references and tests)."""
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        """Read-only vertex name -> row view, built on first read (for references and tests)."""
         return MappingProxyType(dict(zip(self.graph.vertices, self.matrix)))
 
 
-def make_embedding(vectors) -> Embedding:
-    """Stack a mapping address -> vector into rows in the export order of its P(k, n).
+def _inner_shape(key) -> tuple[int, int] | None:
+    """(creation level, position) of a key spelled as a canonical inner vertex name, else None."""
+    if not isinstance(key, str):
+        return None
+    try:
+        path, q = _split(key)
+    except ValueError:
+        return None
+    if min((*path, q)) < 1 or _name(path, q) != key:
+        return None
+    return len(path) + 1, q
 
-    n is the deepest creation level among the addresses, and k follows
-    from the largest position, which is 2k - 1. The mapping's own order
-    does not matter; a mapping that misses a vertex of that graph or
-    names one outside it is a ValueError.
+
+def make_embedding(vectors) -> Embedding:
+    """Stack a mapping vertex name -> vector into rows in the export order of its P(k, n).
+
+    n is the deepest creation level among the keys spelled as canonical
+    inner names, and k follows from their largest position, which is
+    2k - 1. The mapping's own order does not matter; a mapping that misses
+    a vertex of that graph or has any other key (another graph's name, a
+    non-canonical spelling, a non-string) is a ValueError.
     """
-    inner = [a for a in vectors if isinstance(a, VertexAddress) and a.kind == "inner"]
+    inner = [shape for shape in map(_inner_shape, vectors) if shape]
     if not inner:
         raise ValueError("embedding must cover at least one inner vertex")
-    k = (max(a.position for a in inner) + 1) // 2
-    graph = build_graph(GraphParams(k, max(a.level for a in inner)))
+    k = (max(q for _, q in inner) + 1) // 2
+    graph = build_graph(GraphParams(k, max(level for level, _ in inner)))
     missing = [v for v in graph.vertices if v not in vectors]
     if missing:
         raise ValueError(f"embedding does not cover {len(missing)} vertices, e.g. {missing[0]}")
@@ -126,10 +142,10 @@ def make_embedding(vectors) -> Embedding:
             f"e.g. {foreign[0]}"
         )
     rows = []
-    for addr in graph.vertices:
-        arr = np.asarray(vectors[addr], dtype=float)
+    for name in graph.vertices:
+        arr = np.asarray(vectors[name], dtype=float)
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError(f"vector for {addr} must be one-dimensional and non-empty")
+            raise ValueError(f"vector for {name} must be one-dimensional and non-empty")
         if rows and arr.size != rows[0].size:
             raise ValueError("embedding vectors have inconsistent lengths")
         rows.append(arr)
@@ -482,7 +498,7 @@ def embedding_to_text(ps: PointSet, emb: Embedding) -> str:
     """Serialize in the L1EMB v1 text format, one vertex per line in export order."""
     p = ps.params
     lines = [f"L1EMB v1 d={emb.dimension} N={len(ps)} k={p.k} n={p.n}"]
-    for name, row in zip(ps.graph.vertex_names, vertex_matrix(ps.graph, emb).tolist()):
+    for name, row in zip(ps.graph.vertices, vertex_matrix(ps.graph, emb).tolist()):
         lines.append(name + " " + " ".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
@@ -521,7 +537,7 @@ def _canonical_read(text: str, ps: PointSet) -> np.ndarray | None:
     end = text.find("\n", cut + 1)
     if end < 0 or len(text[cut + 1 : end].split()) != d + 1:
         return None
-    names = ps.graph.vertex_names
+    names = ps.graph.vertices
     out = np.empty((len(names), d))
     row, pos = 0, cut + 1
     while pos < len(text):
@@ -593,7 +609,7 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
 def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
     """The per-line reader: every address spelling parse_address accepts, errors by line."""
     out = np.empty((len(lines), d))
-    for lineno, (name, line) in enumerate(zip(ps.graph.vertex_names, lines), start=2):
+    for lineno, (name, line) in enumerate(zip(ps.graph.vertices, lines), start=2):
         parts = line.split()
         if len(parts) != d + 1:
             raise FormatError(f"line {lineno}: expected address plus {d} coordinates")

@@ -83,49 +83,25 @@ class GraphParams:
         return self.k**self.n
 
 
-@dataclass(frozen=True)
-class VertexAddress:
-    """Canonical vertex identity.
-
-    kind is "L" or "R" for the two root-edge endpoints, or "inner" for a
-    vertex created when the cycle refining edge `path` was inserted;
-    `position` is its place along that cycle (1..2k-1, excluding k, since
-    positions 0 and k are the refined edge's endpoints).
-    """
-
-    kind: str
-    path: tuple[int, ...] = ()
-    position: int = 0
-
-    def __str__(self) -> str:
-        if self.kind == "L":
-            return "L"
-        if self.kind == "R":
-            return "R"
-        return ".".join(str(c) for c in self.path) + f"/{self.position}"
-
-    @property
-    def level(self) -> int:
-        """Creation level: 0 for the root endpoints, len(path)+1 otherwise."""
-        return 0 if self.kind != "inner" else len(self.path) + 1
+def _split(name: str) -> tuple[tuple[int, ...], int]:
+    """The (edge path, cycle position) of an inner vertex name "e1.e2/<pos>"."""
+    head, _, q = name.rpartition("/")
+    return tuple(int(c) for c in head.split(".")) if head else (), int(q)
 
 
-ROOT_LEFT = VertexAddress("L")
-ROOT_RIGHT = VertexAddress("R")
+def _name(path: tuple[int, ...], q: int) -> str:
+    """The canonical name of cycle position q on the cycle refining `path`."""
+    return ".".join(map(str, path)) + f"/{q}"
 
 
-def parse_address(text: str, params: GraphParams) -> VertexAddress:
-    """Parse an address string ("L", "R", or "e1.e2/<pos>") and validate it."""
-    if text == "L":
-        return ROOT_LEFT
-    if text == "R":
-        return ROOT_RIGHT
+def parse_address(text: str, params: GraphParams) -> str:
+    """The canonical spelling of an address ("L", "R", or "e1.e2/<pos>"), validated."""
+    if text in ("L", "R"):
+        return text
     if "/" not in text:
         raise FormatError(f"bad vertex address {text!r}")
-    head, _, tail = text.rpartition("/")
     try:
-        path = tuple(int(c) for c in head.split(".")) if head else ()
-        position = int(tail)
+        path, position = _split(text)
     except ValueError as exc:
         raise FormatError(f"bad vertex address {text!r}") from exc
     cyc = params.cycle_length
@@ -133,7 +109,7 @@ def parse_address(text: str, params: GraphParams) -> VertexAddress:
         raise FormatError(f"edge path out of range in address {text!r}")
     if not 1 <= position <= cyc - 1 or position == params.k:
         raise FormatError(f"position out of range in address {text!r}")
-    return VertexAddress("inner", path, position)
+    return _name(path, position)
 
 
 def check_address(token: str, name: str, params: GraphParams) -> None:
@@ -141,7 +117,7 @@ def check_address(token: str, name: str, params: GraphParams) -> None:
 
     The canonical spelling needs no parse; any other must parse to it.
     """
-    if token != name and str(parse_address(token, params)) != name:
+    if token != name and parse_address(token, params) != name:
         raise FormatError(f"address {token!r} out of canonical order")
 
 
@@ -191,27 +167,20 @@ class RecursiveCycleGraph:
 
     `flip_bottom` is a debug hook that reverses every bottom-path edge, so
     the self test can show that the identity-embedding equality check pins
-    the orientation convention. All else is built on first read: `vertices`
-    and `vertex_names` in export order (creation level, then lexicographic
-    edge path, then position), `level_edges` and `edges`.
+    the orientation convention. A vertex is row i of every array and
+    `vertices[i]`, its canonical address: "L" and "R" for the root edge's
+    ends, "e1.e2/<q>" for position q of the cycle refining edge path
+    e1.e2. All else is built on first read: `vertices` in export order
+    (creation level, then lexicographic edge path, then position),
+    `level_edges` and `edges`.
     """
 
     params: GraphParams
     flip_bottom: bool = False
 
     @cached_property
-    def vertices(self) -> tuple[VertexAddress, ...]:
-        """Every vertex address in export order."""
-        k, cyc, n = self.params.k, self.params.cycle_length, self.params.n
-        paths = [p for m in range(n) for p in itertools.product(range(1, cyc + 1), repeat=m)]
-        inner = [VertexAddress("inner", p, q) for p in paths for q in range(1, cyc) if q != k]
-        vertices = (ROOT_LEFT, ROOT_RIGHT, *inner)
-        assert len(vertices) == vertex_count(self.params)
-        return vertices
-
-    @cached_property
-    def vertex_names(self) -> tuple[str, ...]:
-        """str(v) for every vertex in export order, built from path-prefix strings."""
+    def vertices(self) -> tuple[str, ...]:
+        """Every vertex name in export order, built from path-prefix strings."""
         k, cyc, n = self.params.k, self.params.cycle_length, self.params.n
         positions = [f"/{q}" for q in range(1, cyc) if q != k]
         names = ["L", "R"]
@@ -238,7 +207,7 @@ class RecursiveCycleGraph:
         return tuple(out)
 
     @cached_property
-    def edges(self) -> dict[tuple[int, ...], tuple[VertexAddress, VertexAddress]]:
+    def edges(self) -> dict[tuple[int, ...], tuple[str, str]]:
         """Every full-depth coordinate tuple mapped to its oriented (tail, head).
 
         Built from the last level of `level_edges` on first read; the
@@ -259,25 +228,23 @@ def vertex_count(params: GraphParams) -> int:
     return count
 
 
-def _cycle_vertex(params: GraphParams, path: tuple[int, ...], q: int) -> VertexAddress:
-    """Address of cycle position q (0..2k-1) on the cycle refining `path`.
+def _cycle_vertex(params: GraphParams, path: tuple[int, ...], q: int) -> str:
+    """Name of cycle position q (0..2k-1) on the cycle refining `path`.
 
     Positions 0 and k are the refined edge's own endpoints, which keep
-    their older addresses.
+    their older names.
     """
     if q == 0:
         return _edge_endpoints_raw(params, path)[0]
     if q == params.k:
         return _edge_endpoints_raw(params, path)[1]
-    return VertexAddress("inner", tuple(path), q)
+    return _name(path, q)
 
 
-def _edge_endpoints_raw(
-    params: GraphParams, prefix: tuple[int, ...]
-) -> tuple[VertexAddress, VertexAddress]:
+def _edge_endpoints_raw(params: GraphParams, prefix: tuple[int, ...]) -> tuple[str, str]:
     """Oriented endpoints of the level-len(prefix) edge, canonical convention."""
     if not prefix:
-        return ROOT_LEFT, ROOT_RIGHT
+        return "L", "R"
     parent, b = tuple(prefix[:-1]), prefix[-1]
     k = params.k
     if 1 <= b <= k:
@@ -373,9 +340,7 @@ def _validate_prefix(params: GraphParams, prefix: tuple[int, ...]) -> tuple[int,
     return prefix
 
 
-def edge_endpoints(
-    graph: RecursiveCycleGraph, prefix: tuple[int, ...]
-) -> tuple[VertexAddress, VertexAddress]:
+def edge_endpoints(graph: RecursiveCycleGraph, prefix: tuple[int, ...]) -> tuple[str, str]:
     """Oriented (tail, head) of the level-l edge named by a coordinate prefix.
 
     The empty prefix names the root edge (L, R). The head is the endpoint
@@ -405,19 +370,19 @@ def edge_coordinate_block(
     return start, k ** (n - len(prefix))
 
 
-def _label_of(params: GraphParams, addr: VertexAddress) -> IntervalLabel:
+def _label_of(params: GraphParams, name: str) -> IntervalLabel:
     total = params.label_length
-    if addr.kind == "L":
+    if name == "L":
         return IntervalLabel(total, ())
-    if addr.kind == "R":
+    if name == "R":
         return IntervalLabel(total, ((0, total),))
     k = params.k
-    q = addr.position
+    path, q = _split(name)
     if not (1 <= q <= 2 * k - 1 and q != k):
         raise ValueError(f"invalid cycle position {q} for k={k}")
-    tail, _ = _edge_endpoints_raw(params, addr.path)
+    tail, _ = _edge_endpoints_raw(params, path)
     base = _label_of(params, tail)
-    start, block = edge_coordinate_block(params, addr.path)
+    start, block = edge_coordinate_block(params, path)
     sub = block // k
     if q < k:
         # Top position q: ones on the last q sub-blocks of the edge's block.
@@ -429,8 +394,8 @@ def _label_of(params: GraphParams, addr: VertexAddress) -> IntervalLabel:
     return IntervalLabel.make(total, list(base.intervals) + [ones])
 
 
-def vertex_label(graph: RecursiveCycleGraph, v: VertexAddress) -> IntervalLabel:
-    """Label of a vertex as a sparse ones-interval bit vector of length k**n."""
+def vertex_label(graph: RecursiveCycleGraph, v: str) -> IntervalLabel:
+    """Label of a vertex name as a sparse ones-interval bit vector of length k**n."""
     try:
         known = parse_address(str(v), graph.params) == v
     except FormatError:
@@ -456,9 +421,7 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
     return RecursiveCycleGraph(params, flip_bottom)
 
 
-def antipodal_pairs(
-    graph: RecursiveCycleGraph, level: int
-) -> list[tuple[VertexAddress, VertexAddress]]:
+def antipodal_pairs(graph: RecursiveCycleGraph, level: int) -> list[tuple[str, str]]:
     """All diameter pairs of every level-`level` cycle.
 
     Each cycle contributes k pairs (positions q and q+k); their labels are
@@ -488,13 +451,14 @@ class PointSet:
     `identity_embedding` and the self test read the bits, the P1 writer
     builds the canonical text from the same walk, and the P1 reader
     compares with it. Per-vertex `IntervalLabel`s come only from the
-    references (`_label_of`, `vertex_label`).
+    references (`_label_of`, `vertex_label`). Column i of the bits is the
+    label of row i, the vertex named `addresses[i]` (the graph's `vertices`).
     """
 
     graph: RecursiveCycleGraph
 
     @property
-    def addresses(self) -> tuple[VertexAddress, ...]:
+    def addresses(self) -> tuple[str, ...]:
         return self.graph.vertices
 
     @property

@@ -90,9 +90,9 @@ def check_construction(t, ps: PointSet) -> None:
     t.check(cols.shape[1] == len(graph.vertices) and (cols[:, 1:] != cols[:, :-1]).any(0).all())
     tails, heads = graph.level_edges[-1]
     t.check((np.bitwise_count(bits[:, tails] ^ bits[:, heads]).sum(axis=0) == 1).all())
-    row = {name: i for i, name in enumerate(graph.vertex_names)}
+    row = {name: i for i, name in enumerate(graph.vertices)}
     for level in range(1, params.n + 1):
-        pairs = [(row[str(a)], row[str(b)]) for a, b in antipodal_pairs(graph, level)]
+        pairs = [(row[a], row[b]) for a, b in antipodal_pairs(graph, level)]
         t.check(len(pairs) == params.k * params.cycle_length ** (level - 1))
         want = params.k ** (params.n - level + 1)
         a, b = np.array(pairs).T

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from l1cert import pointset
 from l1cert.certifier import constraint_report, dimension_bound
 from l1cert.cli import main
 from l1cert.l1metric import (
@@ -22,7 +23,7 @@ from l1cert.pointset import (
     GraphParams,
     IntervalLabel,
     PointSet,
-    VertexAddress,
+    RecursiveCycleGraph,
     build_graph,
     pointset_from_text,
     pointset_to_text,
@@ -58,56 +59,86 @@ class TestGenerate:
 
 
 class TestAddressFreePaths:
-    """generate, the P1 and L1EMB reads and certify work on rows, never on addresses."""
+    """generate, the P1 and L1EMB reads and certify work on rows, never on vertex names.
+
+    They call no per-vertex reference (_edge_endpoints_raw, _label_of) and
+    build neither the edge map graph.edges nor the name-keyed emb.vectors.
+    """
 
     @staticmethod
-    def count_calls(monkeypatch, method, cls=VertexAddress):
-        calls = []
-        real = getattr(cls, method)
+    def count_labels(monkeypatch):
+        """Record each IntervalLabel built."""
+        labels = []
+        real = IntervalLabel.__init__
 
         def counting(self, *args, **kwargs):
-            calls.append(method)
+            labels.append(args)
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, method, counting)
+        monkeypatch.setattr(IntervalLabel, "__init__", counting)
+        return labels
+
+    @staticmethod
+    def count_references(monkeypatch, functions=("_edge_endpoints_raw", "_label_of")):
+        """Record each call of the named pointset functions and each read of a name-keyed view."""
+        calls = []
+        for name in functions:
+
+            def counting(*args, _real=getattr(pointset, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pointset, name, counting)
+        for cls, name in ((RecursiveCycleGraph, "edges"), (Embedding, "vectors")):
+
+            def reading(self, _view=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _view.__get__(self, type(self))
+
+            monkeypatch.setattr(cls, name, property(reading))
         return calls
 
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 3)])
-    def test_no_address_hashed(self, tmp_path, pointsets, monkeypatch, capsys, k, n):
+    def test_generate_and_certify_table_call_no_reference(
+        self, tmp_path, pointsets, monkeypatch, capsys, k, n
+    ):
         ps = pointsets(k, n)
         rows = np.random.default_rng([k, n]).standard_normal((len(ps), 4))
         p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
         emb.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
-        hashes = self.count_calls(monkeypatch, "__hash__")
+        calls = self.count_references(monkeypatch)
         assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(p1)]) == 0
         assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
-        assert hashes == []
+        assert calls == []
         assert "consistent=true" in capsys.readouterr().out
 
-    def test_generate_and_parse_build_no_address(self, tmp_path, monkeypatch):
+    def test_generate_and_parse_call_no_reference(self, tmp_path, monkeypatch):
         out = tmp_path / "p1.txt"
-        inits = self.count_calls(monkeypatch, "__init__")
+        calls = self.count_references(monkeypatch)
         assert main(["generate", "-k", "3", "-n", "3", "-o", str(out)]) == 0
         pointset_from_text(out.read_text(encoding="utf-8"))
-        assert inits == []
+        assert calls == []
 
     @staticmethod
     def write_embedding(path, ps, d):
         rows = np.random.default_rng(len(ps)).standard_normal((len(ps), d))
         path.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
 
-    def test_read_path_builds_no_address_and_no_label(self, tmp_path, pointsets, monkeypatch):
+    def test_read_path_calls_no_reference_and_builds_no_label(
+        self, tmp_path, pointsets, monkeypatch
+    ):
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
         self.write_embedding(emb, pointsets(3, 4), 4)
-        addresses = self.count_calls(monkeypatch, "__init__")
-        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        functions = ("_edge_endpoints_raw", "_label_of", "parse_address")
+        calls = self.count_references(monkeypatch, functions)
+        labels = self.count_labels(monkeypatch)
         assert main(["generate", "-k", "3", "-n", "4", "-o", str(p1)]) == 0
         ps = pointset_from_text(p1.read_text(encoding="utf-8"))
         report = constraint_report(ps.graph, embedding_from_text(emb.read_text("utf-8"), ps))
         dimension_bound(3, 4, report.epsilon)
-        assert (len(addresses), len(labels)) == (0, 0)
+        assert (len(calls), len(labels)) == (0, 0)
         # One non-canonical line per file goes through the per-line readers,
-        # which parse its tokens but build at most one address per line.
+        # which parse its tokens but each address token at most once.
         p1_lines = p1.read_text(encoding="utf-8").splitlines()
         emb_lines = emb.read_text(encoding="utf-8").splitlines()
         assert p1_lines[7].startswith("1/1 ") and emb_lines[7].startswith("1/1 ")
@@ -115,30 +146,30 @@ class TestAddressFreePaths:
         emb_lines[7] = "0" + emb_lines[7]
         ps = pointset_from_text("\n".join(p1_lines) + "\n")
         embedding_from_text("\n".join(emb_lines) + "\n", ps)
-        assert len(addresses) <= 2
+        assert calls == ["parse_address", "parse_address"]
         assert len(labels) == 0
 
     def test_identity_and_construction_suites_build_no_label(self, monkeypatch):
-        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        labels = self.count_labels(monkeypatch)
         identity_embedding(PointSet(build_graph(GraphParams(3, 4))))
         results = run_selftest(["construction", "identity_equality"])
         assert [failed for _, _, failed in results] == [0, 0]
         assert len(labels) == 0
 
-    def test_certify_builds_no_address(self, tmp_path, pointsets, monkeypatch, capsys):
+    def test_certify_calls_no_reference(self, tmp_path, pointsets, monkeypatch, capsys):
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
         p1.write_text(pointset_to_text(pointsets(2, 4)), encoding="utf-8")
         self.write_embedding(emb, pointsets(2, 4), 8)
-        addresses = self.count_calls(monkeypatch, "__init__")
+        calls = self.count_references(monkeypatch)
         assert main(["certify", str(p1), str(emb)]) == 0
-        assert len(addresses) == 0
+        assert calls == []
         assert "consistent=true" in capsys.readouterr().out
 
     def test_certify_builds_no_label(self, tmp_path, pointsets, monkeypatch, capsys):
         p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
         p1.write_text(pointset_to_text(pointsets(2, 4)), encoding="utf-8")
         self.write_embedding(emb, pointsets(2, 4), 8)
-        labels = self.count_calls(monkeypatch, "__init__", IntervalLabel)
+        labels = self.count_labels(monkeypatch)
         assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
         assert len(labels) == 0
         assert "consistent=true" in capsys.readouterr().out

@@ -117,7 +117,7 @@ def test_mutated_l1emb_is_rejected_or_reads_back_canonically(data, size):
     rows = [line.split()[1:] for line in text.splitlines()[1:]]
     want = [header] + [
         name + " " + " ".join(repr(float(x)) for x in row)
-        for name, row in zip(ps.graph.vertex_names, rows)
+        for name, row in zip(ps.graph.vertices, rows)
     ]
     assert embedding_to_text(ps, emb) == "\n".join(want) + "\n"
 
@@ -126,7 +126,7 @@ def test_mutated_l1emb_is_rejected_or_reads_back_canonically(data, size):
 def test_canonical_l1emb_path_reads_the_bits_of_the_per_line_reader(data, size):
     ps = pointset_from_text(p1_text(*size))
     lines = data.draw(mutated(l1emb_text(*size))).splitlines()[1:]
-    fast = _canonical_matrix(lines, ps.graph.vertex_names, 2)
+    fast = _canonical_matrix(lines, ps.graph.vertices, 2)
     if fast is None:
         return
     slow = _matrix_from_lines(lines, ps, 2)
@@ -141,9 +141,9 @@ def test_mixed_spellings_read_the_same_bits_both_ways():
     spellings = ["%r", "%.17e", "%.5g", "%.25f", "%r", "%.17e"]
     lines = [
         name + "".join(" " + (spell % float(v)) for spell, v in zip(spellings, row))
-        for name, row in zip(ps.graph.vertex_names, values)
+        for name, row in zip(ps.graph.vertices, values)
     ]
-    fast = _canonical_matrix(lines, ps.graph.vertex_names, 6)
+    fast = _canonical_matrix(lines, ps.graph.vertices, 6)
     slow = _matrix_from_lines(lines, ps, 6)
     assert fast is not None
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))

@@ -11,20 +11,31 @@ combined. The P(2,6) and P(3,5) certificates, the certify_deep shape and
 one with two-word labels, were recorded before the all-pairs pass
 screened its tiles in float32. The level_edges and packed-label digests
 were recorded before the graph, the packed labels and the P1 writer
-shared one level walk. Any refactor that keeps behaviour keeps them;
-a change here is a change of output format or numerics and must be
-deliberate.
+shared one level walk, and the reference digests (vertex names, edge
+endpoints, antipodal pairs, the full-depth edge map and the reference
+labels) before a vertex was named by its address string alone. Any
+refactor that keeps behaviour keeps them; a change here is a change of
+output format or numerics and must be deliberate.
 """
 
 import hashlib
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+from l1cert import pointset
 from l1cert.cli import main
 from l1cert.l1metric import embedding_to_text, make_embedding
-from l1cert.pointset import GraphParams, build_graph, point_set, pointset_to_text
+from l1cert.pointset import (
+    GraphParams,
+    antipodal_pairs,
+    build_graph,
+    edge_endpoints,
+    point_set,
+    pointset_to_text,
+)
 
 CERTIFY_CASES = [
     (
@@ -139,6 +150,21 @@ BITPLANES_SHA256 = {
     (2, 10): "741937eaa8dd6cc626e674170467527e44b5b8c6c579c012b09ac0122930b25d",
 }
 
+# sha256 of newline-joined lines of the references, every vertex rendered with str.
+VERTICES_SHA256 = {
+    (3, 6): "5636e141dc39ea3e0a507860758780e5182bdbdd902d882767126465751943fd",
+    (2, 8): "fb4b83a19aebd5eee43b19013ab71bc81bdab9c34a1ea5b2de6106c3ce0c0383",
+}
+ENDPOINTS_SHA256 = {
+    (3, 3, False): "6687ade8175d15c803d34390f155d73d2374f3ef1d281420961067c6dee1e9ea",
+    (3, 3, True): "d264cee1f1087ce6150813823d0551a3730d270a46e31858588340602f2d4213",
+    (2, 4, False): "96c881ba8727c380ba5792396930f5eb8a0f9333250c83e2c206ed0ee423bcca",
+    (2, 4, True): "63046bfd8dd295ba38f354adee060a81f2bfeb064ab5d492c71ee7e1a00a1ee2",
+}
+ANTIPODAL_SHA256 = "3606aee5ca3f0e9f4f117e7b88f05db067f65882c53c62d8276f9c6f6dab2d7a"
+EDGES_SHA256 = "2d5d16af388862f470b6767ee01eafe3d652c4193a050473ec83340c1d952344"
+LABELS_SHA256 = "c2d73e2791550f642d979079c46bb3573840b442e3e719533f2b897cbbbb70ee"
+
 SEARCH_REPORT = (
     "distortion=8.909305217664155\n"
     "expansion=3.459966081254861\n"
@@ -214,6 +240,51 @@ def test_bitplanes(k, n):
     planes = point_set(build_graph(GraphParams(k, n)))._bitplanes
     assert planes.dtype == np.dtype("<u8")
     assert hashlib.sha256(planes.tobytes()).hexdigest() == BITPLANES_SHA256[(k, n)]
+
+
+def lines_sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def dotted(coords):
+    return ".".join(map(str, coords))
+
+
+@pytest.mark.parametrize("k,n", sorted(VERTICES_SHA256))
+def test_vertices(k, n):
+    vertices = build_graph(GraphParams(k, n)).vertices
+    assert lines_sha256(map(str, vertices)) == VERTICES_SHA256[(k, n)]
+
+
+@pytest.mark.parametrize("k,n,flip", sorted(ENDPOINTS_SHA256))
+def test_edge_endpoints(k, n, flip):
+    """Every prefix's (tail, head) at every level, the root edge's empty prefix included."""
+    graph = build_graph(GraphParams(k, n), flip_bottom=flip)
+    lines = [
+        f"{dotted(prefix)} {tail} {head}"
+        for level in range(n + 1)
+        for prefix in itertools.product(range(1, 2 * k + 1), repeat=level)
+        for tail, head in [edge_endpoints(graph, prefix)]
+    ]
+    assert lines_sha256(lines) == ENDPOINTS_SHA256[(k, n, flip)]
+
+
+def test_antipodal_pairs():
+    graph = build_graph(GraphParams(3, 3))
+    lines = [f"{level} {a} {b}" for level in (1, 2, 3) for a, b in antipodal_pairs(graph, level)]
+    assert lines_sha256(lines) == ANTIPODAL_SHA256
+
+
+def test_edges():
+    edges = build_graph(GraphParams(2, 4)).edges
+    lines = [f"{dotted(coords)} {tail} {head}" for coords, (tail, head) in edges.items()]
+    assert lines_sha256(lines) == EDGES_SHA256
+
+
+def test_reference_labels():
+    graph = build_graph(GraphParams(3, 3))
+    labels = [f"{v} {pointset._label_of(graph.params, v).intervals}" for v in graph.vertices]
+    assert lines_sha256(labels) == LABELS_SHA256
 
 
 @pytest.mark.parametrize("k,n,d,seed,stdout,table_sha256", CERTIFY_CASES)

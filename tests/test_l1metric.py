@@ -73,7 +73,6 @@ from l1cert.pointset import (
     GraphParams,
     IntervalLabel,
     PointSet,
-    VertexAddress,
     build_graph,
     point_set,
 )
@@ -105,7 +104,7 @@ class TestIntervalDistance:
         ps = pointsets(3, 2)
         tails, heads = ps.graph.level_edges[-1]
         tail, head = int(tails[0]), int(heads[0])
-        assert ps.graph.vertex_names[tail] == "L"
+        assert ps.graph.vertices[tail] == "L"
         labels = reference_labels(ps)
         assert l1_interval_distance(labels[tail], labels[head]) == 1
 
@@ -173,9 +172,16 @@ class TestDistortion:
         ps = pointsets(2, 2)
         with pytest.raises(ValueError, match="^embedding does not cover 1 vertices"):
             make_embedding({a: [1.0] for a in ps.addresses[:-1]})
-        foreign = VertexAddress("inner", (5,), 1)
-        with pytest.raises(ValueError, match=r"^embedding names 1 vertices outside P\(2, 2\)"):
-            make_embedding({a: [1.0] for a in (*ps.addresses, foreign)})
+        # A name of P(3, 2), junk, a non-canonical spelling and non-strings.
+        for foreign in ("5/1", "x/1", "01/1", "1/01", "/+1", "L ", 7, ("1/1",)):
+            with pytest.raises(ValueError) as info:
+                make_embedding({a: [1.0] for a in (*ps.addresses, foreign)})
+            assert str(info.value) == (
+                f"embedding names 1 vertices outside P(2, 2), e.g. {foreign}"
+            )
+        # With no canonical inner name there is no graph to name them against.
+        with pytest.raises(ValueError, match="^embedding must cover at least one inner vertex$"):
+            make_embedding({"L": [0.0], "R": [1.0], "x/1": [0.5], "01/1": [0.5], 7: [0.5]})
         smaller = make_embedding({a: [1.0] for a in ps.addresses})
         larger = pointsets(2, 3)
         for consumer in (

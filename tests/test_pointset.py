@@ -12,9 +12,10 @@ Core claims:
       set plus its constraint report never calls those references
     - the packed labels are built in slices of cycles: the same words with
       slices of one cycle, and a traced peak of the planes and a few slices
-    - vertex_names equals str() of every vertex; the vertices tuple and the
-      edges dict are built only when read, and neither point_set, the P1
-      writer nor a canonical P1 parse builds the vertices
+    - the vertices are the canonical names in export order, as an
+      independent enumeration gives them; the vertices tuple and the edges
+      dict are built only when read, and neither point_set, the P1 writer
+      nor a canonical P1 parse builds the vertices
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
     - importing l1cert.pointset loads no other l1cert module: the package
@@ -49,9 +50,6 @@ from l1cert.pointset import (
     GraphParams,
     IntervalLabel,
     PointSet,
-    ROOT_LEFT,
-    ROOT_RIGHT,
-    VertexAddress,
     antipodal_pairs,
     build_graph,
     edge_endpoints,
@@ -150,27 +148,27 @@ class TestBuildGraph:
 class TestEdgeEndpoints:
     def test_root_edge(self):
         graph = build_graph(GraphParams(3, 2))
-        assert edge_endpoints(graph, ()) == (ROOT_LEFT, ROOT_RIGHT)
+        assert edge_endpoints(graph, ()) == ("L", "R")
 
     def test_first_top_edge_leaves_root_left(self):
         graph = build_graph(GraphParams(2, 1))
         tail, head = edge_endpoints(graph, (1,))
-        assert tail == ROOT_LEFT
-        assert head == VertexAddress("inner", (), 1)
+        assert tail == "L"
+        assert head == "/1"
 
     def test_bottom_edge_orientation(self):
         # Edge k+1 runs from the bottom vertex adjacent to the right
         # endpoint into the right endpoint itself.
         graph = build_graph(GraphParams(2, 1))
         tail, head = edge_endpoints(graph, (3,))
-        assert tail == VertexAddress("inner", (), 3)
-        assert head == ROOT_RIGHT
+        assert tail == "/3"
+        assert head == "R"
 
     def test_last_bottom_edge_leaves_root_left(self):
         graph = build_graph(GraphParams(2, 1))
         tail, head = edge_endpoints(graph, (4,))
-        assert tail == ROOT_LEFT
-        assert head == VertexAddress("inner", (), 3)
+        assert tail == "L"
+        assert head == "/3"
 
     def test_rejects_bad_coordinates(self):
         graph = build_graph(GraphParams(2, 2))
@@ -215,10 +213,14 @@ class TestLevelArrays:
         assert "edges" not in ps.graph.__dict__
         assert "edges" not in again.graph.__dict__
 
+    # At k = 9 the coordinates reach 18, so lexicographic is not string order.
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 2)])
-    def test_vertex_names_equal_str(self, k, n):
-        graph = build_graph(GraphParams(k, n))
-        assert graph.vertex_names == tuple(map(str, graph.vertices))
+    def test_vertices_in_export_order(self, k, n):
+        # L, R, then by creation level, lexicographic edge path and position q != k.
+        cyc = 2 * k
+        paths = [p for m in range(n) for p in itertools.product(range(1, cyc + 1), repeat=m)]
+        inner = [".".join(map(str, p)) + f"/{q}" for p in paths for q in range(1, cyc) if q != k]
+        assert build_graph(GraphParams(k, n)).vertices == ("L", "R", *inner)
 
     def test_level_edges_are_read_only(self):
         tail, head = build_graph(GraphParams(2, 2)).level_edges[0]
@@ -270,16 +272,16 @@ class TestLevelArrays:
 class TestVertexLabels:
     def test_depth_one_top_vertex(self):
         graph = build_graph(GraphParams(2, 1))
-        label = vertex_label(graph, VertexAddress("inner", (), 1))
+        label = vertex_label(graph, "/1")
         assert label.intervals == ((1, 2),)
 
     def test_root_left_is_all_zeros(self):
         graph = build_graph(GraphParams(2, 1))
-        assert vertex_label(graph, ROOT_LEFT).intervals == ()
+        assert vertex_label(graph, "L").intervals == ()
 
     def test_root_right_is_all_ones(self):
         graph = build_graph(GraphParams(3, 2))
-        assert vertex_label(graph, ROOT_RIGHT).intervals == ((0, 9),)
+        assert vertex_label(graph, "R").intervals == ((0, 9),)
 
     def test_label_length_is_k_to_the_n(self, pointsets):
         ps = pointsets(3, 2)
@@ -303,7 +305,7 @@ class TestVertexLabels:
     def test_unknown_vertex_rejected(self):
         graph = build_graph(GraphParams(2, 1))
         with pytest.raises(ValueError):
-            vertex_label(graph, VertexAddress("inner", (1,), 1))
+            vertex_label(graph, "1/1")
 
 
 class TestMetricStructure:
@@ -329,8 +331,8 @@ class TestMetricStructure:
         graph = build_graph(GraphParams(2, 1))
         pairs = antipodal_pairs(graph, 1)
         assert pairs == [
-            (ROOT_LEFT, ROOT_RIGHT),
-            (VertexAddress("inner", (), 1), VertexAddress("inner", (), 3)),
+            ("L", "R"),
+            ("/1", "/3"),
         ]
 
     def test_level_out_of_range(self):
@@ -492,9 +494,9 @@ class TestExportFormat:
 
     def test_address_parsing(self):
         params = GraphParams(2, 3)
-        assert parse_address("L", params) == ROOT_LEFT
-        assert parse_address("1.4/3", params) == VertexAddress("inner", (1, 4), 3)
-        assert parse_address("/3", params) == VertexAddress("inner", (), 3)
+        assert parse_address("L", params) == "L"
+        assert parse_address("1.4/3", params) == "1.4/3"
+        assert parse_address("/3", params) == "/3"
         for bad in ("x", "1.9/3", "/2", "1/0", "1/5", "1.2.3/1"):
             with pytest.raises(FormatError):
                 parse_address(bad, params)

@@ -260,7 +260,7 @@ def test_canonical_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch):
     monkeypatch.setattr(l1metric, "TEXT_BLOCK", 2**16)
     ps = point_set(build_graph(GraphParams(2, 7)))
     text = l1emb(ps, d=16)
-    ps.graph.vertex_names  # built and kept by the P1 read that comes first
+    ps.graph.vertices  # built and kept by the P1 read that comes first
     # 8 bytes an entry for the matrix and 1 for Embedding's finiteness mask.
     bound = 9 * len(ps) * 16 + 4 * 2**16
     assert traced_peak(lambda: embedding_from_text(text, ps)) <= bound
