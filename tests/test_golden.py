@@ -27,13 +27,14 @@ import pytest
 
 from l1cert import pointset
 from l1cert.cli import main
-from l1cert.l1metric import embedding_to_text, make_embedding
+from l1cert.l1metric import embedding_from_text, embedding_to_text, make_embedding
 from l1cert.pointset import (
     GraphParams,
     antipodal_pairs,
     build_graph,
     edge_endpoints,
     point_set,
+    pointset_from_text,
     pointset_to_text,
 )
 
@@ -318,3 +319,150 @@ def test_search_output(tmp_path, pointsets, capsys):
 def test_selftest_output(capsys, flags, code, stdout):
     assert main(["selftest", *flags]) == code
     assert re.sub(r"\(\d+\.\ds\)", "(<elapsed>)", capsys.readouterr().out) == stdout
+
+
+# A seeded corpus of mutated P1 and L1EMB files at P(2,3) and P(3,2):
+# edits of the header, of line ends and of single lines at the second, a
+# middle, the last and one seeded line. Integer tokens in it are spelled
+# with ASCII digits alone (leading zeros allowed) and carry no sign.
+P1_LINE_EDITS = [
+    lambda line: line.split(" ")[0] + " 0-99999",
+    lambda line: "x/1 " + line.split(" ")[1],
+    lambda line: line + " -",
+    lambda line: line.split(" ")[0] + " 0-x",
+    lambda line: "0" + line,  # 01/1, 01.2/3; 0L is no address
+    lambda line: line.replace("/", "/0", 1),
+    lambda line: line.replace(" ", " 0", 1),  # 00-4, 0- (bad)
+    lambda line: line.replace("-", "-0"),
+    lambda line: line.replace(",", ",0"),
+    lambda line: line.replace(" ", "  "),
+    lambda line: " " + line,
+    lambda line: line + " ",
+    lambda line: line.replace("/1", "/2"),
+    lambda line: line.replace("-", "-1", 1),
+    lambda line: line.replace(" ", "\x0c", 1),
+    lambda line: line[:2] + "\x85" + line[2:],
+    lambda line: line[:1] + " " + line[1:],
+    lambda line: line + "\r",
+    lambda line: "",
+]
+L1EMB_LINE_EDITS = [
+    lambda line: line.rpartition(" ")[0] + " abc",
+    lambda line: line.rpartition(" ")[0] + " inf",
+    lambda line: line.rpartition(" ")[0] + " nan",
+    lambda line: line.rpartition(" ")[0],
+    lambda line: line + " 1.0",
+    lambda line: "x/1 " + line.partition(" ")[2],
+    lambda line: "R " + line.partition(" ")[2],
+    lambda line: "0" + line,
+    lambda line: line.replace("/", "/0", 1),
+    lambda line: line.replace("/1", "/2"),
+    lambda line: line + "0",
+    lambda line: line + "e0",
+    lambda line: line.replace(" ", " +", 1),  # +0.5, +-0.5 (bad)
+    lambda line: line + "_5",
+    lambda line: line.rpartition(" ")[0] + " 0x1p3",
+    lambda line: line.rpartition(" ")[0] + " 1e400",
+    lambda line: line.replace(" ", "\t"),
+    lambda line: line.replace(" ", "  "),
+    lambda line: " " + line,
+    lambda line: line + " ",
+    lambda line: line.replace(" ", "\x0c", 1),
+    lambda line: line[:2] + "\x85" + line[2:],
+    lambda line: line + "\r",
+    lambda line: "",
+]
+HEADER_EDITS = [
+    lambda h: h.replace(" ", "  ", 1),
+    lambda h: h + " ",
+    lambda h: " " + h,
+    lambda h: h.replace(" ", "\t"),
+    lambda h: h.replace("=", "=0"),
+    lambda h: h.rpartition(" ")[0],
+    lambda h: h + " x=1",
+    lambda h: h.replace(" ", "\x0c", 1),
+    lambda h: h.replace("2", "3", 1),
+    lambda h: h.replace("N=", "N=1", 1),
+    lambda h: h.replace("=", "=x", 1),
+    lambda h: h.replace("=", "", 1),
+    lambda h: h.lower(),
+]
+TEXT_EDITS = [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace("\n", "\r"),
+    lambda t: t.replace("\n", "\r\n", 1),
+    lambda t: t[: t.find("\n") + 1] + t[t.find("\n") + 1 :].replace("\n", "\r\n"),
+    lambda t: t[: t.find("\n") + 1] + t[t.find("\n") + 1 :].replace("\n", "\r"),
+    lambda t: t[:-1],
+    lambda t: t + "x\n",
+    lambda t: t + "x",
+    lambda t: t + "\n",
+    lambda t: t + " ",
+    lambda t: "\n" + t,
+    lambda t: t[: t.find("\n") + 1],
+    lambda t: t[: t.find("\n")],
+    lambda t: "",
+    lambda t: "\n",
+]
+READER_CORPUS_SIZES = [(2, 3), (3, 2)]
+
+
+def line_mutants(text, edits, seed):
+    """`text` with each edit at lines 2, middle, last and a seeded one; each line dropped,
+    repeated and swapped with the next; each header edit; each whole-text edit."""
+    lines = text.splitlines()
+    rng = np.random.default_rng(seed)
+    at = [1, len(lines) // 2, len(lines) - 1, int(rng.integers(1, len(lines)))]
+    out = []
+    for edit in edits:
+        for i in at:
+            out.append(lines[:i] + [edit(lines[i])] + lines[i + 1 :])
+    for i in at:
+        out.append(lines[:i] + lines[i + 1 :])
+        out.append(lines[: i + 1] + lines[i:])
+        out.append(lines[:i] + lines[i + 1 : i + 2] + lines[i : i + 1] + lines[i + 2 :])
+    out += [[edit(lines[0])] + lines[1:] for edit in HEADER_EDITS]
+    return ["\n".join(m) + "\n" for m in out] + [edit(text) for edit in TEXT_EDITS]
+
+
+def reader_outcomes(pointsets):
+    """Each corpus file's outcome: the sha256 of the text written back, or the error."""
+    outcomes = []
+
+    def record(read, write, text):
+        try:
+            back = write(read(text))
+        except ValueError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        else:
+            outcomes.append("ok " + hashlib.sha256(back.encode()).hexdigest())
+
+    for k, n in READER_CORPUS_SIZES:
+        ps = pointsets(k, n)
+        p1 = pointset_to_text(ps)
+        rows = np.random.default_rng(10 * k + n).standard_normal((len(ps), 3))
+        emb = embedding_to_text(ps, make_embedding(dict(zip(ps.addresses, rows))))
+        for text in line_mutants(p1, P1_LINE_EDITS, k + n):
+            record(pointset_from_text, pointset_to_text, text)
+        for text in line_mutants(emb, L1EMB_LINE_EDITS, k * n):
+            record(lambda t: embedding_from_text(t, ps), lambda e: embedding_to_text(ps, e), text)
+    return outcomes
+
+
+# (files, accepted, sha256 of the newline-joined outcomes), recorded from
+# the readers that tried a canonical block path and then read a differing
+# file again as a whole, line by line.
+READER_OUTCOMES = (
+    504,
+    187,
+    "8b5d2098af44d8182f1228789420cc969d146f4739d88938766dd6cfce4eb2aa",
+)
+
+
+@pytest.mark.parametrize("block", [1, 97, pointset.TEXT_BLOCK])
+def test_reader_outcomes(monkeypatch, pointsets, block):
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", block)
+    outcomes = reader_outcomes(pointsets)
+    accepted = sum(o.startswith("ok ") for o in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (len(outcomes), accepted, digest) == READER_OUTCOMES
