@@ -20,12 +20,14 @@ import numpy as np
 
 from .pointset import (
     BLOCK_ELEMENTS,
-    TEXT_BLOCK,
     FormatError,
     GraphParams,
     IntervalLabel,
     PointSet,
     RecursiveCycleGraph,
+    _check_line_count,
+    _line_at,
+    _line_blocks,
     _name,
     _parse_header,
     _split,
@@ -518,67 +520,44 @@ def _l1emb_dimension(line: str, ps: PointSet) -> int:
     return head["d"]
 
 
-def _canonical_read(text: str, ps: PointSet) -> np.ndarray | None:
-    """The (N, d) matrix of a canonical L1EMB text, parsed in blocks of whole lines, or None.
-
-    Header errors raise as on the per-line path, which checks the header
-    first, and line 2's width vouches for d before the matrix is sized by
-    it. Each block of at least TEXT_BLOCK characters goes through
-    _canonical_matrix into its rows. Blocks end at newlines, so their lines
-    are those of the whole text; a line break other than a newline or a
-    CRLF leaves a line that _canonical_matrix refuses. None on any doubt:
-    other than N lines, or a block _canonical_matrix refuses.
-    """
-    cut = text.find("\n")
-    first = text[:cut]
-    if cut < 0 or first.splitlines() != [first]:
-        return None
-    d = _l1emb_dimension(first, ps)
-    end = text.find("\n", cut + 1)
-    if end < 0 or len(text[cut + 1 : end].split()) != d + 1:
-        return None
-    names = ps.graph.vertices
-    out = np.empty((len(names), d))
-    row, pos = 0, cut + 1
-    while pos < len(text):
-        end = text.find("\n", pos + TEXT_BLOCK - 1) + 1 or len(text)
-        lines = text[pos:end].splitlines()
-        rows = len(lines)
-        if row + rows > len(names):
-            return None
-        part = _canonical_matrix(lines, names[row : row + rows], d)
-        if part is None:
-            return None
-        out[row : row + rows] = part
-        row, pos = row + rows, end
-    return out if row == len(names) else None
-
-
 def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     """Parse an L1EMB v1 file against a point set.
 
     Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
-    vector lengths, and non-finite entries. A file written in canonical
-    form is read by _canonical_read into one read-only (N, d) matrix whose
-    rows are the vectors, holding one block of text and its lines at a
-    time beside it; any other file goes through the per-line loop, which
-    accepts valid non-canonical address spellings and names the first bad
-    line. The rows are named by `ps.graph`, so the read builds an address
-    only for a non-canonical address token, one each.
+    vector lengths, and non-finite entries. Line 2's width vouches for d
+    before the (N, d) matrix is sized by it; the rows are then read in
+    blocks of whole lines (_line_blocks), one block and its lines at a
+    time: through _canonical_matrix, or where it refuses a block, the
+    per-line reader _matrix_from_lines, which accepts valid non-canonical
+    address spellings, building an address for each, and names the first
+    bad line. A wrong line count is reported before any line error.
     """
-    matrix = _canonical_read(text, ps)
-    if matrix is None:
-        lines = text.splitlines()
-        if not lines:
-            raise FormatError("empty embedding file")
-        d = _l1emb_dimension(lines[0], ps)
-        if len(lines) != len(ps) + 1:
-            raise FormatError(f"expected {len(ps)} vector lines, found {len(lines) - 1}")
-        # The first line's width vouches for d before a matrix is sized by it.
-        if len(lines[1].split()) != d + 1:
+    if not text:
+        raise FormatError("empty embedding file")
+    header, pos = _line_at(text, 0)
+    d = _l1emb_dimension(header, ps)
+    names = ps.graph.vertices
+    total = len(names) + 1
+    try:
+        if pos == len(text) or len(_line_at(text, pos)[0].split()) != d + 1:
             raise FormatError(f"line 2: expected address plus {d} coordinates")
-        matrix = _matrix_from_lines(lines[1:], ps, d)
-    return Embedding(matrix, ps.graph)
+        out = np.empty((len(names), d))
+        row = 0
+        for block in _line_blocks(text, pos):
+            end = row + len(block)
+            if end > len(names):
+                _check_line_count(text, total, "vector")  # a line past line N + 1
+            part = _canonical_matrix(block, names[row:end], d)
+            if part is None:
+                part = _matrix_from_lines(block, names[row:end], ps.params, d, row + 2)
+            out[row:end] = part
+            row = end
+    except FormatError:
+        _check_line_count(text, total, "vector")
+        raise
+    if row < len(names):
+        _check_line_count(text, total, "vector")  # fewer than N + 1 lines
+    return Embedding(out, ps.graph)
 
 
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
@@ -591,7 +570,7 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
     line has exactly d + 1. Its float parse is correctly rounded, like
     float(). None as soon as anything differs (a name, a width, a
     coordinate loadtxt rejects, such as `1_0` that float() reads, or a
-    non-finite value), so the caller can read the file line by line.
+    non-finite value), so the caller can read the lines one by one.
     """
     if " ".join(lines).count(" ") != len(lines) * (d + 1) - 1:
         return None
@@ -606,21 +585,26 @@ def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.nd
     return out
 
 
-def _matrix_from_lines(lines: list[str], ps: PointSet, d: int) -> np.ndarray:
-    """The per-line reader: every address spelling parse_address accepts, errors by line."""
+def _matrix_from_lines(
+    lines: list[str], names: tuple[str, ...], params: GraphParams, d: int, first: int
+) -> np.ndarray:
+    """The per-line reader: every address spelling parse_address accepts, errors by line.
+
+    lines[i] is line `first` + i of the file, and names[i] the vertex it must name.
+    """
     out = np.empty((len(lines), d))
-    for lineno, (name, line) in enumerate(zip(ps.graph.vertices, lines), start=2):
+    for lineno, (name, line) in enumerate(zip(names, lines), start=first):
         parts = line.split()
         if len(parts) != d + 1:
             raise FormatError(f"line {lineno}: expected address plus {d} coordinates")
         try:
-            check_address(parts[0], name, ps.params)
+            check_address(parts[0], name, params)
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         try:
-            out[lineno - 2] = [float(x) for x in parts[1:]]
+            out[lineno - first] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad coordinate") from exc
-        if not np.isfinite(out[lineno - 2]).all():
+        if not np.isfinite(out[lineno - first]).all():
             raise FormatError(f"line {lineno}: non-finite coordinate")
     return out

@@ -41,7 +41,7 @@ MAX_MATERIALIZED_EDGES = 2**22
 # faster still but held more than N*N/4 floats at N=684.
 BLOCK_ELEMENTS = 2**16
 # Characters (the formats are ASCII: bytes) in one block of whole lines of
-# the P1 writer and the canonical P1 and L1EMB reads; only a last block is
+# the P1 writer and the P1 and L1EMB readers; only a last block is
 # shorter. A file of one block holds a copy of itself beside its lines and
 # its rows twice: at 2**20 the 0.9 MB L1EMB read of P(2,6), d=16 peaked
 # 0.8 MB above a single np.loadtxt of its lines, at 2**18 0.1 MB below it.
@@ -83,10 +83,17 @@ class GraphParams:
         return self.k**self.n
 
 
+def _decimal(token: str) -> int:
+    """The value of a token of ASCII digits; int() also reads signs, "_", spaces, other digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def _split(name: str) -> tuple[tuple[int, ...], int]:
     """The (edge path, cycle position) of an inner vertex name "e1.e2/<pos>"."""
     head, _, q = name.rpartition("/")
-    return tuple(int(c) for c in head.split(".")) if head else (), int(q)
+    return tuple(_decimal(c) for c in head.split(".")) if head else (), _decimal(q)
 
 
 def _name(path: tuple[int, ...], q: int) -> str:
@@ -550,7 +557,7 @@ def _parse_intervals(text: str) -> tuple[tuple[int, int], ...]:
         if not sep:
             raise FormatError(f"bad interval {chunk!r}")
         try:
-            parts.append((int(a), int(b)))
+            parts.append((_decimal(a), _decimal(b)))
         except ValueError as exc:
             raise FormatError(f"bad interval {chunk!r}") from exc
     return tuple(parts)
@@ -686,7 +693,7 @@ def _parse_header(line: str, magic: str, keys: tuple[str, ...]) -> dict[str, int
         if name != key or not sep:
             raise FormatError(f"bad {fmt} header field {token!r} (expected {key}=)")
         try:
-            out[key] = int(value)
+            out[key] = _decimal(value)
         except ValueError as exc:
             raise FormatError(f"bad {fmt} header field {token!r}") from exc
     return out
@@ -704,68 +711,75 @@ def _p1_params(line: str) -> GraphParams:
     return params
 
 
-def _canonical_pointset(text: str) -> PointSet | None:
-    """The point set whose canonical P1 text `text` is, or None on any doubt.
+def _line_at(text: str, pos: int) -> tuple[str, int]:
+    """The line at pos < len(text) as str.splitlines ends it, and where the next line starts."""
+    head = text[pos : text.find("\n", pos) + 1 or len(text)]
+    return head.splitlines()[0], pos + len(head.splitlines(keepends=True)[0])
 
-    Header errors raise as on the per-line path, which checks the header
-    first. The text is then compared in place, block by block, with _p1_blocks.
+
+def _line_blocks(text: str, pos: int):
+    """text[pos:].splitlines(), a list per block of whole lines of at least TEXT_BLOCK characters.
+
+    A block ends just after a newline, so no line end splitlines knows, CRLF included, is cut.
     """
-    cut = text.find("\n")
-    first = text[:cut]
-    if cut < 0 or first.splitlines() != [first]:
-        return None
-    params = _p1_params(first)
-    # A short file naming a large graph is refused before the graph is walked.
-    if text.count("\n") != vertex_count(params) + 1:
-        return None
-    try:
-        ps = point_set(build_graph(params))
-    except CapacityError:
-        return None
-    pos = 0
-    for block in _p1_blocks(ps):
-        if not text.startswith(block, pos):
-            return None
-        pos += len(block)
-    return ps if pos == len(text) else None
+    while pos < len(text):
+        end = text.find("\n", pos + TEXT_BLOCK - 1) + 1 or len(text)
+        yield text[pos:end].splitlines()
+        pos = end
+
+
+def _check_line_count(text: str, total: int, kind: str) -> None:
+    """Raise the FormatError of a text of other than `total` lines, as str.splitlines counts them."""
+    found = sum(map(len, _line_blocks(text, 0)))
+    if found != total:
+        raise FormatError(f"expected {total - 1} {kind} lines, found {found - 1}")
 
 
 def pointset_from_text(text: str) -> PointSet:
     """Parse a P1 file, rebuilding and verifying against the canonical construction.
 
     The returned point set is the in-memory construction; any divergence of
-    the file from it (order, addresses, labels, counts) is a FormatError. A
-    file equal to the canonical text is accepted block by block, with no
-    list of its lines; in any other, a token that differs from its
-    canonical one is parsed and compared with it, which accepts valid
-    non-canonical spellings, names the first bad line and builds no label
-    and at most one address a line.
+    the file from it (order, addresses, labels, counts) is a FormatError.
+    The file is compared in place with the blocks of _p1_blocks, and from
+    the first that differs on, line by line with them, one block of each
+    at a time: a token that differs from its canonical one is parsed and
+    compared with it, which accepts valid non-canonical spellings, names
+    the first bad line and builds no label and at most one address a line.
+    A wrong line count is reported before any line error.
     """
-    ps = _canonical_pointset(text)
-    if ps is not None:
-        return ps
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise FormatError("empty point-set file")
-    params = _p1_params(lines[0])
-    count = vertex_count(params)
-    if len(lines) != count + 1:
-        raise FormatError(f"expected {count} vertex lines, found {len(lines) - 1}")
+    params = _p1_params(_line_at(text, 0)[0])
+    total = vertex_count(params) + 1
+    # A short file naming a large graph is refused before the graph is built.
+    if text.count("\n") + (text[-1] != "\n") != total:
+        _check_line_count(text, total, "vertex")
     ps = point_set(build_graph(params))
-    rows = zip(pointset_to_text(ps).splitlines()[1:], lines[1:])
-    for lineno, (want, line) in enumerate(rows, start=2):
-        if line == want:
+    blocks, pos, start = _p1_blocks(ps), 0, 1
+    for block in blocks:
+        if not text.startswith(block, pos):
+            blocks = itertools.chain([block], blocks)
+            break
+        pos, start = pos + len(block), start + block.count("\n")
+    wants = itertools.chain.from_iterable(map(str.splitlines, blocks))
+    haves = itertools.chain.from_iterable(_line_blocks(text, pos))
+    # The header, line 1, is checked by its fields above.
+    for lineno, (want, line) in enumerate(zip(wants, haves), start=start):
+        if line == want or lineno == 1:
             continue
-        tokens = line.split(" ")
-        if len(tokens) != 2:
-            raise FormatError(f"line {lineno}: expected '<address> <intervals>'")
-        # Canonical tokens need no parse; any other spelling must parse equal.
-        name, intervals = want.split(" ")
-        address, spans = tokens
         try:
+            tokens = line.split(" ")
+            if len(tokens) != 2:
+                raise FormatError("expected '<address> <intervals>'")
+            # Canonical tokens need no parse; any other spelling must parse equal.
+            name, intervals = want.split(" ")
+            address, spans = tokens
             check_address(address, name, params)
             if spans != intervals and _parse_intervals(spans) != _parse_intervals(intervals):
                 raise FormatError("label does not match the construction")
         except FormatError as exc:
+            _check_line_count(text, total, "vertex")
             raise FormatError(f"line {lineno}: {exc}") from exc
+    if next(haves, None) is not None:
+        _check_line_count(text, total, "vertex")  # a line past line N + 1
     return ps

@@ -7,9 +7,10 @@ Core claims:
     - constraint_lhs is exactly 1 for the identity embedding and, for any
       embedding, equals the embedded/original ratio of one antipodal pair
       (an independent route through completely different quantities)
-    - a report's entries are built only when read, and certify, its text
-      and the CSV table never build one; the table, written from the
-      per-level arrays, equals the text built from the entries
+    - a report's entries are built only when read, and certify, its text,
+      the CSV table and the self test's identity check never build one;
+      the table, written from the per-level arrays, equals the text built
+      from the entries
     - the per-level vectorized constraint_report equals the per-prefix loop
       it replaced float for float, in (level, prefix, r) order, and
       constraint_lhs and the antipodal pair ratios of antipodal_pairs to
@@ -197,6 +198,13 @@ class TestConstraintReport:
         rng = np.random.default_rng(43)
         cert = certify(ps, make_embedding({a: rng.standard_normal(4) for a in ps.addresses}))
         assert certificate_to_text(cert).startswith(f"epsilon={cert.epsilon!r}\n")
+
+    def test_identity_check_makes_no_entry(self, pointsets, checker, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ConstraintEntry was built")
+
+        monkeypatch.setattr(certifier, "ConstraintEntry", refuse)
+        check_identity_constraints(checker, pointsets(3, 3))
 
     def test_constant_embedding_epsilon_one(self, pointsets):
         ps = pointsets(2, 2)

@@ -129,7 +129,7 @@ def test_canonical_l1emb_path_reads_the_bits_of_the_per_line_reader(data, size):
     fast = _canonical_matrix(lines, ps.graph.vertices, 2)
     if fast is None:
         return
-    slow = _matrix_from_lines(lines, ps, 2)
+    slow = _matrix_from_lines(lines, ps.graph.vertices, ps.params, 2, 2)
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
@@ -144,7 +144,7 @@ def test_mixed_spellings_read_the_same_bits_both_ways():
         for name, row in zip(ps.graph.vertices, values)
     ]
     fast = _canonical_matrix(lines, ps.graph.vertices, 6)
-    slow = _matrix_from_lines(lines, ps, 6)
+    slow = _matrix_from_lines(lines, ps.graph.vertices, ps.params, 6, 2)
     assert fast is not None
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
     header = f"L1EMB v1 d=6 N={len(ps)} k=3 n=2"

@@ -586,14 +586,14 @@ class TestEmbeddingFormat:
         text = embedding_to_text(ps, emb)
         lines = text.splitlines()
         assert [lines[i].split()[0] for i in (3, 5, 7)] == ["/1", "1/1", "2/1"]
-        for i, token in ((3, "/01"), (5, "01/1"), (7, "+2/1")):
+        for i, token in ((3, "/01"), (5, "01/1"), (7, "002/1")):
             lines[i] = token + " " + lines[i].split(" ", 1)[1]
         back = embedding_from_text("\n".join(lines) + "\n", ps)
         assert embedding_to_text(ps, back) == text
 
     ADDRESS_ERRORS = [
         ("2/3", "line 7: address '2/3' out of canonical order"),
-        ("+2/3", "line 7: address '+2/3' out of canonical order"),
+        ("+2/3", "line 7: bad vertex address '+2/3'"),
         ("02/3", "line 7: address '02/3' out of canonical order"),
         ("x/1", "line 7: bad vertex address 'x/1'"),
         ("1/9", "line 7: position out of range in address '1/9'"),
@@ -612,6 +612,21 @@ class TestEmbeddingFormat:
             embedding_from_text("\n".join(lines) + "\n", ps)
         assert str(info.value) == message
 
+    # int() reads each token as the canonical one beside it; the formats
+    # spell an integer in ASCII digits alone, leading zeros allowed.
+    @pytest.mark.parametrize(
+        "canonical,token",
+        [("1/1", "+1/1"), ("1/1", "\uff11/1"), ("1/1", "\u0661/1"), ("10/1", "1_0/1")],
+    )
+    def test_address_numbers_are_ascii_digits(self, pointsets, canonical, token):
+        ps = pointsets(5, 2)
+        lines = embedding_to_text(ps, identity_embedding(ps)).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == canonical)
+        lines[i] = token + " " + lines[i].partition(" ")[2]
+        with pytest.raises(FormatError) as info:
+            embedding_from_text("\n".join(lines) + "\n", ps)
+        assert str(info.value) == f"line {i + 1}: bad vertex address {token!r}"
+
     @pytest.mark.parametrize(
         "header",
         [
@@ -622,6 +637,9 @@ class TestEmbeddingFormat:
             "L1EMB v1 d2 N=12 k=2 n=2",
             "L1EMB v1 d=2 N=12 k=2",
             "L1EMB d=2 N=12 k=2 n=2",
+            "L1EMB v1 d=+2 N=12 k=2 n=2",
+            "L1EMB v1 d=2 N=1_2 k=2 n=2",
+            "L1EMB v1 d=2 N=12 k=\uff12 n=2",
         ],
     )
     def test_rejects_malformed_header(self, pointsets, header):
@@ -648,7 +666,7 @@ def per_line_floats(text):
 
 class TestEmbeddingFastPath:
     @pytest.mark.parametrize("k,n,d", [(2, 3, 1), (3, 4, 16), (2, 5, 37)])
-    def test_canonical_read_equals_per_line_reference(self, pointsets, k, n, d):
+    def test_canonical_file_equals_per_line_reference(self, pointsets, k, n, d):
         # A canonical file takes the one-loadtxt path; its rows must be the
         # per-line float() values bit for bit, behind one read-only matrix.
         ps = pointsets(k, n)
@@ -671,8 +689,8 @@ class TestEmbeddingFastPath:
         ],
     )
     def test_late_bad_line_keeps_the_per_line_message(self, pointsets, token, message):
-        # One bad line deep in an otherwise canonical file sends the read to
-        # the per-line reader, which names that line.
+        # One bad line deep in an otherwise canonical file sends its block
+        # to the per-line reader, which names that line.
         ps = pointsets(2, 4)
         lines = gaussian_text(ps, 2, seed=3).splitlines()
         lineno = 123

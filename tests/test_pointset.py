@@ -464,7 +464,7 @@ class TestExportFormat:
         assert (lines[3], lines[5], lines[8]) == ("/1 2-4", "1/1 3-4", "2/3 0-1,2-4")
         lines[3] = "/01 2-04"
         lines[5] = "01/1 3-4"
-        lines[8] = "+2/3 00-1,2-4"
+        lines[8] = "02/3 00-1,2-4"
         again = pointset_from_text("\n".join(lines) + "\n")
         assert pointset_to_text(again) == text
 
@@ -472,9 +472,9 @@ class TestExportFormat:
         "lineno,line,message",
         [
             (7, "2/3 2-3", "line 7: address '2/3' out of canonical order"),
-            (7, "+1/1 2-3", "line 7: address '+1/1' out of canonical order"),
+            (7, "+1/1 2-3", "line 7: bad vertex address '+1/1'"),
             (9, "2/3 0-1,2-3", "line 9: label does not match the construction"),
-            (9, "+2/3 0-1,02-3", "line 9: label does not match the construction"),
+            (9, "+2/3 0-1,02-3", "line 9: bad vertex address '+2/3'"),
             (9, "2/3 2-4,0-1", "line 9: label does not match the construction"),
             (9, "2/3 0-1,2-3,3-4", "line 9: label does not match the construction"),
             (6, "1/1 3-9", "line 6: label does not match the construction"),
@@ -491,6 +491,42 @@ class TestExportFormat:
         with pytest.raises(FormatError) as info:
             pointset_from_text("\n".join(lines) + "\n")
         assert str(info.value) == message
+
+    # int() reads each token as the canonical one beside it; the formats
+    # spell an integer in ASCII digits alone, leading zeros allowed.
+    @pytest.mark.parametrize(
+        "canonical,token,message",
+        [
+            ("1/1", "+1/1", "bad vertex address '+1/1'"),
+            ("1/1", "\t1/1", "bad vertex address '\\t1/1'"),
+            ("1/1", "\uff11/1", "bad vertex address '\uff11/1'"),
+            ("1/1", "\u0661/1", "bad vertex address '\u0661/1'"),
+            ("10/1", "1_0/1", "bad vertex address '1_0/1'"),
+            ("0-10", "0-1_0", "bad interval '0-1_0'"),
+        ],
+    )
+    def test_integer_tokens_are_ascii_digits(self, pointsets, canonical, token, message):
+        lines = pointset_to_text(pointsets(5, 2)).splitlines()
+        i = next(i for i, line in enumerate(lines) if canonical in line.split(" "))
+        lines[i] = " ".join(token if t == canonical else t for t in lines[i].split(" "))
+        with pytest.raises(FormatError) as info:
+            pointset_from_text("\n".join(lines) + "\n")
+        assert str(info.value) == f"line {i + 1}: {message}"
+
+    @pytest.mark.parametrize(
+        "header,field",
+        [
+            ("P1 k=+2 n=\uff12 N=1_2 dim=4", "k=+2"),
+            ("P1 k=2 n=\uff12 N=12 dim=4", "n=\uff12"),
+            ("P1 k=2 n=2 N=1_2 dim=4", "N=1_2"),
+            ("P1 k=2 n=2 N=12 dim=\u0664", "dim=\u0664"),
+        ],
+    )
+    def test_header_fields_are_ascii_digits(self, pointsets, header, field):
+        text = header + "\n" + pointset_to_text(pointsets(2, 2)).partition("\n")[2]
+        with pytest.raises(FormatError) as info:
+            pointset_from_text(text)
+        assert str(info.value) == f"bad P1 header field {field!r}"
 
     def test_address_parsing(self):
         params = GraphParams(2, 3)

@@ -2,24 +2,27 @@
 
 Core claims:
     - with the block size also patched down to a few characters, the P1 writer
-      gives the bytes of the per-vertex reference, and both canonical
-      readers accept their canonical text and read the same point set and
-      the same float bits, on P(2,3), P(3,2) and P(2,6); the P1 paths also
-      on sizes that reach each width of the writer's words: one and two
-      levels, two-digit edge coordinates, endpoints of four digits
+      gives the bytes of the per-vertex reference, and both readers accept
+      their canonical text without reaching a per-line check and read the
+      same point set and the same float bits, on P(2,3), P(3,2) and P(2,6);
+      the P1 paths also on sizes that reach each width of the writer's
+      words: one and two levels, two-digit edge coordinates, endpoints of
+      four digits
     - `generate` writes the bytes the per-cycle writer wrote at P(3,6),
       P(2,8) and P(2,10)
-    - every FormatError message is the per-line reader's, whether the
-      defect sits in the first, a middle or the last block or on a line
-      that straddles a block boundary
+    - every FormatError message names the bad line, whether the defect
+      sits in the first, a middle or the last block or on a line that
+      straddles a block boundary
     - CRLF and CR-only line ends and a missing final newline read as the
       canonical file does; text after line N+1 is a line-count error
-    - memory: the canonical L1EMB read of a pre-read text holds the
-      matrix, its finiteness mask and a few blocks; the P1 writer holds
-      its text, the intervals of the vertices above depth n, the last
-      level's per-cycle arrays and a few blocks; `generate`, which writes
-      the blocks as they come, holds less than its text; and the canonical
-      P1 read holds less than the writer less half the text
+    - memory: the L1EMB read of a pre-read text, canonical, with one
+      respelled token or with CRLF line ends, holds the matrix, its
+      finiteness mask and a few blocks; the P1 writer holds its text, the
+      intervals of the vertices above depth n, the last level's per-cycle
+      arrays and a few blocks; `generate`, which writes the blocks as they
+      come, holds less than its text; the canonical P1 read holds less
+      than the writer less half the text, and a P1 read of such a
+      differing file the canonical read and a few blocks
 """
 
 import hashlib
@@ -30,12 +33,11 @@ import pytest
 
 from l1cert import l1metric, pointset
 from l1cert.cli import main
-from l1cert.l1metric import Embedding, _canonical_read, embedding_from_text, embedding_to_text
+from l1cert.l1metric import Embedding, embedding_from_text, embedding_to_text
 from l1cert.pointset import (
     TEXT_BLOCK,
     FormatError,
     GraphParams,
-    _canonical_pointset,
     build_graph,
     point_set,
     pointset_from_text,
@@ -55,8 +57,23 @@ D = 3
 def block(request, monkeypatch):
     """Both text paths with their block size set to the parameter, in characters."""
     monkeypatch.setattr(pointset, "TEXT_BLOCK", request.param)
-    monkeypatch.setattr(l1metric, "TEXT_BLOCK", request.param)
     return request.param
+
+
+@pytest.fixture
+def no_line_checks(monkeypatch):
+    """Make the per-line checks raise, so that a read that reaches one fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a canonical file reached a per-line check")
+
+    for module, name in [
+        (pointset, "check_address"),
+        (pointset, "_parse_intervals"),
+        (l1metric, "check_address"),
+        (l1metric, "_matrix_from_lines"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
 
 
 def reference_p1(ps):
@@ -96,22 +113,21 @@ def read_error(read, text):
 
 
 @pytest.mark.parametrize("k,n", P1_SIZES)
-def test_p1_round_trip_is_byte_identical(block, pointsets, k, n):
+def test_p1_round_trip_is_byte_identical(block, no_line_checks, pointsets, k, n):
     ps = pointsets(k, n)
     text = pointset_to_text(ps)
     assert text == reference_p1(ps)
     blocks = list(pointset._p1_blocks(ps))
     assert all(b.endswith("\n") and len(b) >= block for b in blocks[:-1])
-    assert _canonical_pointset(text).params == ps.params
+    assert pointset_from_text(text).params == ps.params
     assert pointset_to_text(pointset_from_text(text)) == text
 
 
 @pytest.mark.parametrize("k,n", SIZES)
-def test_l1emb_round_trip_is_bit_identical(block, pointsets, k, n):
+def test_l1emb_round_trip_is_bit_identical(block, no_line_checks, pointsets, k, n):
     ps = pointsets(k, n)
     text = l1emb(ps)
     want = per_line_floats(text)
-    assert np.array_equal(_canonical_read(text, ps).view(np.int64), want.view(np.int64))
     emb = embedding_from_text(text, ps)
     assert np.array_equal(emb.matrix.view(np.int64), want.view(np.int64))
     assert embedding_to_text(ps, emb) == text
@@ -197,7 +213,7 @@ def test_l1emb_line_count_errors_in_any_block(block, pointsets):
 
 
 def after_header(respell):
-    """Respell only the lines after the header, which the canonical reads take in blocks."""
+    """Respell only the lines after the header, which the readers take in blocks."""
     return lambda t: t[: t.find("\n") + 1] + respell(t[t.find("\n") + 1 :])
 
 
@@ -223,6 +239,16 @@ def test_text_after_the_last_line_is_a_line_count_error(block, pointsets, tail):
     got = read_error(pointset_from_text, pointset_to_text(ps) + tail)
     assert got == "expected 44 vertex lines, found 45"
     got = read_error(lambda t: embedding_from_text(t, ps), l1emb(ps) + tail)
+    assert got == "expected 44 vector lines, found 45"
+
+
+def test_a_line_past_n_plus_1_with_n_plus_1_newlines_is_a_line_count_error(block, pointsets):
+    # Line 3 ends in CR, so the newlines of N + 1 lines hold one line more.
+    ps = pointsets(2, 3)
+    respell = lambda t: t.replace("\n", "\r", 3).replace("\r", "\n", 2) + "x\n"  # noqa: E731
+    got = read_error(pointset_from_text, respell(pointset_to_text(ps)))
+    assert got == "expected 44 vertex lines, found 45"
+    got = read_error(lambda t: embedding_from_text(t, ps), respell(l1emb(ps)))
     assert got == "expected 44 vector lines, found 45"
 
 
@@ -255,11 +281,18 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_canonical_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch):
+# A file differs from the canonical text in one respelled token, or in every line end.
+RESPELL = lambda t: t.replace("\n/1 ", "\n/01 ", 1)  # noqa: E731
+EDITS = [lambda t: t, RESPELL, CRLF]
+EDIT_IDS = ["canonical", "respelled", "crlf"]
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+def test_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch, edit):
     # P(2,7) at d=16 is a 3.6 MB text, so blocks of 64 KB make it many blocks long.
-    monkeypatch.setattr(l1metric, "TEXT_BLOCK", 2**16)
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**16)
     ps = point_set(build_graph(GraphParams(2, 7)))
-    text = l1emb(ps, d=16)
+    text = edit(l1emb(ps, d=16))
     ps.graph.vertices  # built and kept by the P1 read that comes first
     # 8 bytes an entry for the matrix and 1 for Embedding's finiteness mask.
     bound = 9 * len(ps) * 16 + 4 * 2**16
@@ -302,3 +335,14 @@ def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
     write = traced_peak(lambda: pointset_to_text(fresh()))
     read = traced_peak(lambda: pointset_from_text(text))
     assert read < write - len(text) // 2
+
+
+@pytest.mark.parametrize("edit", EDITS[1:], ids=EDIT_IDS[1:])
+def test_differing_p1_read_holds_a_few_blocks_more_than_the_canonical_one(monkeypatch, edit):
+    # From the first block that differs, line 4 here, the read holds the
+    # lines of one block of the file and one of the canonical text at a time.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
+    text = pointset_to_text(point_set(build_graph(GraphParams(2, 7))))
+    canonical = traced_peak(lambda: pointset_from_text(text))
+    differing = edit(text)
+    assert traced_peak(lambda: pointset_from_text(differing)) <= canonical + 8 * 2**12
