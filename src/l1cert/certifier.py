@@ -327,16 +327,21 @@ def _at_least_two(rows: int) -> None:
         raise ValueError("need at least two distributions")
 
 
-def certify(ps: PointSet, emb: Embedding) -> CertificateReport:
+def certify(
+    ps: PointSet, emb: Embedding, *, report: DistortionReport | None = None
+) -> CertificateReport:
     """Full pipeline: distortion, normalization, constraints, dimension bound.
 
+    `report`, when given, must be `distortion(ps, emb)`, already measured
+    (as the search measures its winner); it is then not measured again.
     Raises DegenerateEmbeddingError when two distinct points share a
     vector (the certificate would be meaningless). `consistent` must come
     back True for every valid embedding. Memory beyond the inputs is the
     scaled (N, d) matrix, O(N * words) packed labels, O(E * d) edge arrays
     and one float per constraint; no N x N matrix is built.
     """
-    report = distortion(ps, emb)
+    if report is None:
+        report = distortion(ps, emb)
     if math.isinf(report.contraction):
         raise DegenerateEmbeddingError(
             "embedding maps two distinct points to the same vector"

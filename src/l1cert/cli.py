@@ -87,7 +87,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
     )
     result = search_embedding(ps, cfg)
-    cert = certify(ps, result.embedding)
+    cert = certify(ps, result.embedding, report=result.report)
     out = Path(args.out) if args.out else Path(
         f"embedding_k{ps.params.k}_n{ps.params.n}_d{args.dimension}_s{args.seed}.txt"
     )

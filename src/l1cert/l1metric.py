@@ -180,30 +180,33 @@ def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
 
 
 def _sum_planes(planes: np.ndarray) -> np.ndarray:
-    """Add planes[1:] into planes[0] in place, in the order numpy sums a contiguous axis.
+    """The sum of the planes, in the order numpy sums a contiguous axis.
 
-    numpy >= 2.0's add.reduce sums fewer than 8 terms in sequence; 8 to
-    128 terms as eight stride-8 partial sums r0..r7, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in
-    sequence; more terms as two halves split at a multiple of 8, each
-    summed so, then added. Following it plane by plane makes every entry
-    bit-identical to `planes.sum(axis=0)` taken one entry at a time, that
-    is, to `np.abs(a - b).sum()` for a pair of vectors.
+    numpy >= 2.0's add.reduce sums fewer than 8 terms of a contiguous axis
+    in sequence; 8 to 128 terms as eight stride-8 partial sums r0..r7,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining
+    terms in sequence; more terms as two halves split at a multiple of 8,
+    each summed so, then added. Following it plane by plane makes every
+    entry bit-identical to the sum of that entry's terms laid out
+    contiguously, that is, to `np.abs(a - b).sum()` for a pair of vectors.
+    Fewer than 8 planes are one add.reduce over the plane axis, which
+    numpy sums in sequence, into a new array; more are added into
+    planes[0] in place, and the sum is planes[0].
     """
     n = len(planes)
+    if n < 8:
+        return np.add.reduce(planes, axis=0)
     if n > 128:
         half = n // 2 - n // 2 % 8
         head = _sum_planes(planes[:half])
         return np.add(head, _sum_planes(planes[half:]), out=head)
-    acc, rest = planes[0], 1
-    if n >= 8:
-        rest = n - n % 8
-        r = planes[:8]
-        for i in range(8, rest, 8):
-            np.add(r, planes[i : i + 8], out=r)
-        np.add(r[0::2], r[1::2], out=r[0::2])
-        np.add(r[0::4], r[2::4], out=r[0::4])
-        np.add(acc, r[4], out=acc)
+    rest = n - n % 8
+    r = planes[:8]
+    for i in range(8, rest, 8):
+        np.add(r, planes[i : i + 8], out=r)
+    np.add(r[0::2], r[1::2], out=r[0::2])
+    np.add(r[0::4], r[2::4], out=r[0::4])
+    acc = np.add(r[0], r[4], out=r[0])
     for plane in planes[rest:]:
         np.add(acc, plane, out=acc)
     return acc
@@ -230,7 +233,8 @@ def _l1_tile(planes: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1
     of planes' dtype (subtract, then abs in place) and their d planes are
     added by _sum_planes, so each pair's distance equals
     np.abs(points[i] - points[j]).sum() bit for bit in that dtype. The
-    result is a view of `flat`, valid until it is next written.
+    result is a new array for d < 8 and otherwise a view of `flat`, valid
+    until it is next written.
     """
     buf = flat[: planes.shape[0] * (i1 - i0) * (j1 - j0)].reshape(-1, i1 - i0, j1 - j0)
     np.subtract(planes[:, i0:i1, None], planes[:, None, j0:j1], out=buf)

@@ -19,7 +19,14 @@ import numpy as np
 from . import infotheory
 from .certifier import edge_difference_map, nonneg_lift
 from .infotheory import JointDistribution, fano_term, probability_table, table_information
-from .l1metric import DistortionReport, Embedding, distortion, pairwise_l1
+from .l1metric import (
+    DistortionReport,
+    Embedding,
+    _sum_planes,
+    _tile_numerics,
+    distortion,
+    pairwise_l1,
+)
 from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
 
 MAX_COMPLETIONS = 10**6
@@ -154,12 +161,17 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     damped by min(1, STEP_SCALE/sqrt(t)). Restart r uses seed+r; the best
     restart wins (ties to the lowest index). Best effort only.
 
-    The embedded distances and the violation matrix are built once per
-    restart. A step moves at most points i and j, so one refresh recomputes
-    both their rows (and mirrored columns) as a single (2, N) block, each
-    pair summed exactly as `pairwise_l1` does; the pair's distance is read
-    from that matrix. O(N*d) arithmetic plus one O(N**2) argmax per step.
-    Each restart is reported by `distortion` over its final points.
+    Each restart keeps its points coordinate-major, as a (d, N) array, as
+    `pairwise_l1` and `distortion` do, and its embedded distances and
+    log-ratio violations as the two planes of one (2, N, N) state, built
+    once per restart. A step moves at most points i and j, so one refresh
+    recomputes both their rows as a single (d, 2, N) block in one buffer
+    with the tile kernel's steps (subtract, abs in place, _sum_planes), so
+    each pair is summed exactly as `pairwise_l1` sums it; it then writes
+    the rows of both planes at once and their mirrored columns at once.
+    The pair's distance is read from the state. O(N*d) arithmetic plus one
+    O(N**2) argmax per step. Each restart is reported by `distortion` over
+    its final points.
     """
     n = len(ps)
     if n > 2000:
@@ -169,53 +181,59 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
     scale = float(original[np.triu_indices(n, 1)].mean())
     log_original = np.log(original)
+    state = np.empty((2, n, n))
+    embedded, violation = state
+    diff = np.empty((d, 2, n))
+    block = np.empty((2, 2, n))
+    l1_rows, gap_rows = block
+    columns = block.transpose(0, 2, 1)
 
     def refresh(a: int, b: int) -> None:
-        """Recompute rows a <= b (one row when equal) and their mirrored
-        columns of `embedded` and `violation`, as one block.
+        """Recompute rows a < b of both planes of `state` and their mirrored columns.
 
-        The rows are taken by a basic slice, so no copy is made; each pair
-        is summed over its own contiguous d terms, as in `pairwise_l1`.
+        The rows are taken by a basic slice, so no copy is made.
         """
-        rows = slice(a, b + 1, max(b - a, 1))
-        block = np.abs(points[rows, None, :] - points).sum(axis=-1)
-        embedded[rows] = block
-        embedded[:, rows] = block.T
-        np.maximum(block, 1e-300, out=block)
-        np.log(block, out=block)
-        np.subtract(block, log_original[rows], out=block)
-        np.abs(block, out=block)
-        block[0, a] = block[-1, b] = -math.inf
-        violation[rows] = block
-        violation[:, rows] = block.T
+        rows = slice(a, b + 1, b - a)
+        np.subtract(planes[:, rows, None], planes[:, None], out=diff)
+        l1_rows[...] = _sum_planes(np.abs(diff, out=diff))
+        np.maximum(l1_rows, 1e-300, out=gap_rows)
+        np.log(gap_rows, out=gap_rows)
+        np.subtract(gap_rows, log_original[rows], out=gap_rows)
+        np.abs(gap_rows, out=gap_rows)
+        gap_rows[0, a] = gap_rows[1, b] = -math.inf
+        state[:, rows] = block
+        state[:, :, rows] = columns
 
     best: SearchResult | None = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
         points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
-        embedded = pairwise_l1(points)
-        violation = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
+        embedded[...] = pairwise_l1(points)
+        planes = np.ascontiguousarray(points.T)
+        violation[...] = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
         np.fill_diagonal(violation, -math.inf)
-        for t in range(1, cfg.iterations + 1):
-            i, j = divmod(int(violation.argmax()), n)
-            dist = float(embedded[i, j])
-            if dist < 1e-12:
-                points[i] = points[i] + rng.standard_normal(d) * (1e-6 * scale)
-                refresh(i, i)
-                continue
-            direction = np.sign(points[i] - points[j])
-            moving = int(np.count_nonzero(direction))
-            residual = dist - original[i, j]
-            step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
-            delta = step * direction
-            points[i] -= delta
-            points[j] += delta
-            refresh(min(i, j), max(i, j))
+        with _tile_numerics():
+            for t in range(1, cfg.iterations + 1):
+                # i != j: the diagonal holds -inf. A jitter moves point i
+                # alone; refreshing row j as well recomputes it unchanged.
+                i, j = divmod(int(violation.argmax()), n)
+                dist = float(embedded[i, j])
+                if dist < 1e-12:
+                    planes[:, i] = planes[:, i] + rng.standard_normal(d) * (1e-6 * scale)
+                else:
+                    direction = np.sign(planes[:, i] - planes[:, j])
+                    moving = int(np.count_nonzero(direction))
+                    residual = dist - original[i, j]
+                    step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
+                    delta = step * direction
+                    planes[:, i] -= delta
+                    planes[:, j] += delta
+                refresh(min(i, j), max(i, j))
 
         # Split coincident points so the result is a genuine embedding.
         for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
-            points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
-        emb = Embedding(points, ps.graph)
+            planes[:, j] = planes[:, j] + rng.standard_normal(d) * (1e-9 * scale)
+        emb = Embedding(np.ascontiguousarray(planes.T), ps.graph)
         report = distortion(ps, emb)
         if best is None or report.distortion < best.report.distortion:
             best = SearchResult(emb, report, restart)

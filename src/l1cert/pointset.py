@@ -25,6 +25,7 @@ after construction and all operations are pure.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -711,19 +712,26 @@ def _p1_params(line: str) -> GraphParams:
     return params
 
 
+# The line breaks str.splitlines knows; CRLF comes first, so it is matched whole.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _line_at(text: str, pos: int) -> tuple[str, int]:
     """The line at pos < len(text) as str.splitlines ends it, and where the next line starts."""
-    head = text[pos : text.find("\n", pos) + 1 or len(text)]
-    return head.splitlines()[0], pos + len(head.splitlines(keepends=True)[0])
+    end = _LINE_BREAK.search(text, pos)
+    return (text[pos:], len(text)) if end is None else (text[pos : end.start()], end.end())
 
 
 def _line_blocks(text: str, pos: int):
     """text[pos:].splitlines(), a list per block of whole lines of at least TEXT_BLOCK characters.
 
-    A block ends just after a newline, so no line end splitlines knows, CRLF included, is cut.
+    A block ends just after the first line break splitlines knows that ends
+    at or past its TEXT_BLOCK-th character, whatever the file's line ends;
+    a CRLF is matched whole, so none is cut at a block's edge.
     """
     while pos < len(text):
-        end = text.find("\n", pos + TEXT_BLOCK - 1) + 1 or len(text)
+        end = _LINE_BREAK.search(text, pos + TEXT_BLOCK - 1)
+        end = len(text) if end is None else end.end()
         yield text[pos:end].splitlines()
         pos = end
 

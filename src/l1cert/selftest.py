@@ -261,9 +261,9 @@ def check_bound_values(t) -> None:
 
 def check_end_to_end(t, ps: PointSet, cfg: SearchConfig) -> Embedding:
     """The embedding search_embedding finds certifies as consistent. Returns it."""
-    emb = search_embedding(ps, cfg).embedding
-    t.check(certify(ps, emb).consistent)
-    return emb
+    result = search_embedding(ps, cfg)
+    t.check(certify(ps, result.embedding, report=result.report).consistent)
+    return result.embedding
 
 
 def _point_set(k: int, n: int, flip: bool) -> PointSet:

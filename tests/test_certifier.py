@@ -516,6 +516,22 @@ class TestCertify:
         with pytest.raises(DegenerateEmbeddingError):
             certify(ps, emb)
 
+    def test_degenerate_embedding_rejected_with_a_measured_report(self, pointsets):
+        ps = pointsets(2, 1)
+        emb = make_embedding({a: [1.0, 0.0] for a in ps.addresses})
+        with pytest.raises(DegenerateEmbeddingError):
+            certify(ps, emb, report=distortion(ps, emb))
+
+    def test_a_measured_report_is_not_measured_again(self, pointsets, monkeypatch):
+        ps = pointsets(2, 3)
+        emb = Embedding(np.random.default_rng(3).standard_normal((len(ps), 4)), ps.graph)
+        want = certify(ps, emb)
+        report = distortion(ps, emb)
+        monkeypatch.setattr(certifier, "distortion", None)
+        got = certify(ps, emb, report=report)
+        assert certificate_to_text(got) == certificate_to_text(want)
+        assert constraint_table_csv(got.constraints) == constraint_table_csv(want.constraints)
+
     def test_random_embeddings_always_consistent(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(89)

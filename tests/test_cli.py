@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from l1cert import pointset
+from l1cert import certifier, l1metric, oracle, pointset
 from l1cert.certifier import constraint_report, dimension_bound
 from l1cert.cli import main
 from l1cert.l1metric import (
@@ -319,6 +319,29 @@ class TestSearch:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_measures_each_restart_once(self, tmp_path, pointsets, monkeypatch):
+        # The winner's report from the search is the certificate's; certify
+        # does not measure the same embedding again.
+        calls = []
+
+        def counting(ps, emb):
+            calls.append(emb)
+            return l1metric.distortion(ps, emb)
+
+        monkeypatch.setattr(oracle, "distortion", counting)
+        monkeypatch.setattr(certifier, "distortion", counting)
+        ps_path = tmp_path / "ps.txt"
+        ps_path.write_text(pointset_to_text(pointsets(2, 2)), encoding="utf-8")
+        for restarts in (1, 3):
+            calls.clear()
+            out = tmp_path / f"emb{restarts}.txt"
+            assert main(
+                ["search", str(ps_path), "-d", "2", "--iters", "50",
+                 "--restarts", str(restarts), "--seed", "5", "-o", str(out)]
+            ) == 0
+            assert len(calls) == restarts
+            assert "consistent=true" in (tmp_path / f"emb{restarts}.txt.report").read_text()
 
     def test_missing_dimension_is_usage_error(self, tmp_path, pointsets):
         ps_path = tmp_path / "ps.txt"

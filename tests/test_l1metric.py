@@ -221,6 +221,18 @@ class TestFastPaths:
         got, want = pairwise_l1(points), naive_pairwise(points)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("d", [*range(1, 18), *range(127, 132)])
+    def test_sum_planes_equals_numpy_sum_of_a_contiguous_axis(self, d):
+        # Magnitudes over 1e-5..1e5, so that sums in different orders
+        # round differently. The reference sums each entry's d terms laid
+        # out contiguously: a strided axis (np.moveaxis alone) numpy sums
+        # in sequence.
+        rng = np.random.default_rng(d)
+        x = 10.0 ** rng.uniform(-5.0, 5.0, (d, 3, 40))
+        want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(-1)
+        got = l1metric._sum_planes(x.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("d", [13, 16, 130, 1000])
     def test_sequential_sum_differs_on_the_same_data(self, d):
         # The control: the data tells summation orders apart, so the test above can fail.

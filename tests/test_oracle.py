@@ -8,7 +8,9 @@ Core claims:
       when the label dimension is available, and never produces an
       inconsistent certificate
     - the incremental search is bit-for-bit the full-recompute search,
-      including the jitter of coincident pairs and the final split
+      on both sides of each summation branch of the kernel (d = 7, 8, ...)
+      and up to N=684, including the jitter of coincident pairs and the
+      final split
     - build_message_joint has an exactly uniform source marginal and
       reproduces the hand-computed information values
 """
@@ -253,7 +255,7 @@ class TestIncrementalSearch:
     # partial sums plus a tail, and more as two halves; the per-step (2, N)
     # row sums and the pair distance read from them must match the
     # reference's all-pairs and per-pair sums bit for bit in every branch.
-    @pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 16, 130])
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 9, 16, 130])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_matches_full_recompute(self, pointsets, k, n, d, seed):
         ps = pointsets(k, n)
@@ -263,6 +265,12 @@ class TestIncrementalSearch:
     def test_matches_full_recompute_depth_four(self, pointsets):
         ps = pointsets(2, 4)
         cfg = SearchConfig(target_dimension=8, iterations=40, restarts=2, seed=11)
+        _assert_identical(ps, search_embedding(ps, cfg), _full_recompute_search(ps, cfg))
+
+    def test_matches_full_recompute_depth_five(self, pointsets):
+        # N=684: the largest point set the tests search.
+        ps = pointsets(2, 5)
+        cfg = SearchConfig(target_dimension=8, iterations=20, restarts=2, seed=2)
         _assert_identical(ps, search_embedding(ps, cfg), _full_recompute_search(ps, cfg))
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2)])

@@ -14,9 +14,11 @@ Core claims:
       sits in the first, a middle or the last block or on a line that
       straddles a block boundary
     - CRLF and CR-only line ends and a missing final newline read as the
-      canonical file does; text after line N+1 is a line-count error
+      canonical file does; text after line N+1 is a line-count error;
+      blocks end after any line break str.splitlines knows, never inside
+      a CRLF
     - memory: the L1EMB read of a pre-read text, canonical, with one
-      respelled token or with CRLF line ends, holds the matrix, its
+      respelled token or with CRLF or CR-only line ends, holds the matrix, its
       finiteness mask and a few blocks; the P1 writer holds its text, the
       intervals of the vertices above depth n, the last level's per-cycle
       arrays and a few blocks; `generate`, which writes the blocks as they
@@ -263,6 +265,34 @@ def test_other_line_breaks_in_the_header_give_the_per_line_message(pointsets):
     assert got == "bad L1EMB header: 'L1EMB v1 d=3'"
 
 
+# Every line break str.splitlines knows, CRLF among them, and empty lines.
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 40])
+def test_line_blocks_cut_after_any_line_break(monkeypatch, size):
+    # A CRLF cut at a block's edge would read as two line ends, so the
+    # joined blocks would hold one empty line too many.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", size)
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        words = ["ab" * int(rng.integers(0, 4)) for _ in range(12)]
+        ends = [BREAKS[i] for i in rng.integers(0, len(BREAKS), 12)]
+        text = "".join(map(str.__add__, words, ends))[: int(rng.integers(1, 80))]
+        for pos in range(len(text)):
+            lines = text[pos:].splitlines(keepends=True)
+            blocks = list(pointset._line_blocks(text, pos))
+            assert sum(blocks, []) == text[pos:].splitlines()
+            # A block ends with the first line that ends at or past its
+            # TEXT_BLOCK-th character, or with the text.
+            for block in blocks:
+                taken, lines = lines[: len(block)], lines[len(block) :]
+                assert len("".join(taken[:-1])) < size
+                assert len("".join(taken)) >= size or not lines
+            first = text[pos:].splitlines(keepends=True)[0]
+            assert pointset._line_at(text, pos) == (first.splitlines()[0], pos + len(first))
+
+
 def test_short_file_naming_a_large_graph_is_refused_unbuilt(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the graph was built")
@@ -283,8 +313,8 @@ def traced_peak(fn):
 
 # A file differs from the canonical text in one respelled token, or in every line end.
 RESPELL = lambda t: t.replace("\n/1 ", "\n/01 ", 1)  # noqa: E731
-EDITS = [lambda t: t, RESPELL, CRLF]
-EDIT_IDS = ["canonical", "respelled", "crlf"]
+EDITS = [lambda t: t, RESPELL, CRLF, CR]
+EDIT_IDS = ["canonical", "respelled", "crlf", "cr"]
 
 
 @pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
