@@ -189,11 +189,14 @@ def _sum_planes(planes: np.ndarray) -> np.ndarray:
     each summed so, then added. Following it plane by plane makes every
     entry bit-identical to the sum of that entry's terms laid out
     contiguously, that is, to `np.abs(a - b).sum()` for a pair of vectors.
-    Fewer than 8 planes are one add.reduce over the plane axis, which
-    numpy sums in sequence, into a new array; more are added into
-    planes[0] in place, and the sum is planes[0].
+    One plane is its own sum, returned as planes[0]; 2 to 7 planes are one
+    add.reduce over the plane axis, which numpy sums in sequence, into a
+    new array; more are added into planes[0] in place, and the sum is
+    planes[0].
     """
     n = len(planes)
+    if n == 1:
+        return planes[0]
     if n < 8:
         return np.add.reduce(planes, axis=0)
     if n > 128:
@@ -221,9 +224,23 @@ def _tile_shape(n: int, d: int, words: int = 0) -> tuple[int, int]:
     left of BLOCK_ELEMENTS for max(d, words) planes, words being the label
     words per pair a caller holds beside each tile; there is at least one
     row, and neither side exceeds the n - 1 rows or columns there are.
+    These are the float64 tiles; distortion screens in float32 tiles of
+    _screen_rows rows, up to twice as tall, in the same buffer.
     """
     cols = max(1, min(n - 1, 512))
     return max(1, min(n - 1, BLOCK_ELEMENTS // (max(d, words) * cols))), cols
+
+
+def _screen_rows(n: int, rows: int, cols: int) -> int:
+    """Rows of distortion's float32 screen tiles, for float64 tiles of _tile_shape (rows, cols).
+
+    Twice the float64 rows, so that a float32 tile fills the d * rows * cols
+    float64 buffer it is taken in, within the n - 1 rows there are; and at
+    most cols, so that a tile side meets at most two of _screen_points'
+    weight blocks and a strip's first tile holds both orders of each pair
+    j < i it reaches. rows <= cols, so never fewer than rows.
+    """
+    return min(n - 1, 2 * rows, cols)
 
 
 def _l1_tile(planes: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1: int):
@@ -233,8 +250,9 @@ def _l1_tile(planes: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1
     of planes' dtype (subtract, then abs in place) and their d planes are
     added by _sum_planes, so each pair's distance equals
     np.abs(points[i] - points[j]).sum() bit for bit in that dtype. The
-    result is a new array for d < 8 and otherwise a view of `flat`, valid
-    until it is next written.
+    result is a new array for 1 < d < 8 and otherwise a view of `flat`
+    (at d = 1 the differences themselves), valid until `flat` is next
+    written: every caller reads it before its next tile.
     """
     buf = flat[: planes.shape[0] * (i1 - i0) * (j1 - j0)].reshape(-1, i1 - i0, j1 - j0)
     np.subtract(planes[:, i0:i1, None], planes[:, None, j0:j1], out=buf)
@@ -371,14 +389,20 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     float range raises OverflowError: the report would be meaningless, and
     a ratio could pass for a coincident pair.
 
-    When there is more than one tile, every tile after the first is first
-    screened in float32: _screen_range takes its least and largest ratio
-    r32 over the centred float32 points of _screen_points, in the bytes of
-    the tile buffer that the exact tile then reuses. The tile is skipped
-    only when max r32 + M < expansion and min r32 - M > lowest, strictly,
-    against the running extremes of the exact tiles, with M the largest
-    weight of the row blocks its rows meet plus that of its columns';
-    otherwise it is computed exactly and folded as above.
+    When there is more than one tile, the pass runs over tiles of
+    _screen_rows rows, twice the float64 rows where there are enough, and
+    every tile after the first is first screened in float32: _screen_range
+    takes its least and largest ratio r32 over the centred float32 points
+    of _screen_points, in the bytes of the float64 tile buffer, whose
+    float32 view holds a tile twice as tall. The tile is skipped only when
+    max r32 + M < expansion and min r32 - M > lowest, strictly, against
+    the running extremes of the exact tiles, with M the largest weight of
+    the row blocks its rows meet plus that of its columns'. Otherwise it
+    is folded as above in float64 sub-tiles of at most `rows` rows, r0 on,
+    each from column max(j0, r0 + 1), so that a sub-tile reaching the
+    diagonal is masked like a strip's first tile; a sub-tile with no pair
+    i < j (the last row of the points) is not folded. Without a screen the
+    tiles are the float64 ones.
 
     Why M bounds |r32 - r64| for a pair i, j, r64 being the exact pass's
     ratio: with u = 2**-24, D the real L1 distance, B = A'[i] + A'[j]
@@ -417,8 +441,12 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     _screen_points finds that float32 cannot bound the input. No N x N
     matrix is built; memory beyond the inputs is the (d, N)
     coordinate-major copy and its float32 copy, O(N * words) packed
-    labels and one tile buffer of at most BLOCK_ELEMENTS float64 elements
-    with a few tile-sized temporaries.
+    labels and one tile buffer of at most BLOCK_ELEMENTS float64 elements,
+    shared by the float32 screen tiles and the float64 tiles, with a few
+    tile-sized temporaries. The screen's label distances are taken over
+    its taller tile: their XORed words are at most twice a float64 tile's,
+    words * 2 * rows * cols uint64, which is the buffer's size when
+    words <= d / 2.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
@@ -433,7 +461,8 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     with _tile_numerics(over="ignore", divide="ignore", invalid="ignore"):
         if rows < n - 1 or cols < n - 1:  # more than one tile
             screen = _screen_points(planes, ps.dimension, flat, cols)
-        for tile in _tile_bounds(n, rows, cols):
+        wide = rows if screen is None else _screen_rows(n, rows, cols)
+        for tile in _tile_bounds(n, wide, cols):
             i0, i1, j0, j1 = tile
             if j0 == i0 + 1 and 2 * wasted > screened:
                 screen = None
@@ -449,7 +478,10 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
                 if hi32 + margin < worst.expansion and lo32 - margin > worst.lowest:
                     continue
                 before = worst
-            worst = _fold_tile(ps, planes, flat, tile, worst)
+            for r0 in range(i0, i1, rows):
+                c0 = max(j0, r0 + 1)
+                if c0 < j1:
+                    worst = _fold_tile(ps, planes, flat, (r0, min(r0 + rows, i1), c0, j1), worst)
             if worst == before:
                 wasted += 1
     if math.isinf(worst.expansion):

@@ -748,12 +748,11 @@ def pointset_from_text(text: str) -> PointSet:
 
     The returned point set is the in-memory construction; any divergence of
     the file from it (order, addresses, labels, counts) is a FormatError.
-    The file is compared in place with the blocks of _p1_blocks, and from
-    the first that differs on, line by line with them, one block of each
-    at a time: a token that differs from its canonical one is parsed and
-    compared with it, which accepts valid non-canonical spellings, names
-    the first bad line and builds no label and at most one address a line.
-    A wrong line count is reported before any line error.
+    The file is compared in place with the blocks of _p1_blocks, one block
+    at a time; only the lines of a block that differs are compared line by
+    line (_check_p1_lines), and the next block is compared in place again,
+    so one respelled token costs one block's line checks. A wrong line
+    count is reported before any line error.
     """
     if not text:
         raise FormatError("empty point-set file")
@@ -763,15 +762,44 @@ def pointset_from_text(text: str) -> PointSet:
     if text.count("\n") + (text[-1] != "\n") != total:
         _check_line_count(text, total, "vertex")
     ps = point_set(build_graph(params))
-    blocks, pos, start = _p1_blocks(ps), 0, 1
-    for block in blocks:
-        if not text.startswith(block, pos):
-            blocks = itertools.chain([block], blocks)
-            break
-        pos, start = pos + len(block), start + block.count("\n")
-    wants = itertools.chain.from_iterable(map(str.splitlines, blocks))
-    haves = itertools.chain.from_iterable(_line_blocks(text, pos))
-    # The header, line 1, is checked by its fields above.
+    pos, start = 0, 1
+    try:
+        for block in _p1_blocks(ps):
+            if text.startswith(block, pos):
+                pos += len(block)
+            else:
+                pos = _check_p1_lines(text, pos, block, params, start)
+            start += block.count("\n")
+    except FormatError:
+        _check_line_count(text, total, "vertex")
+        raise
+    if pos < len(text):
+        _check_line_count(text, total, "vertex")  # a line past line N + 1
+    return ps
+
+
+def _check_p1_lines(text: str, pos: int, block: str, params: GraphParams, start: int) -> int:
+    """Check the lines of `text` from `pos` against those of the canonical `block`; where they end.
+
+    The file's lines are split off a slice one character a line longer
+    than the block (room for CRLF ends), twice as long until it holds one
+    line more than the block, and compared one by one, the first being
+    line `start` of the file; pointset_from_text's line count makes sure
+    there are enough, and _lines_end finds where they end. A token that
+    differs from its canonical one is parsed and compared with it, which
+    accepts valid non-canonical spellings, names the bad line and builds
+    no label and at most one address a line. The header, line 1, is
+    checked by its fields.
+    """
+    wants = block.splitlines()
+    size = len(block) + len(wants) + 2
+    haves = text[pos : pos + size].splitlines()
+    while len(haves) <= len(wants) and pos + size < len(text):
+        size *= 2
+        haves = text[pos : pos + size].splitlines()
+    haves = haves[: len(wants)]
+    if haves == wants:  # one comparison where only the line breaks differ
+        return _lines_end(text, pos, haves)
     for lineno, (want, line) in enumerate(zip(wants, haves), start=start):
         if line == want or lineno == 1:
             continue
@@ -786,8 +814,25 @@ def pointset_from_text(text: str) -> PointSet:
             if spans != intervals and _parse_intervals(spans) != _parse_intervals(intervals):
                 raise FormatError("label does not match the construction")
         except FormatError as exc:
-            _check_line_count(text, total, "vertex")
             raise FormatError(f"line {lineno}: {exc}") from exc
-    if next(haves, None) is not None:
-        _check_line_count(text, total, "vertex")  # a line past line N + 1
-    return ps
+    return _lines_end(text, pos, haves)
+
+
+def _lines_end(text: str, pos: int, lines: list[str]) -> int:
+    """Where `lines`, the first lines of text[pos:].splitlines(), end in `text`, breaks included.
+
+    Every line break is one character but CRLF, two, and a CRLF in the text
+    is always one break. So the end lies past the lines' characters and one
+    character a line by the number of CRLFs before it: the end is moved
+    past the CRLFs that start before it until it holds them all. It never
+    passes the true end, since below it a CRLF is left to count, and stops
+    there. A last line without a break would count one, so the end is
+    clamped to the text.
+    """
+    chars = pos + sum(map(len, lines)) + len(lines)
+    end, crlfs = chars, text.count("\r\n", pos, chars + 1)
+    while chars + crlfs > end:
+        # Count the CRLFs that start in the stretch the end moves over.
+        end, passed = chars + crlfs, end
+        crlfs += text.count("\r\n", passed, end + 1)
+    return min(end, len(text))

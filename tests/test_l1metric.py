@@ -18,7 +18,10 @@ Core claims:
       d=16, screens an exact isometry in the first strip only, redoes the
       tiles of tied lowest ratios in a later strip, and is not set up for
       inputs float32 cannot bound (tests/test_distortion_properties.py
-      stresses its margin)
+      stresses its margin); its tiles, twice as tall as the float64 ones,
+      fit the float64 buffer at any size, and a kept one is folded
+      exactly through both halves, with no fold where a half holds no
+      pair i < j
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
     - a canonical L1EMB file is read by one np.loadtxt parse into one
@@ -35,6 +38,7 @@ Core claims:
       rejects one that misses a vertex or names a foreign one
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -357,21 +361,37 @@ class TestStreamingDistortion:
 
 
 def count_tiles(monkeypatch):
-    """Patch l1metric._l1_tile to log (bytes per float, i0, j0) per call; returns the log."""
+    """Patch l1metric._l1_tile to log (bytes per float, i0, i1, j0, j1) a call; returns the log."""
     calls = []
     real = l1metric._l1_tile
 
     def counting(planes, flat, i0, i1, j0, j1):
-        calls.append((planes.itemsize, i0, j0))
+        calls.append((planes.itemsize, i0, i1, j0, j1))
         return real(planes, flat, i0, i1, j0, j1)
 
     monkeypatch.setattr(l1metric, "_l1_tile", counting)
     return calls
 
 
+def holds(calls, size, i, j):
+    """Whether a logged tile of `size`-byte floats holds the pair (i, j)."""
+    return any(s == size and i0 <= i < i1 and j0 <= j < j1 for s, i0, i1, j0, j1 in calls)
+
+
 def tile_count(ps, d):
-    rows, cols = l1metric._tile_shape(len(ps), d, ps._bitplanes.shape[0])
-    return len(list(l1metric._tile_bounds(len(ps), rows, cols)))
+    """(screen tiles, float64 tiles) of distortion over `ps` in R**d when the screen is set up.
+
+    The screen tiles are _screen_rows tall; each is folded, when kept, as
+    its sub-tiles of the float64 rows from column max(j0, r0 + 1) that
+    hold a pair i < j.
+    """
+    n = len(ps)
+    rows, cols = l1metric._tile_shape(n, d, ps._bitplanes.shape[0])
+    tiles = list(l1metric._tile_bounds(n, l1metric._screen_rows(n, rows, cols), cols))
+    exact = sum(
+        max(j0, r0 + 1) < j1 for i0, i1, j0, j1 in tiles for r0 in range(i0, i1, rows)
+    )
+    return len(tiles), exact
 
 
 class TestFloat32Screen:
@@ -382,10 +402,11 @@ class TestFloat32Screen:
         emb = Embedding(np.random.default_rng(1).standard_normal((len(ps), 16)), ps.graph)
         calls = count_tiles(monkeypatch)
         distortion(ps, emb)
-        total = tile_count(ps, 16)
-        exact = sum(1 for size, *_ in calls if size == 8)
+        total, _ = tile_count(ps, 16)
+        # A screened tile is redone when float64 tiles follow it in the log.
+        redone = sum(a[0] == 4 and b[0] == 8 for a, b in zip(calls, calls[1:]))
         assert sum(1 for size, *_ in calls if size == 4) == total - 1
-        assert total - exact >= 0.9 * total
+        assert total - 1 - redone >= 0.9 * total
 
     def test_identity_is_screened_in_the_first_strip_at_most(self, pointsets, monkeypatch):
         # Every ratio ties, so every screened tile is redone for nothing.
@@ -393,9 +414,9 @@ class TestFloat32Screen:
         calls = count_tiles(monkeypatch)
         report = distortion(ps, identity_embedding(ps))
         assert report == DistortionReport(1.0, 1.0, 1.0)
-        screened = [i0 for size, i0, _ in calls if size == 4]
+        screened = [i0 for size, i0, *_ in calls if size == 4]
         assert 0 < len(screened) and set(screened) == {0}
-        assert sum(1 for size, *_ in calls if size == 8) == tile_count(ps, ps.dimension)
+        assert sum(1 for size, *_ in calls if size == 8) == tile_count(ps, ps.dimension)[1]
 
     @pytest.mark.parametrize("block", [1, 1025, pointset.BLOCK_ELEMENTS])
     def test_tied_lowest_ratios_in_a_later_strip(self, pointsets, monkeypatch, block):
@@ -413,11 +434,52 @@ class TestFloat32Screen:
             report = distortion(ps, Embedding(points, ps.graph))
         assert report.contraction == 5 / 1.6666666666666665 > 3.0
         assert report == full_matrix_report(points, ps.distance_matrix)
-        # The strips of both tied pairs were screened and redone exactly.
-        rows, _ = l1metric._tile_shape(len(ps), 2, ps._bitplanes.shape[0])
-        strips = {960 // rows * rows, 1000 // rows * rows}
-        assert strips <= {i0 for size, i0, _ in calls if size == 4}
-        assert strips <= {i0 for size, i0, _ in calls if size == 8}
+        # The tiles of both tied pairs were screened and redone exactly.
+        for pair in ((960, 963), (1000, 1007)):
+            assert holds(calls, 4, *pair) and holds(calls, 8, *pair)
+
+    def test_screen_tiles_fit_the_tile_buffer(self):
+        sizes = (2, 3, 44, 129, 513, 514, 2732, 10924, 699052, 2**40)
+        depths = (1, 2, 3, 7, 16, 64, 100, 1000, 2**16, 2**17)
+        for n, d, words in itertools.product(sizes, depths, (0, 1, 2, 4, 12, 1000)):
+            rows, cols = l1metric._tile_shape(n, d, words)
+            wide = l1metric._screen_rows(n, rows, cols)
+            # The float32 view of the d * rows * cols float64 buffer holds the tile.
+            assert d * wide * cols <= 2 * (d * rows * cols), (n, d, words)
+            assert rows <= wide <= min(cols, n - 1), (n, d, words)
+
+    # P(2,5) in R**4: float64 tiles of 32 rows, screen tiles of 64 by 512.
+    # Strip 64 meets columns 65..576 in its first tile and 577..683 in its
+    # second; rows 96..127 are the tiles' second halves.
+    @pytest.mark.parametrize("pair", [(100, 600), (100, 103), (70, 71)])
+    def test_an_extreme_anywhere_in_a_kept_tile_is_folded(self, pointsets, monkeypatch, pair):
+        ps = pointsets(2, 5)
+        assert l1metric._tile_shape(len(ps), 4, 1) == (32, 512)
+        points = np.random.default_rng(37).standard_normal((len(ps), 4))
+        i, j = pair
+        points[j] = points[i] + 1e-6  # the lowest ratio by far
+        calls = count_tiles(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = distortion(ps, Embedding(points, ps.graph))
+        assert report == full_matrix_report(points, ps.distance_matrix)
+        assert report.contraction > 1e5
+        assert holds(calls, 4, i, j) and holds(calls, 8, i, j)
+
+    def test_a_half_tile_without_pairs_is_not_folded(self, pointsets, monkeypatch):
+        # P(2,3)'s identity in R**8 with one-row float64 tiles: the last
+        # screen tile, rows 42 and 43, meets only column 43, so its second
+        # half holds no pair i < j.
+        ps = pointsets(2, 3)
+        monkeypatch.setattr(l1metric, "BLOCK_ELEMENTS", 8 * 43)
+        assert l1metric._tile_shape(len(ps), 8, 1) == (1, 43)
+        calls = count_tiles(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = distortion(ps, identity_embedding(ps))
+        assert report == DistortionReport(1.0, 1.0, 1.0)
+        assert (8, 42, 43, 43, 44) in calls
+        assert not [call for call in calls if call[1] == 43]
 
     def test_inputs_float32_cannot_bound_are_not_screened(self, pointsets, monkeypatch):
         ps = pointsets(2, 5)

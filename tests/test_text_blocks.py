@@ -16,7 +16,7 @@ Core claims:
     - CRLF and CR-only line ends and a missing final newline read as the
       canonical file does; text after line N+1 is a line-count error;
       blocks end after any line break str.splitlines knows, never inside
-      a CRLF
+      a CRLF, and _lines_end finds where any first lines end
     - memory: the L1EMB read of a pre-read text, canonical, with one
       respelled token or with CRLF or CR-only line ends, holds the matrix, its
       finiteness mask and a few blocks; the P1 writer holds its text, the
@@ -25,6 +25,8 @@ Core claims:
       come, holds less than its text; the canonical P1 read holds less
       than the writer less half the text, and a P1 read of such a
       differing file the canonical read and a few blocks
+    - a P1 read checks line by line only the blocks that differ: one
+      respelled header field at P(2,7) costs the first block's lines
 """
 
 import hashlib
@@ -291,6 +293,12 @@ def test_line_blocks_cut_after_any_line_break(monkeypatch, size):
                 assert len("".join(taken)) >= size or not lines
             first = text[pos:].splitlines(keepends=True)[0]
             assert pointset._line_at(text, pos) == (first.splitlines()[0], pos + len(first))
+            # _lines_end finds where the first m lines end, their breaks included.
+            ends = text[pos:].splitlines(keepends=True)
+            lines = text[pos:].splitlines()
+            for m in range(len(lines) + 1):
+                want = pos + len("".join(ends[:m]))
+                assert pointset._lines_end(text, pos, lines[:m]) == want
 
 
 def test_short_file_naming_a_large_graph_is_refused_unbuilt(monkeypatch):
@@ -369,10 +377,30 @@ def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
 
 @pytest.mark.parametrize("edit", EDITS[1:], ids=EDIT_IDS[1:])
 def test_differing_p1_read_holds_a_few_blocks_more_than_the_canonical_one(monkeypatch, edit):
-    # From the first block that differs, line 4 here, the read holds the
-    # lines of one block of the file and one of the canonical text at a time.
+    # A block that differs, the first here (line 4), is checked line by
+    # line: the read holds that block's lines and those of the file's
+    # slice of at most twice its length.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
     text = pointset_to_text(point_set(build_graph(GraphParams(2, 7))))
     canonical = traced_peak(lambda: pointset_from_text(text))
     differing = edit(text)
     assert traced_peak(lambda: pointset_from_text(differing)) <= canonical + 8 * 2**12
+
+
+def test_one_respelled_header_field_costs_one_block_of_line_checks(monkeypatch):
+    # P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
+    monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
+    ps = point_set(build_graph(GraphParams(2, 7)))
+    text = pointset_to_text(ps)
+    checked = []
+    real = pointset._check_p1_lines
+
+    def counting(text, pos, block, params, start):
+        checked.append(block.count("\n"))
+        return real(text, pos, block, params, start)
+
+    monkeypatch.setattr(pointset, "_check_p1_lines", counting)
+    first = next(pointset._p1_blocks(ps)).count("\n")
+    assert 20 * first < len(ps)
+    assert pointset_from_text(text.replace(" k=2 ", " k=02 ", 1)).params == ps.params
+    assert checked == [first]
