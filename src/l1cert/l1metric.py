@@ -179,8 +179,34 @@ def vertex_matrix(graph: RecursiveCycleGraph, emb: Embedding) -> np.ndarray:
     return emb.matrix
 
 
-def _sum_planes(planes: np.ndarray) -> np.ndarray:
-    """The sum of the planes, in the order numpy sums a contiguous axis.
+# The order of numpy's eight partial sums within a group of 8 terms, bit-reversed:
+# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) pairs r[p] with r[p + 4], then r[p]
+# with r[p + 2], then r[0] with r[1] when r is stored in this order.
+_BIT_REVERSED = (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+def _plane_order(d: int) -> np.ndarray:
+    """The coordinate stored as each of the d coordinate planes of the all-pairs passes.
+
+    The identity, except that each full group of 8 planes, 8g to 8g + 7,
+    holds its coordinates in _BIT_REVERSED order, so that _sum_planes
+    adds contiguous halves; a last group of fewer than 8 planes is in
+    natural order. The order is its own inverse: planes[_plane_order(d)]
+    is in natural order again.
+    """
+    order = np.arange(d)
+    full = d - d % 8
+    order[:full] = (np.arange(0, full, 8)[:, None] + _BIT_REVERSED).ravel()
+    return order
+
+
+def _coordinate_planes(points: np.ndarray) -> np.ndarray:
+    """The (N, d) `points` as a contiguous (d, N) array of coordinate planes in _plane_order."""
+    return np.ascontiguousarray(points.T[_plane_order(points.shape[1])])
+
+
+def _sum_planes(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of planes stored in _plane_order, in the order numpy sums a contiguous axis.
 
     numpy >= 2.0's add.reduce sums fewer than 8 terms of a contiguous axis
     in sequence; 8 to 128 terms as eight stride-8 partial sums r0..r7,
@@ -188,28 +214,32 @@ def _sum_planes(planes: np.ndarray) -> np.ndarray:
     terms in sequence; more terms as two halves split at a multiple of 8,
     each summed so, then added. Following it plane by plane makes every
     entry bit-identical to the sum of that entry's terms laid out
-    contiguously, that is, to `np.abs(a - b).sum()` for a pair of vectors.
-    One plane is its own sum, returned as planes[0]; 2 to 7 planes are one
-    add.reduce over the plane axis, which numpy sums in sequence, into a
-    new array; more are added into planes[0] in place, and the sum is
-    planes[0].
+    contiguously in natural order, that is, to `np.abs(a - b).sum()` for a
+    pair of vectors. The partial sums are stored bit-reversed, so their
+    pairs are the contiguous halves r[:4] + r[4:], then r[:2] + r[2:4],
+    then r[0] + r[1]: the same pairs as numpy's, without strided views.
+    With `out`, the sum is written there and `out` is returned. Without
+    it, one plane is its own sum, returned as planes[0]; 2 to 7 planes are
+    one add.reduce over the plane axis, which numpy sums in sequence, into
+    a new array; more are added into planes[0] in place, and the sum is
+    planes[0]. From 8 planes on, the planes are overwritten.
     """
     n = len(planes)
-    if n == 1:
+    if n == 1 and out is None:
         return planes[0]
     if n < 8:
-        return np.add.reduce(planes, axis=0)
+        return np.add.reduce(planes, axis=0, out=out)
     if n > 128:
         half = n // 2 - n // 2 % 8
         head = _sum_planes(planes[:half])
-        return np.add(head, _sum_planes(planes[half:]), out=head)
+        return np.add(head, _sum_planes(planes[half:]), out=head if out is None else out)
     rest = n - n % 8
     r = planes[:8]
     for i in range(8, rest, 8):
         np.add(r, planes[i : i + 8], out=r)
-    np.add(r[0::2], r[1::2], out=r[0::2])
-    np.add(r[0::4], r[2::4], out=r[0::4])
-    acc = np.add(r[0], r[4], out=r[0])
+    np.add(r[:4], r[4:], out=r[:4])
+    np.add(r[:2], r[2:4], out=r[:2])
+    acc = np.add(r[0], r[1], out=r[0] if out is None else out)
     for plane in planes[rest:]:
         np.add(acc, plane, out=acc)
     return acc
@@ -231,21 +261,25 @@ def _tile_shape(n: int, d: int, words: int = 0) -> tuple[int, int]:
     return max(1, min(n - 1, BLOCK_ELEMENTS // (max(d, words) * cols))), cols
 
 
-def _screen_rows(n: int, rows: int, cols: int) -> int:
+def _screen_rows(n: int, rows: int, cols: int, words: int) -> int:
     """Rows of distortion's float32 screen tiles, for float64 tiles of _tile_shape (rows, cols).
 
     Twice the float64 rows, so that a float32 tile fills the d * rows * cols
-    float64 buffer it is taken in, within the n - 1 rows there are; and at
+    float64 buffer it is taken in, within the n - 1 rows there are; at
     most cols, so that a tile side meets at most two of _screen_points'
     weight blocks and a strip's first tile holds both orders of each pair
-    j < i it reaches. rows <= cols, so never fewer than rows.
+    j < i it reaches; and at most BLOCK_ELEMENTS // (words * cols), so that
+    a screen tile's XORed label words, `words` uint64 a pair, take no more
+    than BLOCK_ELEMENTS, as a float64 tile's do, where words > d / 2.
+    Never fewer than rows.
     """
-    return min(n - 1, 2 * rows, cols)
+    return max(rows, min(n - 1, 2 * rows, cols, BLOCK_ELEMENTS // (words * cols)))
 
 
 def _l1_tile(planes: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1: int):
     """L1 distances of columns i0..i1-1 against j0..j1-1 of coordinate-major `planes`.
 
+    `planes` holds the coordinates in _plane_order (_coordinate_planes).
     The (d, rows, cols) differences are taken in the flat buffer `flat`
     of planes' dtype (subtract, then abs in place) and their d planes are
     added by _sum_planes, so each pair's distance equals
@@ -291,14 +325,15 @@ def _tile_numerics(**errors: str):
 def pairwise_l1(points: np.ndarray) -> np.ndarray:
     """All pairwise L1 distances of the rows of `points`, tile by tile.
 
-    The tiles of _tile_bounds, each from _l1_tile, cover the upper
-    triangle and are mirrored below it. |a - b| == |b - a| exactly and
-    each pair is summed in numpy's order for a contiguous axis, so this
-    equals np.abs(points[:, None] - points[None]).sum(axis=-1).
+    The tiles of _tile_bounds, each from _l1_tile over the points'
+    coordinate planes in _plane_order, cover the upper triangle and are
+    mirrored below it. |a - b| == |b - a| exactly and each pair is summed
+    in numpy's order for a contiguous axis, so this equals
+    np.abs(points[:, None] - points[None]).sum(axis=-1).
     """
     n, d = points.shape
     rows, cols = _tile_shape(n, d)
-    planes = np.ascontiguousarray(points.T)
+    planes = _coordinate_planes(points)
     flat = np.empty(d * rows * cols)
     out = np.zeros((n, n))
     with _tile_numerics():
@@ -327,7 +362,8 @@ def _screen_points(planes: np.ndarray, label_length: int, flat: np.ndarray, cols
     """The float32 screen's inputs for coordinate-major `planes`: (points, weights), or None.
 
     points is the (d, N) float32 copy of the points less each coordinate's
-    midrange, the subtraction made in float64. weights[b] is
+    midrange, the subtraction made in float64, its planes in the order of
+    `planes` (_plane_order). weights[b] is
     2(d+3) * 2**-24 times the largest L1 norm of the centred rows
     b * cols to (b + 1) * cols - 1: a tile side of at most cols rows or
     columns spans at most two such blocks. The blocks are centred in
@@ -376,13 +412,14 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     """Distortion of an embedding relative to the exact label metric.
 
     One streaming pass over the tiles of _tile_bounds. An exact tile's
-    embedded distances come from _l1_tile in float64 and equal
-    `pairwise_l1`'s bit for bit, its label distances are popcounts of
-    XORed packed labels, and both are folded into the worst ratios over
-    i < j at once. Only a tile that reaches the diagonal is masked to its
-    pairs i < j. Each pair's ratio embedded / original is taken once;
-    rounding is monotone, so only the pairs at the lowest ratio so far can
-    hold the worst contraction, and only they are divided the other way.
+    embedded distances come from _l1_tile in float64 over the coordinate
+    planes in _plane_order and equal `pairwise_l1`'s bit for bit, its
+    label distances are popcounts of XORed packed labels, and both are
+    folded into the worst ratios over i < j at once. Only a tile that
+    reaches the diagonal is masked to its pairs i < j. Each pair's ratio
+    embedded / original is taken once; rounding is monotone, so only the
+    pairs at the lowest ratio so far can hold the worst contraction, and
+    only they are divided the other way.
     A zero embedded distance makes the contraction infinite: a tile whose
     worst contraction is infinite is looked at for one, and counts as
     coincident points if it has one. An embedded distance or a ratio past
@@ -390,7 +427,8 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     a ratio could pass for a coincident pair.
 
     When there is more than one tile, the pass runs over tiles of
-    _screen_rows rows, twice the float64 rows where there are enough, and
+    _screen_rows rows, twice the float64 rows where there are enough and
+    their label words fit BLOCK_ELEMENTS, and
     every tile after the first is first screened in float32: _screen_range
     takes its least and largest ratio r32 over the centred float32 points
     of _screen_points, in the bytes of the float64 tile buffer, whose
@@ -417,8 +455,10 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     2**-53 D + 2**-1075, not relative to the raw magnitudes. Both fit in
     2(d+3) u B, with room for the float64 rounding of the norms and of M,
     whenever B > 0 (then B >= 2**-126); when B = 0 both ratios are 0 and
-    the strict test keeps the tile. A sum in float64
-    that meets expansion rounds to at least it, so the float comparisons
+    the strict test keeps the tile. gamma bounds a sum of d nonnegative
+    terms in any order, so the bound does not depend on the order in which
+    the planes are stored and added. A sum in float64 that meets
+    expansion rounds to at least it, so the float comparisons
     hold for the real values: a skipped tile's exact ratios are all below
     the running expansion, which only grows, and all above the running
     lowest, which only falls.
@@ -442,18 +482,21 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     matrix is built; memory beyond the inputs is the (d, N)
     coordinate-major copy and its float32 copy, O(N * words) packed
     labels and one tile buffer of at most BLOCK_ELEMENTS float64 elements,
-    shared by the float32 screen tiles and the float64 tiles, with a few
-    tile-sized temporaries. The screen's label distances are taken over
-    its taller tile: their XORed words are at most twice a float64 tile's,
-    words * 2 * rows * cols uint64, which is the buffer's size when
-    words <= d / 2.
+    shared by the float32 screen tiles and the float64 tiles. Beside it,
+    a tile's label distances hold its XORed label words and their
+    popcount bytes at once, then the popcounts and their float
+    conversion, each at most BLOCK_ELEMENTS elements wherever one row of
+    them fits, for the float64 tiles (_tile_shape) and the screen's taller
+    ones (_screen_rows) alike; the fold also holds two float64 arrays over
+    a float64 tile's pairs.
     """
     if len(ps) < 2:
         raise ValueError("need at least two points")
     points = vertex_matrix(ps.graph, emb)
     n, d = points.shape
-    rows, cols = _tile_shape(n, d, ps._bitplanes.shape[0])
-    planes = np.ascontiguousarray(points.T)
+    words = ps._bitplanes.shape[0]
+    rows, cols = _tile_shape(n, d, words)
+    planes = _coordinate_planes(points)
     flat = np.empty(d * rows * cols)
     worst = _Worst(0.0, math.inf, 0.0, False)
     screen = None
@@ -461,7 +504,7 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     with _tile_numerics(over="ignore", divide="ignore", invalid="ignore"):
         if rows < n - 1 or cols < n - 1:  # more than one tile
             screen = _screen_points(planes, ps.dimension, flat, cols)
-        wide = rows if screen is None else _screen_rows(n, rows, cols)
+        wide = rows if screen is None else _screen_rows(n, rows, cols, words)
         for tile in _tile_bounds(n, wide, cols):
             i0, i1, j0, j1 = tile
             if j0 == i0 + 1 and 2 * wasted > screened:
@@ -599,21 +642,26 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:
     """The vectors of lines that all read `<canonical name> <d floats>`, or None.
 
-    The lines' widths are checked by one count of their single spaces,
-    which must be d a line, and the names with one list comparison; then
-    np.loadtxt parses every coordinate in C, skipping the name column. It
-    refuses a line of fewer than d + 1 columns, so with the count every
-    line has exactly d + 1. Its float parse is correctly rounded, like
-    float(). None as soon as anything differs (a name, a width, a
-    coordinate loadtxt rejects, such as `1_0` that float() reads, or a
-    non-finite value), so the caller can read the lines one by one.
+    Each line is split once at its first space, and the names are checked
+    with one list comparison; then np.loadtxt parses the coordinate parts
+    in C. It refuses a row whose column count differs from the first's,
+    and an empty field, which a doubled, leading or trailing space makes,
+    so with the (lines, d) shape check every line has exactly d
+    coordinates. A block with an empty coordinate part is refused before
+    the parse, since loadtxt would skip that line. Its float parse is
+    correctly rounded, like float(). None as soon as anything differs (a
+    name, a width, a coordinate loadtxt rejects, such as `1_0` that
+    float() reads, or a non-finite value), so the caller can read the
+    lines one by one.
     """
-    if " ".join(lines).count(" ") != len(lines) * (d + 1) - 1:
+    parts = [line.partition(" ") for line in lines]
+    if [name for name, _, _ in parts] != list(names):
         return None
-    if [line.partition(" ")[0] for line in lines] != list(names):
+    coordinates = [rest for _, _, rest in parts]
+    if not all(coordinates):
         return None
     try:
-        out = np.loadtxt(lines, delimiter=" ", comments=None, usecols=range(1, d + 1), ndmin=2)
+        out = np.loadtxt(coordinates, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
     if out.shape != (len(lines), d) or not np.isfinite(out).all():

@@ -22,6 +22,8 @@ from .infotheory import JointDistribution, fano_term, probability_table, table_i
 from .l1metric import (
     DistortionReport,
     Embedding,
+    _coordinate_planes,
+    _plane_order,
     _sum_planes,
     _tile_numerics,
     distortion,
@@ -161,22 +163,28 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     damped by min(1, STEP_SCALE/sqrt(t)). Restart r uses seed+r; the best
     restart wins (ties to the lowest index). Best effort only.
 
-    Each restart keeps its points coordinate-major, as a (d, N) array, as
-    `pairwise_l1` and `distortion` do, and its embedded distances and
-    log-ratio violations as the two planes of one (2, N, N) state, built
-    once per restart. A step moves at most points i and j, so one refresh
-    recomputes both their rows as a single (d, 2, N) block in one buffer
-    with the tile kernel's steps (subtract, abs in place, _sum_planes), so
-    each pair is summed exactly as `pairwise_l1` sums it; it then writes
-    the rows of both planes at once and their mirrored columns at once.
-    The pair's distance is read from the state. O(N*d) arithmetic plus one
-    O(N**2) argmax per step. Each restart is reported by `distortion` over
-    its final points.
+    Each restart keeps its points coordinate-major, as the (d, N) planes
+    in _plane_order that `pairwise_l1` and `distortion` use, and its
+    embedded distances and log-ratio violations as the two planes of one
+    (2, N, N) state, built once per restart. A step moves at most points
+    i and j, through the views planes[:, i] and planes[:, j]: its sign and
+    step are computed in one (d,) buffer, and its jitter is drawn in
+    natural order and stored as draw[order], so every point takes the
+    floats it would take in natural order. One refresh recomputes both
+    rows as a single (d, 2, N) block in one buffer with the tile kernel's
+    steps (subtract, abs in place, _sum_planes), so each pair is summed
+    exactly as `pairwise_l1` sums it, the sum going straight into the
+    (2, 2, N) block of both planes' rows; it then writes the rows of both
+    planes at once and their mirrored columns at once. The pair's
+    distance is read from the state. O(N*d) arithmetic plus one O(N**2)
+    argmax per step. Each restart is reported by `distortion` over its
+    final points, taken back to natural order with the same index.
     """
     n = len(ps)
     if n > 2000:
         raise CapacityError(f"point set with {n} points too large for the searcher")
     d = cfg.target_dimension
+    order = _plane_order(d)
     original = ps.distance_matrix.astype(float)
     np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
     scale = float(original[np.triu_indices(n, 1)].mean())
@@ -184,6 +192,7 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     state = np.empty((2, n, n))
     embedded, violation = state
     diff = np.empty((d, 2, n))
+    move = np.empty(d)
     block = np.empty((2, 2, n))
     l1_rows, gap_rows = block
     columns = block.transpose(0, 2, 1)
@@ -194,8 +203,8 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
         The rows are taken by a basic slice, so no copy is made.
         """
         rows = slice(a, b + 1, b - a)
-        np.subtract(planes[:, rows, None], planes[:, None], out=diff)
-        l1_rows[...] = _sum_planes(np.abs(diff, out=diff))
+        np.subtract(planes[:, rows, None], spread, out=diff)
+        _sum_planes(np.abs(diff, out=diff), out=l1_rows)
         np.maximum(l1_rows, 1e-300, out=gap_rows)
         np.log(gap_rows, out=gap_rows)
         np.subtract(gap_rows, log_original[rows], out=gap_rows)
@@ -209,7 +218,8 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
         rng = np.random.default_rng(cfg.seed + restart)
         points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
         embedded[...] = pairwise_l1(points)
-        planes = np.ascontiguousarray(points.T)
+        planes = _coordinate_planes(points)
+        spread = planes[:, None]
         violation[...] = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
         np.fill_diagonal(violation, -math.inf)
         with _tile_numerics():
@@ -218,22 +228,24 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
                 # alone; refreshing row j as well recomputes it unchanged.
                 i, j = divmod(int(violation.argmax()), n)
                 dist = float(embedded[i, j])
+                point_i = planes[:, i]
                 if dist < 1e-12:
-                    planes[:, i] = planes[:, i] + rng.standard_normal(d) * (1e-6 * scale)
+                    point_i += rng.standard_normal(d)[order] * (1e-6 * scale)
                 else:
-                    direction = np.sign(planes[:, i] - planes[:, j])
-                    moving = int(np.count_nonzero(direction))
+                    point_j = planes[:, j]
+                    np.sign(np.subtract(point_i, point_j, out=move), out=move)
+                    moving = int(np.count_nonzero(move))
                     residual = dist - original[i, j]
                     step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
-                    delta = step * direction
-                    planes[:, i] -= delta
-                    planes[:, j] += delta
+                    np.multiply(move, step, out=move)
+                    point_i -= move
+                    point_j += move
                 refresh(min(i, j), max(i, j))
 
         # Split coincident points so the result is a genuine embedding.
         for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
-            planes[:, j] = planes[:, j] + rng.standard_normal(d) * (1e-9 * scale)
-        emb = Embedding(np.ascontiguousarray(planes.T), ps.graph)
+            planes[:, j] += rng.standard_normal(d)[order] * (1e-9 * scale)
+        emb = Embedding(np.ascontiguousarray(planes[order].T), ps.graph)
         report = distortion(ps, emb)
         if best is None or report.distortion < best.report.distortion:
             best = SearchResult(emb, report, restart)

@@ -129,7 +129,9 @@ def stack_by_shape(cases) -> list[tuple[np.ndarray, ...]]:
     as one bytes buffer, so no drawn case is kept as an array of its own."""
     groups: dict[tuple[int, ...], list[tuple[bytearray, tuple[int, ...]]]] = {}
     for case in cases:
-        columns = groups.setdefault(case[0].shape, [(bytearray(), np.shape(a)) for a in case])
+        columns = groups.get(case[0].shape)
+        if columns is None:
+            columns = groups[case[0].shape] = [(bytearray(), np.shape(a)) for a in case]
         for (buf, _), a in zip(columns, case):
             buf += np.asarray(a, dtype=float).tobytes()
     return [

@@ -185,6 +185,19 @@ SEARCH_STDOUT = (
     "search: ok d=4 distortion=8.90931 -> <out> (+.report)\n"
 )
 SEARCH_EMBEDDING_SHA256 = "be596c9fbb2a19582bfe57d23e50f2fa9c3b296dd960557a38c6b24fd2c6d031"
+# From d = 8 the search's planes are stored in l1metric._plane_order; these
+# were recorded with the planes in natural order. (k, n, d): sha256 of the
+# embedding, sha256 of its .report, for --seed 7 --iters 200 --restarts 2.
+SEARCH_PLANE_ORDER_SHA256 = {
+    (2, 4, 8): (
+        "c9a280215cbba970cb26230442c9cbf8377ce4250382c8b80796cb37108640db",
+        "3d8efbcf73675b815eb05bd6996943c7f4f86d636fbc33cb72bcb330bbe43526",
+    ),
+    (3, 2, 17): (
+        "501072774b1b8ba4bd9385d65c525f87b2ec0e5aa7be89c1347f82c98d2b59f5",
+        "2770e34fcc652850507c482382c3981e525e01773cee86f55dc0f964a66974c7",
+    ),
+}
 
 SELFTEST_STDOUT = (
     "construction: ok (72 passed, 0 failed)\n"
@@ -309,6 +322,16 @@ def test_search_output(tmp_path, pointsets, capsys):
     assert capsys.readouterr().out.replace(str(out), "<out>") == SEARCH_STDOUT
     assert (tmp_path / "emb.txt.report").read_text(encoding="utf-8") == SEARCH_REPORT
     assert sha256(out) == SEARCH_EMBEDDING_SHA256
+
+
+@pytest.mark.parametrize("k,n,d", sorted(SEARCH_PLANE_ORDER_SHA256))
+def test_search_output_in_plane_order(tmp_path, pointsets, capsys, k, n, d):
+    p1, out = tmp_path / "p1.txt", tmp_path / "emb.txt"
+    p1.write_text(pointset_to_text(pointsets(k, n)), encoding="utf-8")
+    argv = ["search", str(p1), "-d", str(d), "--seed", "7", "--iters", "200", "--restarts", "2"]
+    assert main(argv + ["-o", str(out)]) == 0
+    report = tmp_path / "emb.txt.report"
+    assert (sha256(out), sha256(report)) == SEARCH_PLANE_ORDER_SHA256[(k, n, d)]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,10 @@ Core claims:
       to 1, preserves distortion, and is idempotent
     - degenerate embeddings are flagged with infinite contraction
     - the half-square pairwise pass and the streaming distortion pass
-      equal the naive full-square formulas exactly, and warn about nothing
+      equal the naive full-square formulas exactly, and warn about nothing;
+      _plane_order is a permutation and its own inverse, and _sum_planes
+      over planes in that order equals numpy's contiguous sum, into `out`
+      as well
     - the streaming distortion pass equals a fold over the full matrices
       field for field at any block size, holds no N x N matrix, and
       certify builds neither the label distance matrix nor pairwise_l1
@@ -18,16 +21,18 @@ Core claims:
       d=16, screens an exact isometry in the first strip only, redoes the
       tiles of tied lowest ratios in a later strip, and is not set up for
       inputs float32 cannot bound (tests/test_distortion_properties.py
-      stresses its margin); its tiles, twice as tall as the float64 ones,
-      fit the float64 buffer at any size, and a kept one is folded
-      exactly through both halves, with no fold where a half holds no
-      pair i < j
+      stresses its margin); its tiles, up to twice as tall as the float64
+      ones, fit the float64 buffer at any size with their label words in
+      BLOCK_ELEMENTS, so the traced peak is the buffer and one tile's
+      temporaries, and a kept one is folded exactly through both halves,
+      with no fold where a half holds no pair i < j
     - the L1EMB format round-trips and parses strictly, accepting valid
       non-canonical address spellings
     - a canonical L1EMB file is read by one np.loadtxt parse into one
       read-only matrix that equals a per-line float() reference bit for
-      bit; any other file gets the per-line reader's exact message and
-      line number
+      bit; a block of any other width is refused without a warning, and
+      any other file gets the per-line reader's exact message and line
+      number
     - an Embedding is one read-only float64 (N, d >= 1) matrix in its
       graph's export order, so a float32 or int matrix certifies as its
       own L1EMB text; scaling keeps the finiteness check, every consumer
@@ -234,8 +239,24 @@ class TestFastPaths:
         rng = np.random.default_rng(d)
         x = 10.0 ** rng.uniform(-5.0, 5.0, (d, 3, 40))
         want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(-1)
-        got = l1metric._sum_planes(x.copy())
+        got = l1metric._sum_planes(x[l1metric._plane_order(d)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_plane_order_is_its_own_inverse(self):
+        for d in range(1, 301):
+            order = l1metric._plane_order(d)
+            assert sorted(order) == list(range(d)), d
+            assert np.array_equal(order[order], np.arange(d)), d
+            assert np.array_equal(order, np.arange(d)) == (d < 8), d
+        want = [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16]
+        assert l1metric._plane_order(17).tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 130, 131])
+    def test_sum_planes_into_out_is_the_same_sum(self, d):
+        x = 10.0 ** np.random.default_rng(d).uniform(-5.0, 5.0, (d, 2, 40))
+        out = np.full((2, 40), np.nan)
+        assert l1metric._sum_planes(x.copy(), out=out) is out
+        assert np.array_equal(out.view(np.int64), l1metric._sum_planes(x.copy()).view(np.int64))
 
     @pytest.mark.parametrize("d", [13, 16, 130, 1000])
     def test_sequential_sum_differs_on_the_same_data(self, d):
@@ -385,9 +406,9 @@ def tile_count(ps, d):
     its sub-tiles of the float64 rows from column max(j0, r0 + 1) that
     hold a pair i < j.
     """
-    n = len(ps)
-    rows, cols = l1metric._tile_shape(n, d, ps._bitplanes.shape[0])
-    tiles = list(l1metric._tile_bounds(n, l1metric._screen_rows(n, rows, cols), cols))
+    n, words = len(ps), ps._bitplanes.shape[0]
+    rows, cols = l1metric._tile_shape(n, d, words)
+    tiles = list(l1metric._tile_bounds(n, l1metric._screen_rows(n, rows, cols, words), cols))
     exact = sum(
         max(j0, r0 + 1) < j1 for i0, i1, j0, j1 in tiles for r0 in range(i0, i1, rows)
     )
@@ -441,12 +462,38 @@ class TestFloat32Screen:
     def test_screen_tiles_fit_the_tile_buffer(self):
         sizes = (2, 3, 44, 129, 513, 514, 2732, 10924, 699052, 2**40)
         depths = (1, 2, 3, 7, 16, 64, 100, 1000, 2**16, 2**17)
-        for n, d, words in itertools.product(sizes, depths, (0, 1, 2, 4, 12, 1000)):
+        for n, d, words in itertools.product(sizes, depths, (1, 2, 4, 12, 1000)):
             rows, cols = l1metric._tile_shape(n, d, words)
-            wide = l1metric._screen_rows(n, rows, cols)
+            wide = l1metric._screen_rows(n, rows, cols, words)
             # The float32 view of the d * rows * cols float64 buffer holds the tile.
             assert d * wide * cols <= 2 * (d * rows * cols), (n, d, words)
             assert rows <= wide <= min(cols, n - 1), (n, d, words)
+            # Its XORed label words take no more than a float64 tile's may.
+            limit = max(l1metric.BLOCK_ELEMENTS, words * rows * cols)
+            assert words * wide * cols <= limit, (n, d, words)
+
+    # Words 4 and 16 against d = 1: the label temporaries, not the
+    # coordinates, size the tiles. P(2,6) at d = 1 has the largest
+    # float64 tiles, 128 x 512 pairs.
+    @pytest.mark.parametrize("k,n,d", [(3, 5, 1), (32, 2, 1), (2, 6, 1), (2, 6, 16)])
+    def test_peak_is_the_buffer_and_one_tiles_temporaries(self, pointsets, k, n, d):
+        ps = pointsets(k, n)
+        words = ps._bitplanes.shape[0]
+        emb = Embedding(np.random.default_rng(41).standard_normal((len(ps), d)), ps.graph)
+        tracemalloc.start()
+        try:
+            distortion(ps, emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, cols = l1metric._tile_shape(len(ps), d, words)
+        # distortion's docstring: the float64 and float32 (d, N) copies, the
+        # tile buffer, one tile's XORed label words and popcount bytes (or
+        # popcounts and float distances), at most BLOCK_ELEMENTS of each,
+        # and two float64 arrays of a tile's pairs.
+        copies = 12 * d * len(ps)
+        labels = 9 * l1metric.BLOCK_ELEMENTS
+        assert peak <= copies + 8 * d * rows * cols + labels + 16 * rows * cols
 
     # P(2,5) in R**4: float64 tiles of 32 rows, screen tiles of 64 by 512.
     # Strip 64 meets columns 65..576 in its first tile and 577..683 in its
@@ -805,6 +852,23 @@ class TestEmbeddingFastPath:
             return
         got = embedding_from_text(text, ps).vectors[ps.addresses[1]]
         assert got.tobytes() == np.array([want]).tobytes()
+
+    @pytest.mark.parametrize(
+        "rests",
+        [[None] * 3, [""] * 3, [" 0.5 0.25"] * 3, ["0.5 0.25 "] * 3, ["0.5  0.25"] * 3,
+         ["0.5"] * 3, ["0.5 0.25 0.125"] * 3, ["0.5 0.25", "0.5", "0.5 0.25 0.125"],
+         ["0.5 0.25", None, "0.5 0.25"]],
+    )
+    def test_a_block_of_other_widths_is_refused_without_a_warning(self, pointsets, rests):
+        # Only d = 2 coordinates after single spaces take the loadtxt path;
+        # loadtxt skips an empty line, and warns on a block of them.
+        names = pointsets(2, 2).graph.vertices[:3]
+        lines = [v if rest is None else f"{v} {rest}" for v, rest in zip(names, rests)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l1metric._canonical_matrix(lines, names, 2) is None
+            fine = l1metric._canonical_matrix([f"{v} 0.5 0.25" for v in names], names, 2)
+        assert fine.tolist() == [[0.5, 0.25]] * 3
 
     def test_canonical_file_skips_the_per_line_helpers(self, pointsets, monkeypatch):
         ps = pointsets(3, 3)

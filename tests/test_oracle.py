@@ -10,7 +10,7 @@ Core claims:
     - the incremental search is bit-for-bit the full-recompute search,
       on both sides of each summation branch of the kernel (d = 7, 8, ...)
       and up to N=684, including the jitter of coincident pairs and the
-      final split
+      final split, in natural and in permuted plane order (d >= 8)
     - build_message_joint has an exactly uniform source marginal and
       reproduces the hand-computed information values
 """
@@ -217,12 +217,15 @@ class _CountingGenerator:
     """A seeded generator that counts single-point draws (jitters and splits).
 
     With `snap`, the starting point matrix is rounded to integers, so many
-    points start (and, after few steps, stay) coincident.
+    points start (and, after few steps, stay) coincident. With `twin`,
+    each odd point starts where the point before it does, so the first
+    steps are jitters and the pairs no step reaches are split at the end.
     """
 
-    def __init__(self, seed, snap, counts):
+    def __init__(self, seed, snap, twin, counts):
         self._rng = _REAL_DEFAULT_RNG(seed)
         self._snap = snap
+        self._twin = twin
         self._counts = counts
 
     def standard_normal(self, size):
@@ -231,13 +234,15 @@ class _CountingGenerator:
             self._counts.append(size)
         elif self._snap:
             draw = np.round(draw)
+        elif self._twin:
+            draw[1::2] = draw[: len(draw) // 2 * 2 : 2]
         return draw
 
 
-def _counting_rng(monkeypatch, snap=False):
+def _counting_rng(monkeypatch, snap=False, twin=False):
     counts = []
     monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: _CountingGenerator(seed, snap, counts)
+        np.random, "default_rng", lambda seed: _CountingGenerator(seed, snap, twin, counts)
     )
     return counts
 
@@ -284,6 +289,23 @@ class TestIncrementalSearch:
         counts = _counting_rng(monkeypatch)
         want = _full_recompute_search(ps, cfg)
         assert counts, "the reference never took the coincident branch"
+        _assert_identical(ps, search_embedding(ps, cfg), want)
+
+    # From d = 8 on the search stores its planes in _plane_order, so a
+    # draw made in natural order is stored permuted; at 17 the last plane
+    # is outside the reversed groups. Six pairs start coincident, so the
+    # worst pair of each of the three steps is one of them (a jitter), and
+    # the other three are split at the end.
+    @pytest.mark.parametrize("d", [8, 17])
+    def test_matches_full_recompute_through_jitter_in_plane_order(
+        self, pointsets, monkeypatch, d
+    ):
+        ps = pointsets(2, 2)
+        assert len(ps) == 12
+        cfg = SearchConfig(target_dimension=d, iterations=3, restarts=2, seed=4)
+        counts = _counting_rng(monkeypatch, twin=True)
+        want = _full_recompute_search(ps, cfg)
+        assert len(counts) == 6 * cfg.restarts
         _assert_identical(ps, search_embedding(ps, cfg), want)
 
     @pytest.mark.parametrize("k,n,d", [(2, 2, 1), (2, 3, 2), (3, 2, 1)])
