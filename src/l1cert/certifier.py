@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import fano_term, probability_table
+from .infotheory import fano_term
 from .l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
@@ -224,20 +224,6 @@ def nonneg_lift(vec) -> np.ndarray:
     return np.concatenate([pos, neg, 1.0 - np.minimum(norm, 1.0)[..., None]], axis=-1)
 
 
-def lift_recover(y) -> np.ndarray:
-    """Undo the lift: y in R**(2d+1) maps to (y_j - y_{j+d}) in R**d.
-
-    Never increases the L1 norm, and recovers the original vector exactly
-    on lifted inputs. Undoes each lift along the last axis of a stack.
-    """
-    arr = np.ascontiguousarray(y, dtype=float)
-    size = arr.shape[-1]
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"lifted vector must have odd length >= 3, got {size}")
-    d = (size - 1) // 2
-    return arr[..., :d] - arr[..., d : 2 * d]
-
-
 def dimension_bound(k: int, n: int, eps: float) -> BoundResult:
     """Dimension lower bound for a depth-n instance with measured slack eps.
 
@@ -302,29 +288,6 @@ def choose_k(eps: float) -> int:
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     return max(2, math.floor(1.0 / (eps * math.log2(1.0 / eps))))
-
-
-def predictor_success(distributions) -> tuple[np.ndarray, float]:
-    """Best symbol-wise predictor of which of k distributions produced a sample.
-
-    Returns (predictor, success) where predictor[j] is the 0-based index of
-    the distribution maximizing the weight of symbol j (ties to the
-    smallest index) and success is its probability of being right under a
-    uniformly random source: (1/k) * || max(Q_1..Q_k) ||_1. A (..., k, m)
-    stack gives one predictor and one success per table.
-
-    The rows are checked by infotheory.probability_table: an error raised
-    is the one the first bad row gives on its own.
-    """
-    table = probability_table(distributions, _at_least_two)
-    predictor = table.argmax(axis=-2)
-    success = table.max(axis=-2).sum(axis=-1) / table.shape[-2]
-    return predictor, success
-
-
-def _at_least_two(rows: int) -> None:
-    if rows < 2:
-        raise ValueError("need at least two distributions")
 
 
 def certify(

@@ -19,8 +19,7 @@ from .certifier import (
     constraint_table_csv,
     dimension_bound,
 )
-from .l1metric import embedding_from_text, embedding_to_text
-from .oracle import SearchConfig, search_embedding
+from .l1metric import SearchConfig, embedding_from_text, embedding_to_text, search_embedding
 from .pointset import (
     GraphParams,
     build_graph,

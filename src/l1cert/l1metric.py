@@ -1,9 +1,11 @@
-"""L1 distances, embeddings of a point set, and distortion reports.
+"""L1 distances, embeddings of a point set, distortion reports, and the search.
 
 Label distances are exact integers; embedded distances are floats.
 Distortion is the scale-invariant product of the worst expansion ratio
 and the worst contraction ratio over all vertex pairs, so distortion 1
-means an isometry up to scale.
+means an isometry up to scale. The local search for low-distortion
+embeddings runs on the same all-pairs kernel, so this module alone knows
+the kernel's plane layout, summation order and ufunc buffer.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from .pointset import (
     BLOCK_ELEMENTS,
+    CapacityError,
     FormatError,
     GraphParams,
-    IntervalLabel,
     PointSet,
     RecursiveCycleGraph,
     _check_line_count,
@@ -39,29 +41,6 @@ from .pointset import (
 
 class DegenerateEmbeddingError(ValueError):
     """Two distinct points share an embedded vector (or all points do)."""
-
-
-def l1_interval_distance(a: IntervalLabel, b: IntervalLabel) -> int:
-    """Exact L1 distance between two bit-vector labels.
-
-    Equals the measure of the symmetric difference of the ones-sets,
-    computed by a linear merge of the two interval lists.
-    """
-    if a.length != b.length:
-        raise ValueError(f"label length mismatch: {a.length} != {b.length}")
-    inter = 0
-    i = j = 0
-    ia, ib = a.intervals, b.intervals
-    while i < len(ia) and j < len(ib):
-        lo = max(ia[i][0], ib[j][0])
-        hi = min(ia[i][1], ib[j][1])
-        if lo < hi:
-            inter += hi - lo
-        if ia[i][1] <= ib[j][1]:
-            i += 1
-        else:
-            j += 1
-    return a.measure + b.measure - 2 * inter
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,6 +552,131 @@ def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:
     if report.expansion <= 0.0:
         raise DegenerateEmbeddingError("all-constant embedding cannot be normalized")
     return scale_embedding(emb, 1.0 / report.expansion)
+
+
+# The search's step damping: a step covers min(1, STEP_SCALE / sqrt(t)) of its pair's residual.
+STEP_SCALE = 32.0
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Knobs for the local search; identical config and seed give identical output."""
+
+    target_dimension: int
+    iterations: int
+    restarts: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.target_dimension < 1:
+            raise ValueError("target_dimension must be >= 1")
+        if self.iterations < 1 or self.restarts < 1:
+            raise ValueError("iterations and restarts must be >= 1")
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    embedding: Embedding
+    report: DistortionReport
+    restart: int
+
+
+def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
+    """Local search for a low-distortion embedding into R**target_dimension.
+
+    Each restart starts from random points and repeatedly repairs the pair
+    with the worst log distance ratio: a subgradient step along the sign
+    pattern of the pair's difference, sized to the pair's residual and
+    damped by min(1, STEP_SCALE/sqrt(t)). Restart r uses seed+r; the best
+    restart wins (ties to the lowest index). Best effort only.
+
+    Each restart keeps its points coordinate-major, as the (d, N) planes
+    in _plane_order that `pairwise_l1` and `distortion` use, and its
+    embedded distances and log-ratio violations as the two planes of one
+    (2, N, N) state, built once per restart. A step moves at most points
+    i and j, through the views planes[:, i] and planes[:, j]: its sign and
+    step are computed in one (d,) buffer, and its jitter is drawn in
+    natural order and stored as draw[order], so every point takes the
+    floats it would take in natural order. One refresh recomputes both
+    rows as a single (d, 2, N) block in one buffer with the tile kernel's
+    steps (subtract, abs in place, _sum_planes), so each pair is summed
+    exactly as `pairwise_l1` sums it, the sum going straight into the
+    (2, 2, N) block of both planes' rows; it then writes the rows of both
+    planes at once and their mirrored columns at once. The pair's
+    distance is read from the state. O(N*d) arithmetic plus one O(N**2)
+    argmax per step. Each restart is reported by `distortion` over its
+    final points, taken back to natural order with the same index.
+    """
+    n = len(ps)
+    if n > 2000:
+        raise CapacityError(f"point set with {n} points too large for the searcher")
+    d = cfg.target_dimension
+    order = _plane_order(d)
+    original = ps.distance_matrix.astype(float)
+    np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
+    scale = float(original[np.triu_indices(n, 1)].mean())
+    log_original = np.log(original)
+    state = np.empty((2, n, n))
+    embedded, violation = state
+    diff = np.empty((d, 2, n))
+    move = np.empty(d)
+    block = np.empty((2, 2, n))
+    l1_rows, gap_rows = block
+    columns = block.transpose(0, 2, 1)
+
+    def refresh(a: int, b: int) -> None:
+        """Recompute rows a < b of both planes of `state` and their mirrored columns.
+
+        The rows are taken by a basic slice, so no copy is made.
+        """
+        rows = slice(a, b + 1, b - a)
+        np.subtract(planes[:, rows, None], spread, out=diff)
+        _sum_planes(np.abs(diff, out=diff), out=l1_rows)
+        np.maximum(l1_rows, 1e-300, out=gap_rows)
+        np.log(gap_rows, out=gap_rows)
+        np.subtract(gap_rows, log_original[rows], out=gap_rows)
+        np.abs(gap_rows, out=gap_rows)
+        gap_rows[0, a] = gap_rows[1, b] = -math.inf
+        state[:, rows] = block
+        state[:, :, rows] = columns
+
+    best: SearchResult | None = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + restart)
+        points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
+        embedded[...] = pairwise_l1(points)
+        planes = _coordinate_planes(points)
+        spread = planes[:, None]
+        violation[...] = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
+        np.fill_diagonal(violation, -math.inf)
+        with _tile_numerics():
+            for t in range(1, cfg.iterations + 1):
+                # i != j: the diagonal holds -inf. A jitter moves point i
+                # alone; refreshing row j as well recomputes it unchanged.
+                i, j = divmod(int(violation.argmax()), n)
+                dist = float(embedded[i, j])
+                point_i = planes[:, i]
+                if dist < 1e-12:
+                    point_i += rng.standard_normal(d)[order] * (1e-6 * scale)
+                else:
+                    point_j = planes[:, j]
+                    np.sign(np.subtract(point_i, point_j, out=move), out=move)
+                    moving = int(np.count_nonzero(move))
+                    residual = dist - original[i, j]
+                    step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
+                    np.multiply(move, step, out=move)
+                    point_i -= move
+                    point_j += move
+                refresh(min(i, j), max(i, j))
+
+        # Split coincident points so the result is a genuine embedding.
+        for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
+            planes[:, j] += rng.standard_normal(d)[order] * (1e-9 * scale)
+        emb = Embedding(np.ascontiguousarray(planes[order].T), ps.graph)
+        report = distortion(ps, emb)
+        if best is None or report.distortion < best.report.distortion:
+            best = SearchResult(emb, report, restart)
+    return best
 
 
 def embedding_to_text(ps: PointSet, emb: Embedding) -> str:

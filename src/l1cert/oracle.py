@@ -1,17 +1,17 @@
-"""Brute-force references and a local-search embedding finder.
+"""Brute-force references for the steps of the entropy argument.
 
-The references recompute, the slow way, quantities the certifier obtains
-through closed forms or inequalities: uniform completion averages by
-enumeration, the prefix-split max inequality, and the mutual-information
-lower bound on explicit tables. The searcher hunts for low-distortion
-embeddings; it comes with no guarantee and exists to stress the
-certifier end to end.
+They recompute, the slow way, quantities the product path obtains through
+closed forms or inequalities: label distances by interval merge, uniform
+completion averages by enumeration, the prefix-split max inequality, the
+mutual-information lower bound on explicit tables, the lift's inverse,
+the Fano predictor and the message joint. Only the selftest, the tests
+and the benchmark call them; the searcher lives beside its kernel in
+`l1metric`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +19,35 @@ import numpy as np
 from . import infotheory
 from .certifier import edge_difference_map, nonneg_lift
 from .infotheory import JointDistribution, fano_term, probability_table, table_information
-from .l1metric import (
-    DistortionReport,
-    Embedding,
-    _coordinate_planes,
-    _plane_order,
-    _sum_planes,
-    _tile_numerics,
-    distortion,
-    pairwise_l1,
-)
-from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints
+# search_embedding is re-exported: perfbench/harness.py's TARGETS wraps it
+# under this module's name until the benchmark moves it (ROADMAP item 8).
+from .l1metric import Embedding, search_embedding  # noqa: F401
+from .pointset import CapacityError, IntervalLabel, RecursiveCycleGraph, edge_endpoints
 
 MAX_COMPLETIONS = 10**6
-# The search's step damping: a step covers min(1, STEP_SCALE / sqrt(t)) of its pair's residual.
-STEP_SCALE = 32.0
+
+
+def l1_interval_distance(a: IntervalLabel, b: IntervalLabel) -> int:
+    """Exact L1 distance between two bit-vector labels.
+
+    Equals the measure of the symmetric difference of the ones-sets,
+    computed by a linear merge of the two interval lists.
+    """
+    if a.length != b.length:
+        raise ValueError(f"label length mismatch: {a.length} != {b.length}")
+    inter = 0
+    i = j = 0
+    ia, ib = a.intervals, b.intervals
+    while i < len(ia) and j < len(ib):
+        lo = max(ia[i][0], ib[j][0])
+        hi = min(ia[i][1], ib[j][1])
+        if lo < hi:
+            inter += hi - lo
+        if ia[i][1] <= ib[j][1]:
+            i += 1
+        else:
+            j += 1
+    return a.measure + b.measure - 2 * inter
 
 
 def brute_force_average(
@@ -131,125 +145,41 @@ def _lemma_rows(rows: int) -> None:
         raise ValueError(f"k={rows // 2} too large for exact checking (max 6)")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the local search; identical config and seed give identical output."""
+def lift_recover(y) -> np.ndarray:
+    """Undo the lift: y in R**(2d+1) maps to (y_j - y_{j+d}) in R**d.
 
-    target_dimension: int
-    iterations: int = 2000
-    restarts: int = 4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target_dimension < 1:
-            raise ValueError("target_dimension must be >= 1")
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be >= 1")
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    embedding: Embedding
-    report: DistortionReport
-    restart: int
-
-
-def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
-    """Local search for a low-distortion embedding into R**target_dimension.
-
-    Each restart starts from random points and repeatedly repairs the pair
-    with the worst log distance ratio: a subgradient step along the sign
-    pattern of the pair's difference, sized to the pair's residual and
-    damped by min(1, STEP_SCALE/sqrt(t)). Restart r uses seed+r; the best
-    restart wins (ties to the lowest index). Best effort only.
-
-    Each restart keeps its points coordinate-major, as the (d, N) planes
-    in _plane_order that `pairwise_l1` and `distortion` use, and its
-    embedded distances and log-ratio violations as the two planes of one
-    (2, N, N) state, built once per restart. A step moves at most points
-    i and j, through the views planes[:, i] and planes[:, j]: its sign and
-    step are computed in one (d,) buffer, and its jitter is drawn in
-    natural order and stored as draw[order], so every point takes the
-    floats it would take in natural order. One refresh recomputes both
-    rows as a single (d, 2, N) block in one buffer with the tile kernel's
-    steps (subtract, abs in place, _sum_planes), so each pair is summed
-    exactly as `pairwise_l1` sums it, the sum going straight into the
-    (2, 2, N) block of both planes' rows; it then writes the rows of both
-    planes at once and their mirrored columns at once. The pair's
-    distance is read from the state. O(N*d) arithmetic plus one O(N**2)
-    argmax per step. Each restart is reported by `distortion` over its
-    final points, taken back to natural order with the same index.
+    Never increases the L1 norm, and recovers the original vector exactly
+    on lifted inputs. Undoes each lift along the last axis of a stack.
     """
-    n = len(ps)
-    if n > 2000:
-        raise CapacityError(f"point set with {n} points too large for the searcher")
-    d = cfg.target_dimension
-    order = _plane_order(d)
-    original = ps.distance_matrix.astype(float)
-    np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
-    scale = float(original[np.triu_indices(n, 1)].mean())
-    log_original = np.log(original)
-    state = np.empty((2, n, n))
-    embedded, violation = state
-    diff = np.empty((d, 2, n))
-    move = np.empty(d)
-    block = np.empty((2, 2, n))
-    l1_rows, gap_rows = block
-    columns = block.transpose(0, 2, 1)
+    arr = np.ascontiguousarray(y, dtype=float)
+    size = arr.shape[-1]
+    if size < 3 or size % 2 == 0:
+        raise ValueError(f"lifted vector must have odd length >= 3, got {size}")
+    d = (size - 1) // 2
+    return arr[..., :d] - arr[..., d : 2 * d]
 
-    def refresh(a: int, b: int) -> None:
-        """Recompute rows a < b of both planes of `state` and their mirrored columns.
 
-        The rows are taken by a basic slice, so no copy is made.
-        """
-        rows = slice(a, b + 1, b - a)
-        np.subtract(planes[:, rows, None], spread, out=diff)
-        _sum_planes(np.abs(diff, out=diff), out=l1_rows)
-        np.maximum(l1_rows, 1e-300, out=gap_rows)
-        np.log(gap_rows, out=gap_rows)
-        np.subtract(gap_rows, log_original[rows], out=gap_rows)
-        np.abs(gap_rows, out=gap_rows)
-        gap_rows[0, a] = gap_rows[1, b] = -math.inf
-        state[:, rows] = block
-        state[:, :, rows] = columns
+def predictor_success(distributions) -> tuple[np.ndarray, float]:
+    """Best symbol-wise predictor of which of k distributions produced a sample.
 
-    best: SearchResult | None = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + restart)
-        points = rng.standard_normal((n, d)) * (scale / (2.0 * d))
-        embedded[...] = pairwise_l1(points)
-        planes = _coordinate_planes(points)
-        spread = planes[:, None]
-        violation[...] = np.abs(np.log(np.maximum(embedded, 1e-300)) - log_original)
-        np.fill_diagonal(violation, -math.inf)
-        with _tile_numerics():
-            for t in range(1, cfg.iterations + 1):
-                # i != j: the diagonal holds -inf. A jitter moves point i
-                # alone; refreshing row j as well recomputes it unchanged.
-                i, j = divmod(int(violation.argmax()), n)
-                dist = float(embedded[i, j])
-                point_i = planes[:, i]
-                if dist < 1e-12:
-                    point_i += rng.standard_normal(d)[order] * (1e-6 * scale)
-                else:
-                    point_j = planes[:, j]
-                    np.sign(np.subtract(point_i, point_j, out=move), out=move)
-                    moving = int(np.count_nonzero(move))
-                    residual = dist - original[i, j]
-                    step = min(1.0, STEP_SCALE / math.sqrt(t)) * residual / (2.0 * moving)
-                    np.multiply(move, step, out=move)
-                    point_i -= move
-                    point_j += move
-                refresh(min(i, j), max(i, j))
+    Returns (predictor, success) where predictor[j] is the 0-based index of
+    the distribution maximizing the weight of symbol j (ties to the
+    smallest index) and success is its probability of being right under a
+    uniformly random source: (1/k) * || max(Q_1..Q_k) ||_1. A (..., k, m)
+    stack gives one predictor and one success per table.
 
-        # Split coincident points so the result is a genuine embedding.
-        for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
-            planes[:, j] += rng.standard_normal(d)[order] * (1e-9 * scale)
-        emb = Embedding(np.ascontiguousarray(planes[order].T), ps.graph)
-        report = distortion(ps, emb)
-        if best is None or report.distortion < best.report.distortion:
-            best = SearchResult(emb, report, restart)
-    return best
+    The rows are checked by infotheory.probability_table: an error raised
+    is the one the first bad row gives on its own.
+    """
+    table = probability_table(distributions, _at_least_two)
+    predictor = table.argmax(axis=-2)
+    success = table.max(axis=-2).sum(axis=-1) / table.shape[-2]
+    return predictor, success
+
+
+def _at_least_two(rows: int) -> None:
+    if rows < 2:
+        raise ValueError("need at least two distributions")
 
 
 def build_message_joint(graph: RecursiveCycleGraph, emb: Embedding) -> JointDistribution:

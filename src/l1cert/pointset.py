@@ -523,7 +523,7 @@ class PointSet:
         further word's plane is added into the first in place, so no ufunc
         casts. The float64 values are exact (at most k**n < 2**48), the
         float32 ones while k**n < 2**24.
-        l1metric.l1_interval_distance is the interval-merge reference.
+        oracle.l1_interval_distance is the interval-merge reference.
         """
         bits = self._bitplanes
         planes = np.bitwise_count(bits[:, i0:i1, None] ^ bits[:, None, j0:j1]).astype(dtype)
@@ -781,25 +781,27 @@ def pointset_from_text(text: str) -> PointSet:
 def _check_p1_lines(text: str, pos: int, block: str, params: GraphParams, start: int) -> int:
     """Check the lines of `text` from `pos` against those of the canonical `block`; where they end.
 
-    The file's lines are split off a slice one character a line longer
-    than the block (room for CRLF ends), twice as long until it holds one
-    line more than the block, and compared one by one, the first being
-    line `start` of the file; pointset_from_text's line count makes sure
-    there are enough, and _lines_end finds where they end. A token that
-    differs from its canonical one is parsed and compared with it, which
-    accepts valid non-canonical spellings, names the bad line and builds
-    no label and at most one address a line. The header, line 1, is
-    checked by its fields.
+    The file's lines are split, breaks kept, off a slice one character a
+    line longer than the block (room for CRLF ends), twice as long until
+    it holds one line more than the block, so that the block's m lines
+    end whole in it; pointset_from_text's line count makes sure there are
+    enough. They end at `pos` plus the lengths of the first m lines, and
+    are compared one by one, the first being line `start` of the file. A
+    token that differs from its canonical one is parsed and compared with
+    it, which accepts valid non-canonical spellings, names the bad line and
+    builds no label and at most one address a line. The header, line 1,
+    is checked by its fields.
     """
     wants = block.splitlines()
     size = len(block) + len(wants) + 2
-    haves = text[pos : pos + size].splitlines()
-    while len(haves) <= len(wants) and pos + size < len(text):
+    lines = text[pos : pos + size].splitlines(keepends=True)
+    while len(lines) <= len(wants) and pos + size < len(text):
         size *= 2
-        haves = text[pos : pos + size].splitlines()
-    haves = haves[: len(wants)]
+        lines = text[pos : pos + size].splitlines(keepends=True)
+    end = pos + sum(map(len, lines[: len(wants)]))
+    haves = text[pos:end].splitlines()
     if haves == wants:  # one comparison where only the line breaks differ
-        return _lines_end(text, pos, haves)
+        return end
     for lineno, (want, line) in enumerate(zip(wants, haves), start=start):
         if line == want or lineno == 1:
             continue
@@ -815,24 +817,4 @@ def _check_p1_lines(text: str, pos: int, block: str, params: GraphParams, start:
                 raise FormatError("label does not match the construction")
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-    return _lines_end(text, pos, haves)
-
-
-def _lines_end(text: str, pos: int, lines: list[str]) -> int:
-    """Where `lines`, the first lines of text[pos:].splitlines(), end in `text`, breaks included.
-
-    Every line break is one character but CRLF, two, and a CRLF in the text
-    is always one break. So the end lies past the lines' characters and one
-    character a line by the number of CRLFs before it: the end is moved
-    past the CRLFs that start before it until it holds them all. It never
-    passes the true end, since below it a CRLF is left to count, and stops
-    there. A last line without a break would count one, so the end is
-    clamped to the text.
-    """
-    chars = pos + sum(map(len, lines)) + len(lines)
-    end, crlfs = chars, text.count("\r\n", pos, chars + 1)
-    while chars + crlfs > end:
-        # Count the CRLFs that start in the stretch the end moves over.
-        end, passed = chars + crlfs, end
-        crlfs += text.count("\r\n", passed, end + 1)
-    return min(end, len(text))
+    return end

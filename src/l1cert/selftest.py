@@ -26,9 +26,7 @@ from .certifier import (
     choose_k,
     constraint_report,
     dimension_bound,
-    lift_recover,
     nonneg_lift,
-    predictor_success,
 )
 from .infotheory import (
     binary_entropy,
@@ -40,18 +38,20 @@ from .infotheory import (
 )
 from .l1metric import (
     Embedding,
+    SearchConfig,
     distortion,
     identity_embedding,
     normalize_lipschitz,
     scale_embedding,
+    search_embedding,
 )
 from .oracle import (
-    SearchConfig,
     brute_force_average,
     build_message_joint,
     lemma_check,
+    lift_recover,
     max_claim_gap,
-    search_embedding,
+    predictor_success,
 )
 from .pointset import (
     GraphParams,

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l1cert
 from l1cert import pointset
 from l1cert.l1metric import DistortionReport
 from l1cert.pointset import GraphParams, build_graph, point_set
@@ -23,6 +28,21 @@ else:
 def reference_labels(ps):
     """Every vertex label in export order, from the recursive per-vertex reference."""
     return [pointset._label_of(ps.params, v) for v in ps.addresses]
+
+
+def fresh_interpreter(code):
+    """The stdout of `code` run by a fresh interpreter that imports this l1cert."""
+    src = str(Path(l1cert.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    return run.stdout
 
 
 def naive_pairwise(points):

@@ -13,13 +13,13 @@ import numpy as np
 from l1cert.certifier import constraint_report
 from l1cert.cli import main
 from l1cert.l1metric import (
+    SearchConfig,
     distortion,
     embedding_to_text,
     identity_embedding,
     make_embedding,
     normalize_lipschitz,
 )
-from l1cert.oracle import SearchConfig
 from l1cert.pointset import GraphParams, pointset_from_text, pointset_to_text, vertex_count
 from l1cert.selftest import (
     check_averaging,

@@ -20,6 +20,8 @@ Core claims:
       guard rounds down within 1e-9 of an integer, and past float range
       min_dimension is an exact int no larger than the power it bounds
     - certificates are consistent for every valid embedding
+    - after normalization no constraint value exceeds 1, on the identity
+      and on seeded Gaussian maps, and on the identity the largest is 1
     - the separation-to-information bound holds on random distribution
       tuples via the argmax predictor
 """
@@ -43,9 +45,7 @@ from l1cert.certifier import (
     constraint_table_csv,
     dimension_bound,
     edge_difference_map,
-    lift_recover,
     nonneg_lift,
-    predictor_success,
 )
 from l1cert.infotheory import (
     JointDistribution,
@@ -63,6 +63,7 @@ from l1cert.l1metric import (
     normalize_lipschitz,
     scale_embedding,
 )
+from l1cert.oracle import lift_recover, predictor_success
 from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_graph
 from l1cert.selftest import check_identity_constraints, check_lift, stack_by_shape
 
@@ -531,6 +532,24 @@ class TestCertify:
         got = certify(ps, emb, report=report)
         assert certificate_to_text(got) == certificate_to_text(want)
         assert constraint_table_csv(got.constraints) == constraint_table_csv(want.constraints)
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (2, 5), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("d", [None, 1, 2, 8, 16])
+    def test_normalized_constraints_never_exceed_one(self, pointsets, k, n, d):
+        # Each lhs is an antipodal pair's embedded over label distance divided
+        # by the expansion, so none exceeds 1, and on the identity (d None),
+        # an isometry, the largest is 1: a wrong normalization scale fails
+        # here without any byte pin.
+        ps = pointsets(k, n)
+        if d is None:
+            emb = identity_embedding(ps)
+        else:
+            points = np.random.default_rng([k, n, d]).standard_normal((len(ps), d))
+            emb = Embedding(points, ps.graph)
+        largest = max(float(values.max()) for values in certify(ps, emb).constraints.lhs)
+        assert largest <= 1.0 + 1e-12
+        if d is None:
+            assert abs(largest - 1.0) <= 1e-12
 
     def test_random_embeddings_always_consistent(self, pointsets):
         ps = pointsets(2, 2)

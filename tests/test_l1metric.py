@@ -65,18 +65,19 @@ from l1cert.l1metric import (
     DegenerateEmbeddingError,
     DistortionReport,
     Embedding,
+    SearchConfig,
     distortion,
     embedding_from_text,
     embedding_to_text,
     identity_embedding,
-    l1_interval_distance,
     make_embedding,
     normalize_lipschitz,
     pairwise_l1,
     scale_embedding,
+    search_embedding,
     vertex_matrix,
 )
-from l1cert.oracle import SearchConfig, search_embedding
+from l1cert.oracle import l1_interval_distance
 from l1cert.pointset import (
     FormatError,
     GraphParams,

@@ -1,4 +1,4 @@
-"""Oracle tests: brute-force references, inequality checks, and the searcher.
+"""Oracle tests: brute-force references, inequality checks, and l1metric's searcher.
 
 Core claims:
     - brute_force_average agrees with the closed-form average everywhere
@@ -13,24 +13,36 @@ Core claims:
       final split, in natural and in permuted plane order (d >= 8)
     - build_message_joint has an exactly uniform source marginal and
       reproduces the hand-computed information values
+    - l1metric alone binds its private kernel names, and importing the
+      certifier loads neither the references nor the selftest
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+from conftest import fresh_interpreter
+import l1cert
+from l1cert import l1metric
 from l1cert.infotheory import mutual_information
-from l1cert.l1metric import distortion, identity_embedding, make_embedding, pairwise_l1
-from l1cert.oracle import (
+from l1cert.l1metric import (
     STEP_SCALE,
     SearchConfig,
     SearchResult,
+    distortion,
+    identity_embedding,
+    make_embedding,
+    pairwise_l1,
+    search_embedding,
+)
+from l1cert.oracle import (
     brute_force_average,
     build_message_joint,
     lemma_check,
     max_claim_gap,
-    search_embedding,
 )
 from l1cert.pointset import CapacityError
 from l1cert.selftest import (
@@ -354,3 +366,33 @@ class TestMessageJoint:
         ps = pointsets(2, 2)
         with pytest.raises(CapacityError, match="^message joint with 144 cells exceeds 100$"):
             build_message_joint(ps.graph, identity_embedding(ps))
+
+
+def test_only_l1metric_binds_its_private_objects():
+    # The kernel's plane order, summation and ufunc buffer stay behind one
+    # module boundary: no other module imports an `_`-prefixed function or
+    # class that l1metric defines.
+    private = [
+        value
+        for name, value in vars(l1metric).items()
+        if name.startswith("_") and getattr(value, "__module__", None) == l1metric.__name__
+    ]
+    assert private
+    bound = []
+    for info in pkgutil.iter_modules(l1cert.__path__, "l1cert."):
+        module = importlib.import_module(info.name)
+        if module is not l1metric:
+            bound += [
+                f"{info.name}.{key}"
+                for key, value in vars(module).items()
+                if any(value is obj for obj in private)
+            ]
+    assert bound == []
+
+
+def test_importing_the_certifier_loads_no_reference_module():
+    code = (
+        "import sys, l1cert.certifier\n"
+        "print([m for m in ('l1cert.oracle', 'l1cert.selftest') if m in sys.modules])\n"
+    )
+    assert fresh_interpreter(code) == "[]\n"

@@ -30,20 +30,16 @@ against both the merge-based distance and a dense 0/1 product.
 
 import collections
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import reference_labels
-import l1cert
+from conftest import fresh_interpreter, reference_labels
 from l1cert import pointset
 from l1cert.certifier import constraint_report
-from l1cert.l1metric import l1_interval_distance, make_embedding
+from l1cert.l1metric import make_embedding
+from l1cert.oracle import l1_interval_distance
 from l1cert.pointset import (
     CapacityError,
     FormatError,
@@ -539,19 +535,9 @@ class TestExportFormat:
 
 
 def test_importing_pointset_loads_only_the_package_root():
-    src = str(Path(l1cert.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, l1cert.pointset\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'l1cert'))\n"
         "print(hasattr(sys.modules['l1cert'], 'certify'))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
-    assert run.stdout == "['l1cert', 'l1cert.pointset']\nFalse\n"
+    assert fresh_interpreter(code) == "['l1cert', 'l1cert.pointset']\nFalse\n"

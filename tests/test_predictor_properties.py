@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from l1cert.certifier import predictor_success  # noqa: E402
+from l1cert.oracle import predictor_success  # noqa: E402
 from l1cert.infotheory import ProbVector, stochastic_table  # noqa: E402
 
 # Most rows are left valid, so that whole tables often pass and the

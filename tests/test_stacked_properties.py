@@ -15,14 +15,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from l1cert.certifier import (  # noqa: E402
-    LIFT_NORM_SLACK,
+from l1cert.certifier import LIFT_NORM_SLACK, nonneg_lift  # noqa: E402
+from l1cert.infotheory import JointDistribution, mutual_information  # noqa: E402
+from l1cert.oracle import (  # noqa: E402
+    lemma_check,
     lift_recover,
-    nonneg_lift,
+    max_claim_gap,
     predictor_success,
 )
-from l1cert.infotheory import JointDistribution, mutual_information  # noqa: E402
-from l1cert.oracle import lemma_check, max_claim_gap  # noqa: E402
 
 
 def _bits(value) -> bytes:

@@ -16,7 +16,7 @@ Core claims:
     - CRLF and CR-only line ends and a missing final newline read as the
       canonical file does; text after line N+1 is a line-count error;
       blocks end after any line break str.splitlines knows, never inside
-      a CRLF, and _lines_end finds where any first lines end
+      a CRLF
     - memory: the L1EMB read of a pre-read text, canonical, with one
       respelled token or with CRLF or CR-only line ends, holds the matrix, its
       finiteness mask and a few blocks; the P1 writer holds its text, the
@@ -293,12 +293,6 @@ def test_line_blocks_cut_after_any_line_break(monkeypatch, size):
                 assert len("".join(taken)) >= size or not lines
             first = text[pos:].splitlines(keepends=True)[0]
             assert pointset._line_at(text, pos) == (first.splitlines()[0], pos + len(first))
-            # _lines_end finds where the first m lines end, their breaks included.
-            ends = text[pos:].splitlines(keepends=True)
-            lines = text[pos:].splitlines()
-            for m in range(len(lines) + 1):
-                want = pos + len("".join(ends[:m]))
-                assert pointset._lines_end(text, pos, lines[:m]) == want
 
 
 def test_short_file_naming_a_large_graph_is_refused_unbuilt(monkeypatch):
