@@ -22,6 +22,8 @@ Core claims:
     - certificates are consistent for every valid embedding
     - after normalization no constraint value exceeds 1, on the identity
       and on seeded Gaussian maps, and on the identity the largest is 1
+    - the map certify normalizes has full-depth edge L1 norms at most 1 and
+      expansion 1, on the identity and on seeded Gaussian maps
     - the separation-to-information bound holds on random distribution
       tuples via the argmax predictor
 """
@@ -490,6 +492,19 @@ class TestPredictorSuccess:
             predictor_success([ProbVector([1.0]), ProbVector([0.5, 0.5])])
 
 
+# The normalization checks certify the identity (d None) and seeded
+# Gaussian maps of these dimensions at these sizes.
+NORMALIZED_SIZES = [(2, 3), (2, 5), (3, 3), (4, 2)]
+NORMALIZED_DIMS = [None, 1, 2, 8, 16]
+
+
+def identity_or_gaussian(ps, d):
+    if d is None:
+        return identity_embedding(ps)
+    k, n = ps.params.k, ps.params.n
+    return Embedding(np.random.default_rng([k, n, d]).standard_normal((len(ps), d)), ps.graph)
+
+
 class TestCertify:
     def test_identity_depth_three(self, pointsets):
         ps = pointsets(2, 3)
@@ -533,23 +548,41 @@ class TestCertify:
         assert certificate_to_text(got) == certificate_to_text(want)
         assert constraint_table_csv(got.constraints) == constraint_table_csv(want.constraints)
 
-    @pytest.mark.parametrize("k, n", [(2, 3), (2, 5), (3, 3), (4, 2)])
-    @pytest.mark.parametrize("d", [None, 1, 2, 8, 16])
+    @pytest.mark.parametrize("k, n", NORMALIZED_SIZES)
+    @pytest.mark.parametrize("d", NORMALIZED_DIMS)
     def test_normalized_constraints_never_exceed_one(self, pointsets, k, n, d):
         # Each lhs is an antipodal pair's embedded over label distance divided
         # by the expansion, so none exceeds 1, and on the identity (d None),
         # an isometry, the largest is 1: a wrong normalization scale fails
         # here without any byte pin.
         ps = pointsets(k, n)
-        if d is None:
-            emb = identity_embedding(ps)
-        else:
-            points = np.random.default_rng([k, n, d]).standard_normal((len(ps), d))
-            emb = Embedding(points, ps.graph)
+        emb = identity_or_gaussian(ps, d)
         largest = max(float(values.max()) for values in certify(ps, emb).constraints.lhs)
         assert largest <= 1.0 + 1e-12
         if d is None:
             assert abs(largest - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k, n", NORMALIZED_SIZES)
+    @pytest.mark.parametrize("d", NORMALIZED_DIMS)
+    def test_the_normalized_map_has_unit_edges_and_expansion(self, pointsets, monkeypatch, k, n, d):
+        # The lemma needs every full-depth edge's L1 norm at most 1, and
+        # dividing by the expansion makes the map's expansion 1: both are
+        # read off the map that certify hands to constraint_report.
+        ps = pointsets(k, n)
+        normalized = []
+        report = certifier.constraint_report
+
+        def capture(graph, emb):
+            normalized.append(emb)
+            return report(graph, emb)
+
+        monkeypatch.setattr(certifier, "constraint_report", capture)
+        certify(ps, identity_or_gaussian(ps, d))
+        [emb] = normalized
+        tails, heads = ps.graph.level_edges[-1]
+        edge_norms = np.abs(emb.matrix[tails] - emb.matrix[heads]).sum(axis=1)
+        assert float(edge_norms.max()) <= 1.0 + 1e-12
+        assert abs(distortion(ps, emb).expansion - 1.0) <= 1e-12
 
     def test_random_embeddings_always_consistent(self, pointsets):
         ps = pointsets(2, 2)

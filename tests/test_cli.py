@@ -28,7 +28,9 @@ from l1cert.pointset import (
     pointset_from_text,
     pointset_to_text,
 )
-from l1cert.selftest import run_selftest
+from l1cert.selftest import SUITES, run_selftest
+
+from conftest import fresh_interpreter
 
 
 @pytest.fixture()
@@ -365,5 +367,55 @@ class TestSelftest:
         assert rc == 1
         assert "identity_equality: FAIL" in capsys.readouterr().out
 
-    def test_unknown_suite_is_usage_error(self):
+    def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["selftest", "--suite", "nope"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown suites: ['nope']; available: ")
+        assert all(repr(name) in out for name in SUITES)
+
+    def test_repeated_suite_runs_exactly_those_suites(self, capsys):
+        assert main(["selftest", "--suite", "lift", "--suite", "construction"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == ["lift", "construction", "selftest"]
+        assert lines[-1].startswith("selftest: all 2 suites passed")
+
+
+# The modules `import l1cert.cli` loads: the product path, no suite or reference.
+CLI_MODULES = [
+    "l1cert", "l1cert.certifier", "l1cert.cli", "l1cert.infotheory", "l1cert.l1metric",
+    "l1cert.pointset",
+]
+LOADED = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'l1cert'))\n"
+
+
+def run_fresh(commands):
+    """Exit codes of `commands` run through main in one fresh interpreter; its l1cert modules."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from l1cert.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+        + LOADED
+    )
+    *codes, modules = fresh_interpreter(code).splitlines()
+    return [int(c) for c in codes], modules
+
+
+def test_importing_the_cli_loads_only_the_product_modules():
+    assert fresh_interpreter("import sys, l1cert.cli\n" + LOADED) == f"{CLI_MODULES}\n"
+
+
+def test_only_selftest_loads_the_suites_and_references(tmp_path):
+    ps, emb = tmp_path / "ps.txt", tmp_path / "emb.txt"
+    commands = [
+        ["generate", "-k", "2", "-n", "2", "-o", str(ps)],
+        ["search", str(ps), "-d", "2", "--iters", "50", "--restarts", "1", "-o", str(emb)],
+        ["certify", str(ps), str(emb)],
+        ["bound", "-k", "2", "-n", "2", "--eps", "0.1"],
+    ]
+    assert run_fresh(commands) == ([0, 0, 0, 0], str(CLI_MODULES))
+    codes, modules = run_fresh([["selftest", "--suite", "identity_equality"]])
+    assert codes == [0]
+    assert "'l1cert.selftest'" in modules and "'l1cert.oracle'" in modules

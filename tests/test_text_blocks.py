@@ -12,9 +12,10 @@ Core claims:
       P(2,8) and P(2,10)
     - every FormatError message names the bad line, whether the defect
       sits in the first, a middle or the last block or on a line that
-      straddles a block boundary
-    - CRLF and CR-only line ends and a missing final newline read as the
-      canonical file does; text after line N+1 is a line-count error;
+      straddles a block boundary, with LF or CRLF line ends
+    - CRLF, CR-only and mixed line ends, CRLF in the first half only and a
+      missing final newline read as the canonical file does; text after
+      line N+1 is a line-count error;
       blocks end after any line break str.splitlines knows, never inside
       a CRLF
     - memory: the L1EMB read of a pre-read text, canonical, with one
@@ -161,13 +162,14 @@ P1_DEFECTS = [
 ]
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("defect,message", P1_DEFECTS)
-def test_p1_errors_name_the_line_in_any_block(block, pointsets, defect, message):
+def test_p1_errors_name_the_line_in_any_block(block, pointsets, defect, message, brk):
     text = pointset_to_text(pointsets(2, 6))
     for lineno in defect_lines(text, block):
         lines = text.splitlines()
         lines[lineno - 1] = defect(lines[lineno - 1])
-        got = read_error(pointset_from_text, "\n".join(lines) + "\n")
+        got = read_error(pointset_from_text, brk.join(lines) + brk)
         assert got == message.format(lineno)
 
 
@@ -225,8 +227,21 @@ CRLF = lambda t: t.replace("\n", "\r\n")  # noqa: E731
 CR = lambda t: t.replace("\n", "\r")  # noqa: E731
 
 
+def mixed_ends(text):
+    """The lines of `text` ending in LF, CRLF and CR in turn."""
+    ends = ("\n", "\r\n", "\r")
+    return "".join(line + ends[i % 3] for i, line in enumerate(text.splitlines()))
+
+
+def half_crlf(text):
+    """`text` with CRLF line ends in its first half and LF in the rest."""
+    half = text.find("\n", len(text) // 2) + 1
+    return CRLF(text[:half]) + text[half:]
+
+
 @pytest.mark.parametrize(
-    "respell", [CRLF, CR, after_header(CRLF), after_header(CR), lambda t: t[:-1]]
+    "respell",
+    [CRLF, CR, after_header(CRLF), after_header(CR), lambda t: t[:-1], mixed_ends, half_crlf],
 )
 def test_other_line_ends_read_as_the_canonical_file(block, pointsets, respell):
     ps = pointsets(2, 3)
