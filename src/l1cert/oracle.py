@@ -1,8 +1,9 @@
 """Brute-force references for the steps of the entropy argument.
 
 They recompute, the slow way, quantities the product path obtains through
-closed forms or inequalities: label distances by interval merge, uniform
-completion averages by enumeration, the prefix-split max inequality, the
+closed forms or inequalities: vertex labels as ones-intervals by recursion,
+label distances by interval merge, antipodal pairs by name, completion
+averages by enumeration, the prefix-split max inequality, the
 mutual-information lower bound on explicit tables, the lift's inverse,
 the Fano predictor and the message joint. Only the selftest, the tests
 and the benchmark call them; the searcher lives beside its kernel in
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +24,119 @@ from .infotheory import JointDistribution, fano_term, probability_table, table_i
 # search_embedding is re-exported: perfbench/harness.py's TARGETS wraps it
 # under this module's name until the benchmark moves it (ROADMAP item 8).
 from .l1metric import Embedding, search_embedding  # noqa: F401
-from .pointset import CapacityError, IntervalLabel, RecursiveCycleGraph, edge_endpoints
+from .pointset import (
+    CapacityError,
+    GraphParams,
+    RecursiveCycleGraph,
+    _cycle_vertex,
+    _edge_endpoints_raw,
+    _split,
+    _validate_prefix,
+    edge_endpoints,
+)
 
 MAX_COMPLETIONS = 10**6
+
+
+@dataclass(frozen=True)
+class IntervalLabel:
+    """A bit vector in {0,1}**length stored as sorted disjoint ones-intervals.
+
+    Intervals are half-open [a, b) and kept maximal (no two adjacent), so
+    equality of labels is equality of the interval tuples.
+    """
+
+    length: int
+    intervals: tuple[tuple[int, int], ...]
+
+    @staticmethod
+    def make(length: int, raw: "list[tuple[int, int]] | tuple") -> "IntervalLabel":
+        """Normalize raw intervals: sort, merge overlaps/adjacency, validate."""
+        ivs = sorted((int(a), int(b)) for a, b in raw)
+        merged: list[tuple[int, int]] = []
+        for a, b in ivs:
+            if not 0 <= a < b <= length:
+                raise ValueError(f"interval [{a},{b}) out of range [0,{length})")
+            if merged and a <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
+        return IntervalLabel(length, tuple(merged))
+
+    @cached_property
+    def measure(self) -> int:
+        """Number of one bits."""
+        return sum(b - a for a, b in self.intervals)
+
+    def to_dense(self) -> np.ndarray:
+        """Materialize the bit vector as a float array."""
+        if self.length > 2**24:
+            raise CapacityError(f"label of length {self.length} too large to densify")
+        out = np.zeros(self.length)
+        for a, b in self.intervals:
+            out[a:b] = 1.0
+        return out
+
+
+def edge_coordinate_block(
+    params: GraphParams, prefix: tuple[int, ...]
+) -> tuple[int, int]:
+    """(start, length) of the label coordinates on which the edge's endpoints differ.
+
+    A level-l edge controls a block of k**(n-l) coordinates; the tail is
+    all zeros there and the head all ones.
+    """
+    prefix = _validate_prefix(params, prefix)
+    k, n = params.k, params.n
+    start = 0
+    for depth, b in enumerate(prefix, start=1):
+        m = b if b <= k else b - k
+        start += (k - m) * k ** (n - depth)
+    return start, k ** (n - len(prefix))
+
+
+def _label_of(params: GraphParams, name: str) -> IntervalLabel:
+    total = params.label_length
+    if name == "L":
+        return IntervalLabel(total, ())
+    if name == "R":
+        return IntervalLabel(total, ((0, total),))
+    k = params.k
+    path, q = _split(name)
+    if not (1 <= q <= 2 * k - 1 and q != k):
+        raise ValueError(f"invalid cycle position {q} for k={k}")
+    tail, _ = _edge_endpoints_raw(params, path)
+    base = _label_of(params, tail)
+    start, block = edge_coordinate_block(params, path)
+    sub = block // k
+    if q < k:
+        # Top position q: ones on the last q sub-blocks of the edge's block.
+        ones = (start + (k - q) * sub, start + block)
+    else:
+        # Bottom position q is the (2k-q)-th bottom vertex: ones on the
+        # first 2k-q sub-blocks.
+        ones = (start, start + (2 * k - q) * sub)
+    return IntervalLabel.make(total, list(base.intervals) + [ones])
+
+
+def antipodal_pairs(graph: RecursiveCycleGraph, level: int) -> list[tuple[str, str]]:
+    """All diameter pairs of every level-`level` cycle.
+
+    Each cycle contributes k pairs (positions q and q+k); their labels are
+    at distance k**(n-level+1). Pair order is deterministic: cycles in
+    lexicographic path order, q ascending.
+    """
+    params = graph.params
+    if not 1 <= level <= params.n:
+        raise ValueError(f"level must be in 1..{params.n}, got {level}")
+    cyc = params.cycle_length
+    pairs = []
+    for path in itertools.product(range(1, cyc + 1), repeat=level - 1):
+        for q in range(params.k):
+            pairs.append(
+                (_cycle_vertex(params, path, q), _cycle_vertex(params, path, q + params.k))
+            )
+    return pairs
 
 
 def l1_interval_distance(a: IntervalLabel, b: IntervalLabel) -> int:

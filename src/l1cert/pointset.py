@@ -10,7 +10,7 @@ every vertex a canonical address: the edge path of the cycle that created
 it plus its position along that cycle.
 
 Each vertex carries a bit vector of length k**n, held as packed uint64
-words (the references give it as ones-intervals). Adjacent vertices
+words (oracle's references give it as ones-intervals). Adjacent vertices
 differ in exactly one bit, and the two ends of any level-l cycle diameter
 differ in exactly k**(n-l+1) bits. The set of all labels is the point
 set consumed by the certifier.
@@ -127,46 +127,6 @@ def check_address(token: str, name: str, params: GraphParams) -> None:
     """
     if token != name and parse_address(token, params) != name:
         raise FormatError(f"address {token!r} out of canonical order")
-
-
-@dataclass(frozen=True)
-class IntervalLabel:
-    """A bit vector in {0,1}**length stored as sorted disjoint ones-intervals.
-
-    Intervals are half-open [a, b) and kept maximal (no two adjacent), so
-    equality of labels is equality of the interval tuples.
-    """
-
-    length: int
-    intervals: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def make(length: int, raw: "list[tuple[int, int]] | tuple") -> "IntervalLabel":
-        """Normalize raw intervals: sort, merge overlaps/adjacency, validate."""
-        ivs = sorted((int(a), int(b)) for a, b in raw)
-        merged: list[tuple[int, int]] = []
-        for a, b in ivs:
-            if not 0 <= a < b <= length:
-                raise ValueError(f"interval [{a},{b}) out of range [0,{length})")
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        return IntervalLabel(length, tuple(merged))
-
-    @cached_property
-    def measure(self) -> int:
-        """Number of one bits."""
-        return sum(b - a for a, b in self.intervals)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the bit vector as a float array."""
-        if self.length > 2**24:
-            raise CapacityError(f"label of length {self.length} too large to densify")
-        out = np.zeros(self.length)
-        for a, b in self.intervals:
-            out[a:b] = 1.0
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,58 +321,6 @@ def edge_endpoints(graph: RecursiveCycleGraph, prefix: tuple[int, ...]) -> tuple
     return tail, head
 
 
-def edge_coordinate_block(
-    params: GraphParams, prefix: tuple[int, ...]
-) -> tuple[int, int]:
-    """(start, length) of the label coordinates on which the edge's endpoints differ.
-
-    A level-l edge controls a block of k**(n-l) coordinates; the tail is
-    all zeros there and the head all ones.
-    """
-    prefix = _validate_prefix(params, prefix)
-    k, n = params.k, params.n
-    start = 0
-    for depth, b in enumerate(prefix, start=1):
-        m = b if b <= k else b - k
-        start += (k - m) * k ** (n - depth)
-    return start, k ** (n - len(prefix))
-
-
-def _label_of(params: GraphParams, name: str) -> IntervalLabel:
-    total = params.label_length
-    if name == "L":
-        return IntervalLabel(total, ())
-    if name == "R":
-        return IntervalLabel(total, ((0, total),))
-    k = params.k
-    path, q = _split(name)
-    if not (1 <= q <= 2 * k - 1 and q != k):
-        raise ValueError(f"invalid cycle position {q} for k={k}")
-    tail, _ = _edge_endpoints_raw(params, path)
-    base = _label_of(params, tail)
-    start, block = edge_coordinate_block(params, path)
-    sub = block // k
-    if q < k:
-        # Top position q: ones on the last q sub-blocks of the edge's block.
-        ones = (start + (k - q) * sub, start + block)
-    else:
-        # Bottom position q is the (2k-q)-th bottom vertex: ones on the
-        # first 2k-q sub-blocks.
-        ones = (start, start + (2 * k - q) * sub)
-    return IntervalLabel.make(total, list(base.intervals) + [ones])
-
-
-def vertex_label(graph: RecursiveCycleGraph, v: str) -> IntervalLabel:
-    """Label of a vertex name as a sparse ones-interval bit vector of length k**n."""
-    try:
-        known = parse_address(str(v), graph.params) == v
-    except FormatError:
-        known = False
-    if not known:
-        raise ValueError(f"unknown vertex {v}")
-    return _label_of(graph.params, v)
-
-
 def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveCycleGraph:
     """Construct the depth-n recursive cycle graph with labeled oriented edges.
 
@@ -429,26 +337,6 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
     return RecursiveCycleGraph(params, flip_bottom)
 
 
-def antipodal_pairs(graph: RecursiveCycleGraph, level: int) -> list[tuple[str, str]]:
-    """All diameter pairs of every level-`level` cycle.
-
-    Each cycle contributes k pairs (positions q and q+k); their labels are
-    at distance k**(n-level+1). Pair order is deterministic: cycles in
-    lexicographic path order, q ascending.
-    """
-    params = graph.params
-    if not 1 <= level <= params.n:
-        raise ValueError(f"level must be in 1..{params.n}, got {level}")
-    cyc = params.cycle_length
-    pairs = []
-    for path in itertools.product(range(1, cyc + 1), repeat=level - 1):
-        for q in range(params.k):
-            pairs.append(
-                (_cycle_vertex(params, path, q), _cycle_vertex(params, path, q + params.k))
-            )
-    return pairs
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """The labels of a built graph, with fast distance access.
@@ -458,9 +346,9 @@ class PointSet:
     walk _levels, so no program path builds a label object: `certify`,
     `identity_embedding` and the self test read the bits, the P1 writer
     builds the canonical text from the same walk, and the P1 reader
-    compares with it. Per-vertex `IntervalLabel`s come only from the
-    references (`_label_of`, `vertex_label`). Column i of the bits is the
-    label of row i, the vertex named `addresses[i]` (the graph's `vertices`).
+    compares with it. Per-vertex `oracle.IntervalLabel`s come only from
+    the reference `oracle._label_of`. Column i of the bits is the label
+    of row i, the vertex named `addresses[i]` (the graph's `vertices`).
     """
 
     graph: RecursiveCycleGraph
@@ -617,8 +505,8 @@ def _p1_blocks(ps: PointSet):
     intervals (`held`, padded rows), as the next level's tails; _inserted
     builds each slice's rows from its tails' rows. A line is one row of
     8-byte words, each a separator and a number in ASCII padded with NUL
-    bytes, and one translate strips the NULs of a whole slice. _label_of is
-    the per-vertex reference.
+    bytes, and one translate strips the NULs of a whole slice.
+    oracle._label_of is the per-vertex reference.
     """
     p = ps.params
     k, n, total, cyc = p.k, p.n, p.label_length, p.cycle_length

@@ -46,6 +46,7 @@ from .l1metric import (
     search_embedding,
 )
 from .oracle import (
+    antipodal_pairs,
     brute_force_average,
     build_message_joint,
     lemma_check,
@@ -57,7 +58,6 @@ from .pointset import (
     GraphParams,
     PointSet,
     RecursiveCycleGraph,
-    antipodal_pairs,
     build_graph,
     point_set,
     vertex_count,

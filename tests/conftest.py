@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import l1cert
-from l1cert import pointset
+from l1cert import oracle
 from l1cert.l1metric import DistortionReport
 from l1cert.pointset import GraphParams, build_graph, point_set
 
@@ -27,7 +27,7 @@ else:
 
 def reference_labels(ps):
     """Every vertex label in export order, from the recursive per-vertex reference."""
-    return [pointset._label_of(ps.params, v) for v in ps.addresses]
+    return [oracle._label_of(ps.params, v) for v in ps.addresses]
 
 
 def fresh_interpreter(code):

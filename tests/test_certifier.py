@@ -65,8 +65,8 @@ from l1cert.l1metric import (
     normalize_lipschitz,
     scale_embedding,
 )
-from l1cert.oracle import lift_recover, predictor_success
-from l1cert.pointset import CapacityError, GraphParams, antipodal_pairs, build_graph
+from l1cert.oracle import antipodal_pairs, lift_recover, predictor_success
+from l1cert.pointset import CapacityError, GraphParams, build_graph
 from l1cert.selftest import check_identity_constraints, check_lift, stack_by_shape
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from l1cert import certifier, l1metric, pointset
+from l1cert import certifier, l1metric, oracle, pointset
 from l1cert.certifier import constraint_report, dimension_bound
 from l1cert.cli import main
 from l1cert.l1metric import (
@@ -19,9 +19,9 @@ from l1cert.l1metric import (
     identity_embedding,
     make_embedding,
 )
+from l1cert.oracle import IntervalLabel
 from l1cert.pointset import (
     GraphParams,
-    IntervalLabel,
     PointSet,
     RecursiveCycleGraph,
     build_graph,
@@ -63,9 +63,12 @@ class TestGenerate:
 class TestAddressFreePaths:
     """generate, the P1 and L1EMB reads and certify work on rows, never on vertex names.
 
-    They call no per-vertex reference (_edge_endpoints_raw, _label_of) and
-    build neither the edge map graph.edges nor the name-keyed emb.vectors.
+    They call no per-vertex reference (pointset._edge_endpoints_raw,
+    oracle._label_of), build no oracle.IntervalLabel, and build neither the
+    edge map graph.edges nor the name-keyed emb.vectors.
     """
+
+    REFERENCES = ((pointset, "_edge_endpoints_raw"), (oracle, "_label_of"))
 
     @staticmethod
     def count_labels(monkeypatch):
@@ -81,16 +84,16 @@ class TestAddressFreePaths:
         return labels
 
     @staticmethod
-    def count_references(monkeypatch, functions=("_edge_endpoints_raw", "_label_of")):
-        """Record each call of the named pointset functions and each read of a name-keyed view."""
+    def count_references(monkeypatch, functions=REFERENCES):
+        """Record each call of the (module, name) functions and each read of a name-keyed view."""
         calls = []
-        for name in functions:
+        for module, name in functions:
 
-            def counting(*args, _real=getattr(pointset, name), _name=name, **kwargs):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(pointset, name, counting)
+            monkeypatch.setattr(module, name, counting)
         for cls, name in ((RecursiveCycleGraph, "edges"), (Embedding, "vectors")):
 
             def reading(self, _view=getattr(cls, name), _name=name):
@@ -131,7 +134,7 @@ class TestAddressFreePaths:
     ):
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
         self.write_embedding(emb, pointsets(3, 4), 4)
-        functions = ("_edge_endpoints_raw", "_label_of", "parse_address")
+        functions = (*self.REFERENCES, (pointset, "parse_address"))
         calls = self.count_references(monkeypatch, functions)
         labels = self.count_labels(monkeypatch)
         assert main(["generate", "-k", "3", "-n", "4", "-o", str(p1)]) == 0
@@ -386,10 +389,21 @@ CLI_MODULES = [
     "l1cert.pointset",
 ]
 LOADED = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'l1cert'))\n"
+# The interval-label reference names: oracle defines the first four, no module the last.
+LABEL_REFERENCES = (
+    "IntervalLabel", "_label_of", "edge_coordinate_block", "antipodal_pairs", "vertex_label"
+)
+# Each loaded l1cert module's bindings of those names, as "module.name".
+BOUND = (
+    "print(sorted(f'{m}.{name}' for m, module in sys.modules.items()"
+    " if m.partition('.')[0] == 'l1cert'"
+    f" for name in {LABEL_REFERENCES!r} if hasattr(module, name)))\n"
+)
 
 
 def run_fresh(commands):
-    """Exit codes of `commands` run through main in one fresh interpreter; its l1cert modules."""
+    """Exit codes of `commands` run through main in one fresh interpreter, its l1cert
+    modules and their bindings of the LABEL_REFERENCES."""
     code = (
         "import contextlib, io, sys\n"
         "from l1cert.cli import main\n"
@@ -398,9 +412,10 @@ def run_fresh(commands):
         "        code = main(argv)\n"
         "    print(code)\n"
         + LOADED
+        + BOUND
     )
-    *codes, modules = fresh_interpreter(code).splitlines()
-    return [int(c) for c in codes], modules
+    *codes, modules, bound = fresh_interpreter(code).splitlines()
+    return [int(c) for c in codes], modules, bound
 
 
 def test_importing_the_cli_loads_only_the_product_modules():
@@ -415,7 +430,10 @@ def test_only_selftest_loads_the_suites_and_references(tmp_path):
         ["certify", str(ps), str(emb)],
         ["bound", "-k", "2", "-n", "2", "--eps", "0.1"],
     ]
-    assert run_fresh(commands) == ([0, 0, 0, 0], str(CLI_MODULES))
-    codes, modules = run_fresh([["selftest", "--suite", "identity_equality"]])
+    # No product module binds an interval-label reference.
+    assert run_fresh(commands) == ([0, 0, 0, 0], str(CLI_MODULES), "[]")
+    codes, modules, bound = run_fresh([["selftest", "--suite", "identity_equality"]])
     assert codes == [0]
     assert "'l1cert.selftest'" in modules and "'l1cert.oracle'" in modules
+    oracle_names = [f"l1cert.oracle.{name}" for name in LABEL_REFERENCES[:4]]
+    assert bound == str(sorted([*oracle_names, "l1cert.selftest.antipodal_pairs"]))

@@ -25,12 +25,12 @@ import re
 import numpy as np
 import pytest
 
-from l1cert import pointset
+from l1cert import oracle, pointset
 from l1cert.cli import main
 from l1cert.l1metric import embedding_from_text, embedding_to_text, make_embedding
+from l1cert.oracle import antipodal_pairs
 from l1cert.pointset import (
     GraphParams,
-    antipodal_pairs,
     build_graph,
     edge_endpoints,
     point_set,
@@ -297,7 +297,7 @@ def test_edges():
 
 def test_reference_labels():
     graph = build_graph(GraphParams(3, 3))
-    labels = [f"{v} {pointset._label_of(graph.params, v).intervals}" for v in graph.vertices]
+    labels = [f"{v} {oracle._label_of(graph.params, v).intervals}" for v in graph.vertices]
     assert lines_sha256(labels) == LABELS_SHA256
 
 

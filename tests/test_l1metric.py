@@ -77,11 +77,10 @@ from l1cert.l1metric import (
     search_embedding,
     vertex_matrix,
 )
-from l1cert.oracle import l1_interval_distance
+from l1cert.oracle import IntervalLabel, l1_interval_distance
 from l1cert.pointset import (
     FormatError,
     GraphParams,
-    IntervalLabel,
     PointSet,
     build_graph,
     point_set,

@@ -22,7 +22,7 @@ Core claims:
       root re-exports nothing
 
 The program holds labels only as packed bits. The reference labels are
-the recursive `_label_of`'s: the canonical P1 text is checked against
+the recursive `oracle._label_of`'s: the canonical P1 text is checked against
 them, and the packed words against numpy's packbits of them. The packed
 distance matrix, which the metric-structure tests read, is checked
 against both the merge-based distance and a dense 0/1 product.
@@ -36,17 +36,15 @@ import numpy as np
 import pytest
 
 from conftest import fresh_interpreter, reference_labels
-from l1cert import pointset
+from l1cert import oracle, pointset
 from l1cert.certifier import constraint_report
 from l1cert.l1metric import make_embedding
-from l1cert.oracle import l1_interval_distance
+from l1cert.oracle import IntervalLabel, antipodal_pairs, l1_interval_distance
 from l1cert.pointset import (
     CapacityError,
     FormatError,
     GraphParams,
-    IntervalLabel,
     PointSet,
-    antipodal_pairs,
     build_graph,
     edge_endpoints,
     parse_address,
@@ -54,7 +52,6 @@ from l1cert.pointset import (
     pointset_from_text,
     pointset_to_text,
     vertex_count,
-    vertex_label,
 )
 
 
@@ -232,7 +229,7 @@ class TestLevelArrays:
         lines = pointset_to_text(ps).splitlines()[1:]
         assert len(lines) == len(ps.addresses)
         for v, line in zip(ps.addresses, lines):
-            intervals = pointset._label_of(ps.params, v).intervals
+            intervals = oracle._label_of(ps.params, v).intervals
             assert line == f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-")
 
     def test_no_recursive_helper_calls(self, monkeypatch):
@@ -251,7 +248,7 @@ class TestLevelArrays:
         monkeypatch.setattr(
             pointset, "_edge_endpoints_raw", counting("raw", pointset._edge_endpoints_raw)
         )
-        monkeypatch.setattr(pointset, "_label_of", counting("label", pointset._label_of))
+        monkeypatch.setattr(oracle, "_label_of", counting("label", oracle._label_of))
         monkeypatch.setattr(
             IntervalLabel, "make", staticmethod(counting("make", IntervalLabel.make))
         )
@@ -267,17 +264,13 @@ class TestLevelArrays:
 
 class TestVertexLabels:
     def test_depth_one_top_vertex(self):
-        graph = build_graph(GraphParams(2, 1))
-        label = vertex_label(graph, "/1")
-        assert label.intervals == ((1, 2),)
+        assert oracle._label_of(GraphParams(2, 1), "/1").intervals == ((1, 2),)
 
     def test_root_left_is_all_zeros(self):
-        graph = build_graph(GraphParams(2, 1))
-        assert vertex_label(graph, "L").intervals == ()
+        assert oracle._label_of(GraphParams(2, 1), "L").intervals == ()
 
     def test_root_right_is_all_ones(self):
-        graph = build_graph(GraphParams(3, 2))
-        assert vertex_label(graph, "R").intervals == ((0, 9),)
+        assert oracle._label_of(GraphParams(3, 2), "R").intervals == ((0, 9),)
 
     def test_label_length_is_k_to_the_n(self, pointsets):
         ps = pointsets(3, 2)
@@ -297,11 +290,6 @@ class TestVertexLabels:
                 assert 0 <= a < b <= label.length
                 if nxt is not None:
                     assert b < nxt[0]  # disjoint and non-adjacent
-
-    def test_unknown_vertex_rejected(self):
-        graph = build_graph(GraphParams(2, 1))
-        with pytest.raises(ValueError):
-            vertex_label(graph, "1/1")
 
 
 class TestMetricStructure:

@@ -36,7 +36,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1cert import l1metric, pointset
+from l1cert import l1metric, oracle, pointset
 from l1cert.cli import main
 from l1cert.l1metric import Embedding, embedding_from_text, embedding_to_text
 from l1cert.pointset import (
@@ -86,7 +86,7 @@ def reference_p1(ps):
     p = ps.params
     lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
     for v in ps.addresses:
-        intervals = pointset._label_of(p, v).intervals
+        intervals = oracle._label_of(p, v).intervals
         lines.append(f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-"))
     return "\n".join(lines) + "\n"
 
