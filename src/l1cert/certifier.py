@@ -36,7 +36,7 @@ from .l1metric import (
     scale_embedding,
     vertex_matrix,
 )
-from .pointset import CapacityError, PointSet, RecursiveCycleGraph, edge_endpoints, level_prefixes
+from .pointset import CapacityError, RecursiveCycleGraph, edge_endpoints, level_prefixes
 
 LIFT_NORM_SLACK = 1e-6
 # Largest exponent of an exact dimension bound: its decimal form stays under
@@ -291,11 +291,11 @@ def choose_k(eps: float) -> int:
 
 
 def certify(
-    ps: PointSet, emb: Embedding, *, report: DistortionReport | None = None
+    graph: RecursiveCycleGraph, emb: Embedding, *, report: DistortionReport | None = None
 ) -> CertificateReport:
     """Full pipeline: distortion, normalization, constraints, dimension bound.
 
-    `report`, when given, must be `distortion(ps, emb)`, already measured
+    `report`, when given, must be `distortion(graph, emb)`, already measured
     (as the search measures its winner); it is then not measured again.
     Raises DegenerateEmbeddingError when two distinct points share a
     vector (the certificate would be meaningless). `consistent` must come
@@ -304,14 +304,14 @@ def certify(
     and one float per constraint; no N x N matrix is built.
     """
     if report is None:
-        report = distortion(ps, emb)
+        report = distortion(graph, emb)
     if math.isinf(report.contraction):
         raise DegenerateEmbeddingError(
             "embedding maps two distinct points to the same vector"
         )
     normalized = scale_embedding(emb, 1.0 / report.expansion)
-    constraints = constraint_report(ps.graph, normalized)
-    params = ps.params
+    constraints = constraint_report(graph, normalized)
+    params = graph.params
     bound = dimension_bound(params.k, params.n, constraints.epsilon)
     return CertificateReport(report, bound, emb.dimension, constraints)
 

@@ -23,7 +23,6 @@ from .l1metric import SearchConfig, embedding_from_text, embedding_to_text, sear
 from .pointset import (
     GraphParams,
     build_graph,
-    point_set,
     pointset_from_text,
     pointset_to_file,
 )
@@ -31,20 +30,20 @@ from .pointset import (
 
 def _cmd_generate(args) -> int:
     params = GraphParams(args.k, args.n)
-    ps = point_set(build_graph(params))
+    graph = build_graph(params)
     out = Path(args.out) if args.out else Path(f"pointset_k{params.k}_n{params.n}.txt")
-    pointset_to_file(ps, out)
-    print(f"vertices={len(ps)}")
+    pointset_to_file(graph, out)
+    print(f"vertices={len(graph)}")
     print(f"label_dimension={params.label_length}")
     print(f"edges={params.cycle_length ** params.n}")
-    print(f"generate: ok N={len(ps)} dim={params.label_length} -> {out}")
+    print(f"generate: ok N={len(graph)} dim={params.label_length} -> {out}")
     return 0
 
 
 def _cmd_certify(args) -> int:
-    ps = pointset_from_text(Path(args.pointset).read_text(encoding="utf-8"))
-    emb = embedding_from_text(Path(args.embedding).read_text(encoding="utf-8"), ps)
-    cert = certify(ps, emb)
+    graph = pointset_from_text(Path(args.pointset).read_text(encoding="utf-8"))
+    emb = embedding_from_text(Path(args.embedding).read_text(encoding="utf-8"), graph)
+    cert = certify(graph, emb)
     sys.stdout.write(certificate_to_text(cert))
     if args.table:
         Path(args.table).write_text(constraint_table_csv(cert.constraints), encoding="utf-8")
@@ -77,19 +76,19 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    ps = pointset_from_text(Path(args.pointset).read_text(encoding="utf-8"))
+    graph = pointset_from_text(Path(args.pointset).read_text(encoding="utf-8"))
     cfg = SearchConfig(
         target_dimension=args.dimension,
         iterations=args.iters,
         restarts=args.restarts,
         seed=args.seed,
     )
-    result = search_embedding(ps, cfg)
-    cert = certify(ps, result.embedding, report=result.report)
+    result = search_embedding(graph, cfg)
+    cert = certify(graph, result.embedding, report=result.report)
     out = Path(args.out) if args.out else Path(
-        f"embedding_k{ps.params.k}_n{ps.params.n}_d{args.dimension}_s{args.seed}.txt"
+        f"embedding_k{graph.params.k}_n{graph.params.n}_d{args.dimension}_s{args.seed}.txt"
     )
-    out.write_text(embedding_to_text(ps, result.embedding), encoding="utf-8")
+    out.write_text(embedding_to_text(graph, result.embedding), encoding="utf-8")
     sidecar = Path(str(out) + ".report")
     report_lines = [
         f"distortion={result.report.distortion!r}",

@@ -25,7 +25,6 @@ from .pointset import (
     CapacityError,
     FormatError,
     GraphParams,
-    PointSet,
     RecursiveCycleGraph,
     _check_line_count,
     _line_at,
@@ -133,11 +132,11 @@ def make_embedding(vectors) -> Embedding:
     return Embedding(np.stack(rows), graph)
 
 
-def identity_embedding(ps: PointSet) -> Embedding:
+def identity_embedding(graph: RecursiveCycleGraph) -> Embedding:
     """The packed labels unpacked as vectors in R**(k**n); an isometry by construction."""
-    rows = np.ascontiguousarray(ps._bitplanes.T).view(np.uint8)
-    bits = np.unpackbits(rows, axis=1, count=ps.dimension, bitorder="little")
-    return Embedding(bits.astype(np.float64), ps.graph)
+    rows = np.ascontiguousarray(graph._bitplanes.T).view(np.uint8)
+    bits = np.unpackbits(rows, axis=1, count=graph.params.label_length, bitorder="little")
+    return Embedding(bits.astype(np.float64), graph)
 
 
 def scale_embedding(emb: Embedding, factor: float) -> Embedding:
@@ -372,9 +371,9 @@ def _screen_points(planes: np.ndarray, label_length: int, flat: np.ndarray, cols
 
 
 def _screen_range(
-    ps: PointSet, points: np.ndarray, flat: np.ndarray, i0: int, i1: int, j0: int, j1: int
+    graph: RecursiveCycleGraph, points: np.ndarray, flat: np.ndarray, tile
 ) -> tuple[float, float]:
-    """The least and largest float32 ratio of a tile, from _screen_points' points.
+    """The least and largest float32 ratio of tile (i0, i1, j0, j1), from _screen_points' points.
 
     Its L1 distances come from _l1_tile in float32 in `flat`, its label
     distances from popcounts converted to float32, and the quotient is
@@ -382,12 +381,13 @@ def _screen_range(
     over; the pairs j < i of a strip's first tile repeat pairs i < j of
     the same tile bit for bit.
     """
-    ratio = ps.label_distances(i0, i1, j0, j1, np.float32)
+    i0, i1, j0, j1 = tile
+    ratio = graph.label_distances(i0, i1, j0, j1, np.float32)
     np.divide(_l1_tile(points, flat, i0, i1, j0, j1), ratio, out=ratio)
     return float(np.fmin.reduce(ratio, axis=None)), float(np.fmax.reduce(ratio, axis=None))
 
 
-def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
+def distortion(graph: RecursiveCycleGraph, emb: Embedding) -> DistortionReport:
     """Distortion of an embedding relative to the exact label metric.
 
     One streaming pass over the tiles of _tile_bounds. An exact tile's
@@ -469,11 +469,11 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     ones (_screen_rows) alike; the fold also holds two float64 arrays over
     a float64 tile's pairs.
     """
-    if len(ps) < 2:
+    if len(graph) < 2:
         raise ValueError("need at least two points")
-    points = vertex_matrix(ps.graph, emb)
+    points = vertex_matrix(graph, emb)
     n, d = points.shape
-    words = ps._bitplanes.shape[0]
+    words = graph._bitplanes.shape[0]
     rows, cols = _tile_shape(n, d, words)
     planes = _coordinate_planes(points)
     flat = np.empty(d * rows * cols)
@@ -482,7 +482,7 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
     screened = wasted = 0
     with _tile_numerics(over="ignore", divide="ignore", invalid="ignore"):
         if rows < n - 1 or cols < n - 1:  # more than one tile
-            screen = _screen_points(planes, ps.dimension, flat, cols)
+            screen = _screen_points(planes, graph.params.label_length, flat, cols)
         wide = rows if screen is None else _screen_rows(n, rows, cols, words)
         for tile in _tile_bounds(n, wide, cols):
             i0, i1, j0, j1 = tile
@@ -492,7 +492,7 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
             # The first tile sets the extremes the screen compares with.
             if screen is not None and worst.lowest < math.inf:
                 points32, weights = screen
-                lo32, hi32 = _screen_range(ps, points32, flat.view(np.float32), *tile)
+                lo32, hi32 = _screen_range(graph, points32, flat.view(np.float32), tile)
                 margin = max(weights[i0 // cols], weights[(i1 - 1) // cols]) + max(
                     weights[j0 // cols], weights[(j1 - 1) // cols]
                 )
@@ -503,7 +503,7 @@ def distortion(ps: PointSet, emb: Embedding) -> DistortionReport:
             for r0 in range(i0, i1, rows):
                 c0 = max(j0, r0 + 1)
                 if c0 < j1:
-                    worst = _fold_tile(ps, planes, flat, (r0, min(r0 + rows, i1), c0, j1), worst)
+                    worst = _fold_tile(graph, planes, flat, (r0, min(r0 + rows, i1), c0, j1), worst)
             if worst == before:
                 wasted += 1
     if math.isinf(worst.expansion):
@@ -526,11 +526,13 @@ class _Worst(NamedTuple):
     coincident: bool
 
 
-def _fold_tile(ps: PointSet, planes: np.ndarray, flat: np.ndarray, tile, worst: _Worst) -> _Worst:
+def _fold_tile(
+    graph: RecursiveCycleGraph, planes: np.ndarray, flat: np.ndarray, tile, worst: _Worst
+) -> _Worst:
     """`worst` with the exact tile (i0, i1, j0, j1) of _tile_bounds folded in (see distortion)."""
     i0, i1, j0, j1 = tile
     embedded = _l1_tile(planes, flat, i0, i1, j0, j1)
-    original = ps.label_distances(i0, i1, j0, j1)
+    original = graph.label_distances(i0, i1, j0, j1)
     if j0 < i1:
         upper = np.arange(j0, j1) > np.arange(i0, i1)[:, None]
         embedded, original = embedded[upper], original[upper]
@@ -546,9 +548,9 @@ def _fold_tile(ps: PointSet, planes: np.ndarray, flat: np.ndarray, tile, worst: 
     return _Worst(expansion, low, max(worst.contraction, most), worst.coincident)
 
 
-def normalize_lipschitz(ps: PointSet, emb: Embedding) -> Embedding:
+def normalize_lipschitz(graph: RecursiveCycleGraph, emb: Embedding) -> Embedding:
     """Rescale so no pairwise distance expands (worst expansion becomes 1)."""
-    report = distortion(ps, emb)
+    report = distortion(graph, emb)
     if report.expansion <= 0.0:
         raise DegenerateEmbeddingError("all-constant embedding cannot be normalized")
     return scale_embedding(emb, 1.0 / report.expansion)
@@ -581,7 +583,7 @@ class SearchResult:
     restart: int
 
 
-def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
+def search_embedding(graph: RecursiveCycleGraph, cfg: SearchConfig) -> SearchResult:
     """Local search for a low-distortion embedding into R**target_dimension.
 
     Each restart starts from random points and repeatedly repairs the pair
@@ -607,12 +609,12 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
     argmax per step. Each restart is reported by `distortion` over its
     final points, taken back to natural order with the same index.
     """
-    n = len(ps)
+    n = len(graph)
     if n > 2000:
         raise CapacityError(f"point set with {n} points too large for the searcher")
     d = cfg.target_dimension
     order = _plane_order(d)
-    original = ps.distance_matrix.astype(float)
+    original = graph.distance_matrix.astype(float)
     np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below
     scale = float(original[np.triu_indices(n, 1)].mean())
     log_original = np.log(original)
@@ -672,39 +674,39 @@ def search_embedding(ps: PointSet, cfg: SearchConfig) -> SearchResult:
         # Split coincident points so the result is a genuine embedding.
         for i, j in zip(*np.nonzero(np.triu(embedded == 0.0, 1))):
             planes[:, j] += rng.standard_normal(d)[order] * (1e-9 * scale)
-        emb = Embedding(np.ascontiguousarray(planes[order].T), ps.graph)
-        report = distortion(ps, emb)
+        emb = Embedding(np.ascontiguousarray(planes[order].T), graph)
+        report = distortion(graph, emb)
         if best is None or report.distortion < best.report.distortion:
             best = SearchResult(emb, report, restart)
     return best
 
 
-def embedding_to_text(ps: PointSet, emb: Embedding) -> str:
+def embedding_to_text(graph: RecursiveCycleGraph, emb: Embedding) -> str:
     """Serialize in the L1EMB v1 text format, one vertex per line in export order."""
-    p = ps.params
-    lines = [f"L1EMB v1 d={emb.dimension} N={len(ps)} k={p.k} n={p.n}"]
-    for name, row in zip(ps.graph.vertices, vertex_matrix(ps.graph, emb).tolist()):
+    p = graph.params
+    lines = [f"L1EMB v1 d={emb.dimension} N={len(graph)} k={p.k} n={p.n}"]
+    for name, row in zip(graph.vertices, vertex_matrix(graph, emb).tolist()):
         lines.append(name + " " + " ".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
-def _l1emb_dimension(line: str, ps: PointSet) -> int:
-    """The d of an L1EMB header line, once its N, k and n are checked against `ps`."""
+def _l1emb_dimension(line: str, graph: RecursiveCycleGraph) -> int:
+    """The d of an L1EMB header line, once its N, k and n are checked against `graph`."""
     head = _parse_header(line, "L1EMB v1", ("d", "N", "k", "n"))
-    p = ps.params
+    p = graph.params
     if head["k"] != p.k or head["n"] != p.n:
         raise FormatError(
             f"embedding is for k={head['k']} n={head['n']}, point set has k={p.k} n={p.n}"
         )
-    if head["N"] != len(ps):
-        raise FormatError(f"embedding N={head['N']} but point set has {len(ps)} points")
+    if head["N"] != len(graph):
+        raise FormatError(f"embedding N={head['N']} but point set has {len(graph)} points")
     if head["d"] < 1:
         raise FormatError("embedding dimension must be >= 1")
     return head["d"]
 
 
-def embedding_from_text(text: str, ps: PointSet) -> Embedding:
-    """Parse an L1EMB v1 file against a point set.
+def embedding_from_text(text: str, graph: RecursiveCycleGraph) -> Embedding:
+    """Parse an L1EMB v1 file against the point set of `graph`.
 
     Rejects mismatched N/k/n, unknown or out-of-order addresses, wrong
     vector lengths, and non-finite entries. Line 2's width vouches for d
@@ -718,8 +720,8 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
     if not text:
         raise FormatError("empty embedding file")
     header, pos = _line_at(text, 0)
-    d = _l1emb_dimension(header, ps)
-    names = ps.graph.vertices
+    d = _l1emb_dimension(header, graph)
+    names = graph.vertices
     total = len(names) + 1
     try:
         if pos == len(text) or len(_line_at(text, pos)[0].split()) != d + 1:
@@ -732,7 +734,7 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
                 _check_line_count(text, total, "vector")  # a line past line N + 1
             part = _canonical_matrix(block, names[row:end], d)
             if part is None:
-                part = _matrix_from_lines(block, names[row:end], ps.params, d, row + 2)
+                part = _matrix_from_lines(block, names[row:end], graph.params, d, row + 2)
             out[row:end] = part
             row = end
     except FormatError:
@@ -740,7 +742,7 @@ def embedding_from_text(text: str, ps: PointSet) -> Embedding:
         raise
     if row < len(names):
         _check_line_count(text, total, "vector")  # fewer than N + 1 lines
-    return Embedding(out, ps.graph)
+    return Embedding(out, graph)
 
 
 def _canonical_matrix(lines: list[str], names: tuple[str, ...], d: int) -> np.ndarray | None:

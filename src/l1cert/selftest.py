@@ -54,14 +54,7 @@ from .oracle import (
     max_claim_gap,
     predictor_success,
 )
-from .pointset import (
-    GraphParams,
-    PointSet,
-    RecursiveCycleGraph,
-    build_graph,
-    point_set,
-    vertex_count,
-)
+from .pointset import GraphParams, RecursiveCycleGraph, build_graph, vertex_count
 
 
 class _Tally:
@@ -76,14 +69,13 @@ class _Tally:
             self.failed += 1
 
 
-def check_construction(t, ps: PointSet) -> None:
+def check_construction(t, graph: RecursiveCycleGraph) -> None:
     """Vertex and edge counts, distinct labels, unit edges and antipodal distances.
 
     Labels are read as packed columns: distinct when no two neighbours in
     lexicographic order are equal, at popcount-of-XOR distances.
     """
-    graph, bits = ps.graph, ps._bitplanes
-    params = graph.params
+    params, bits = graph.params, graph._bitplanes
     t.check(len(graph.vertices) == vertex_count(params))
     t.check(len(graph.level_edges[-1][0]) == params.cycle_length**params.n)
     cols = bits[:, np.lexsort(bits)]
@@ -99,10 +91,10 @@ def check_construction(t, ps: PointSet) -> None:
         t.check((np.bitwise_count(bits[:, a] ^ bits[:, b]).sum(axis=0) == want).all())
 
 
-def check_identity_constraints(t, ps: PointSet) -> None:
+def check_identity_constraints(t, graph: RecursiveCycleGraph) -> None:
     """The identity embedding makes every (level, prefix, r) constraint exactly 1."""
-    k, n = ps.params.k, ps.params.n
-    report = constraint_report(ps.graph, identity_embedding(ps))
+    k, n = graph.params.k, graph.params.n
+    report = constraint_report(graph, identity_embedding(graph))
     expected = sum((2 * k) ** (level - 1) * (k - 1) for level in range(1, n + 1))
     t.check(sum(values.size for values in report.lhs) == expected)
     t.check(all((np.abs(values - 1.0) <= 1e-12).all() for values in report.lhs))
@@ -261,22 +253,22 @@ def check_bound_values(t) -> None:
     t.check(abs(binary_entropy(0.75) - 0.8112781244591328) <= 1e-6)
 
 
-def check_end_to_end(t, ps: PointSet, cfg: SearchConfig) -> Embedding:
+def check_end_to_end(t, graph: RecursiveCycleGraph, cfg: SearchConfig) -> Embedding:
     """The embedding search_embedding finds certifies as consistent. Returns it."""
-    result = search_embedding(ps, cfg)
-    t.check(certify(ps, result.embedding, report=result.report).consistent)
+    result = search_embedding(graph, cfg)
+    t.check(certify(graph, result.embedding, report=result.report).consistent)
     return result.embedding
 
 
-def _point_set(k: int, n: int, flip: bool) -> PointSet:
-    return point_set(build_graph(GraphParams(k, n), flip_bottom=flip))
+def _graph(k: int, n: int, flip: bool) -> RecursiveCycleGraph:
+    return build_graph(GraphParams(k, n), flip_bottom=flip)
 
 
 def _suite_construction(flip: bool) -> _Tally:
     t = _Tally()
     for k in (2, 3, 4):
         for n in (1, 2, 3):
-            check_construction(t, _point_set(k, n, flip))
+            check_construction(t, _graph(k, n, flip))
     return t
 
 
@@ -284,15 +276,15 @@ def _suite_identity_constraints(flip: bool) -> _Tally:
     t = _Tally()
     for k in (2, 3):
         for n in (1, 2, 3):
-            check_identity_constraints(t, _point_set(k, n, flip))
+            check_identity_constraints(t, _graph(k, n, flip))
     return t
 
 
 def _suite_averaging(flip: bool) -> _Tally:
     t = _Tally()
     for k, n in ((2, 3), (3, 2)):
-        ps = _point_set(k, n, flip)
-        check_averaging(t, ps.graph, identity_embedding(ps))
+        graph = _graph(k, n, flip)
+        check_averaging(t, graph, identity_embedding(graph))
     return t
 
 
@@ -329,28 +321,28 @@ def _suite_lemma(flip: bool) -> _Tally:
 def _suite_chain_per_level(flip: bool) -> _Tally:
     t = _Tally()
     for n in (1, 2):
-        ps = _point_set(2, n, flip)
-        check_chain_per_level(t, ps.graph, identity_embedding(ps))
+        graph = _graph(2, n, flip)
+        check_chain_per_level(t, graph, identity_embedding(graph))
     return t
 
 
 def _suite_distortion(flip: bool) -> _Tally:
     t = _Tally()
     rng = np.random.default_rng(19)
-    ps = _point_set(2, 2, flip)
-    ident = identity_embedding(ps)
-    rep = distortion(ps, ident)
+    graph = _graph(2, 2, flip)
+    ident = identity_embedding(graph)
+    rep = distortion(graph, ident)
     t.check(rep.expansion == 1.0 and rep.contraction == 1.0 and rep.distortion == 1.0)
-    random_emb = Embedding(rng.standard_normal((len(ps), 3)), ps.graph)
-    base = distortion(ps, random_emb)
+    random_emb = Embedding(rng.standard_normal((len(graph), 3)), graph)
+    base = distortion(graph, random_emb)
     for s in (0.1, 3.0, 42.0):
-        scaled = distortion(ps, scale_embedding(random_emb, s))
+        scaled = distortion(graph, scale_embedding(random_emb, s))
         t.check(abs(scaled.distortion - base.distortion) <= 1e-9 * base.distortion)
-    normalized = normalize_lipschitz(ps, random_emb)
-    rep1 = distortion(ps, normalized)
+    normalized = normalize_lipschitz(graph, random_emb)
+    rep1 = distortion(graph, normalized)
     t.check(abs(rep1.expansion - 1.0) <= 1e-12)
     t.check(abs(rep1.distortion - base.distortion) <= 1e-9 * base.distortion)
-    again = normalize_lipschitz(ps, normalized)
+    again = normalize_lipschitz(graph, normalized)
     t.check(float(np.abs(again.matrix - normalized.matrix).max()) <= 1e-12)
     return t
 
@@ -363,12 +355,12 @@ def _suite_bound_values(flip: bool) -> _Tally:
 
 def _suite_end_to_end(flip: bool) -> _Tally:
     t = _Tally()
-    ps = _point_set(2, 2, flip)
+    graph = _graph(2, 2, flip)
     for d in (2, 4):
         for seed in range(2):
             cfg = SearchConfig(target_dimension=d, iterations=400, restarts=2, seed=seed)
-            check_end_to_end(t, ps, cfg)
-    t.check(certify(ps, identity_embedding(ps)).consistent)
+            check_end_to_end(t, graph, cfg)
+    t.check(certify(graph, identity_embedding(graph)).consistent)
     return t
 
 

@@ -10,7 +10,7 @@ import pytest
 import l1cert
 from l1cert import oracle
 from l1cert.l1metric import DistortionReport
-from l1cert.pointset import GraphParams, build_graph, point_set
+from l1cert.pointset import GraphParams, build_graph
 
 try:
     from hypothesis import settings
@@ -27,7 +27,7 @@ else:
 
 def reference_labels(ps):
     """Every vertex label in export order, from the recursive per-vertex reference."""
-    return [oracle._label_of(ps.params, v) for v in ps.addresses]
+    return [oracle._label_of(ps.params, v) for v in ps.vertices]
 
 
 def fresh_interpreter(code):
@@ -63,12 +63,12 @@ def full_matrix_report(points, original):
 
 @pytest.fixture(scope="session")
 def pointsets():
-    """Session cache of built point sets keyed by (k, n)."""
+    """Session cache of built P(k, n) graphs keyed by (k, n)."""
     cache = {}
 
     def get(k, n):
         if (k, n) not in cache:
-            cache[(k, n)] = point_set(build_graph(GraphParams(k, n)))
+            cache[(k, n)] = build_graph(GraphParams(k, n))
         return cache[(k, n)]
 
     return get

@@ -63,7 +63,7 @@ def test_criterion_03_averaging_oracle_equivalence(pointsets, checker):
     started = time.monotonic()
     for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
         ps = pointsets(k, n)
-        check_averaging(checker, ps.graph, identity_embedding(ps))
+        check_averaging(checker, ps, identity_embedding(ps))
     assert time.monotonic() - started < 30.0
 
 
@@ -99,7 +99,7 @@ def test_criterion_07_lemma_suite(checker):
 def test_criterion_08_chain_rule_and_per_level_bound(pointsets, checker):
     for n in (1, 2):
         ps = pointsets(2, n)
-        check_chain_per_level(checker, ps.graph, identity_embedding(ps))
+        check_chain_per_level(checker, ps, identity_embedding(ps))
 
 
 def test_criterion_09_lift_suite(checker):
@@ -119,7 +119,7 @@ def test_criterion_10_end_to_end_theorem_consistency(pointsets, checker):
             normalized = normalize_lipschitz(ps, emb)
             rep = distortion(ps, normalized)
             eps0 = 1.0 - 1.0 / rep.contraction
-            assert constraint_report(ps.graph, normalized).epsilon <= eps0 + 1e-9
+            assert constraint_report(ps, normalized).epsilon <= eps0 + 1e-9
     assert time.monotonic() - started < 300.0
 
 
@@ -146,7 +146,7 @@ def test_criterion_11_cli_contract(tmp_path, pointsets):
     )
     assert main(["certify", str(ps_path), str(trunc)]) == 2
     const_path = tmp_path / "const.txt"
-    const = make_embedding({a: [0.5] for a in ps.addresses})
+    const = make_embedding({a: [0.5] for a in ps.vertices})
     const_path.write_text(embedding_to_text(ps, const), encoding="utf-8")
     assert main(["certify", str(ps_path), str(const_path)]) == 2
 

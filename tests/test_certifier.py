@@ -26,6 +26,8 @@ Core claims:
       expansion 1, on the identity and on seeded Gaussian maps
     - the separation-to-information bound holds on random distribution
       tuples via the argmax predictor
+    - the object build_graph returns is the point set that every layer
+      takes, from the distortion pass to the P1 and L1EMB texts
 """
 
 import itertools
@@ -59,6 +61,7 @@ from l1cert.l1metric import (
     DegenerateEmbeddingError,
     Embedding,
     distortion,
+    embedding_from_text,
     embedding_to_text,
     identity_embedding,
     make_embedding,
@@ -66,56 +69,68 @@ from l1cert.l1metric import (
     scale_embedding,
 )
 from l1cert.oracle import antipodal_pairs, lift_recover, predictor_success
-from l1cert.pointset import CapacityError, GraphParams, build_graph
+from l1cert.pointset import CapacityError, GraphParams, build_graph, pointset_to_text
 from l1cert.selftest import check_identity_constraints, check_lift, stack_by_shape
+
+
+def test_build_graph_serves_every_layer():
+    graph = build_graph(GraphParams(2, 3))
+    emb = identity_embedding(graph)
+    assert distortion(graph, emb).distortion == 1.0
+    assert certify(graph, emb).consistent
+    assert constraint_report(graph, emb).epsilon <= 1e-12
+    assert edge_difference_map(graph, emb).shape == (4**3, 8)
+    again = embedding_from_text(embedding_to_text(graph, emb), graph)
+    assert again.graph is graph and np.array_equal(again.matrix, emb.matrix)
+    assert pointset_to_text(graph).startswith(f"P1 k=2 n=3 N={len(graph)} dim=8\n")
 
 
 class TestEdgeDifferenceMap:
     def test_depth_one_identity_values(self, pointsets):
         ps = pointsets(2, 1)
         # Row i is the edge with coordinate (i + 1,).
-        diffs = edge_difference_map(ps.graph, identity_embedding(ps))
+        diffs = edge_difference_map(ps, identity_embedding(ps))
         assert diffs.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_constant_embedding_gives_zero_map(self, pointsets):
         ps = pointsets(2, 2)
-        emb = make_embedding({a: [3.0, -1.0] for a in ps.addresses})
-        diffs = edge_difference_map(ps.graph, emb)
+        emb = make_embedding({a: [3.0, -1.0] for a in ps.vertices})
+        diffs = edge_difference_map(ps, emb)
         assert diffs.shape == (16, 2) and np.all(diffs == 0.0)
 
     def test_norms_bounded_after_normalization(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(71)
         emb = normalize_lipschitz(
-            ps, make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
+            ps, make_embedding({a: rng.standard_normal(3) for a in ps.vertices})
         )
-        diffs = edge_difference_map(ps.graph, emb)
+        diffs = edge_difference_map(ps, emb)
         assert diffs.shape == (16, 3) and np.all(np.abs(diffs).sum(axis=1) <= 1.0 + 1e-9)
 
     def test_rejects_expanding_embedding(self, pointsets):
         ps = pointsets(2, 1)
         with pytest.raises(ValueError, match="normalize"):
-            edge_difference_map(ps.graph, scale_embedding(identity_embedding(ps), 2.0))
+            edge_difference_map(ps, scale_embedding(identity_embedding(ps), 2.0))
 
 
 class TestAverageEdgeVector:
     def test_depth_two_prefix(self, pointsets):
         ps = pointsets(2, 2)
-        avg = average_edge_vector(ps.graph, identity_embedding(ps), (1,))
+        avg = average_edge_vector(ps, identity_embedding(ps), (1,))
         assert avg.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     def test_full_length_prefix_is_the_edge_difference(self, pointsets):
         ps = pointsets(2, 2)
         emb = identity_embedding(ps)
-        diffs = edge_difference_map(ps.graph, emb)
+        diffs = edge_difference_map(ps, emb)
         coords = list(itertools.product(range(1, 5), repeat=2))  # lexicographic, as the rows
         assert len(diffs) == len(coords)
         for prefix, vec in zip(coords, diffs):
-            assert np.array_equal(average_edge_vector(ps.graph, emb, prefix), vec)
+            assert np.array_equal(average_edge_vector(ps, emb, prefix), vec)
 
     def test_empty_prefix(self, pointsets):
         ps = pointsets(2, 2)
-        avg = average_edge_vector(ps.graph, identity_embedding(ps), ())
+        avg = average_edge_vector(ps, identity_embedding(ps), ())
         assert np.allclose(avg, 0.25, atol=0)
 
 
@@ -126,14 +141,14 @@ class TestConstraintLhs:
 
     def test_constant_embedding_gives_zero(self, pointsets):
         ps = pointsets(2, 2)
-        emb = make_embedding({a: [1.0, 1.0] for a in ps.addresses})
-        assert constraint_lhs(ps.graph, emb, (), 1) == 0.0
+        emb = make_embedding({a: [1.0, 1.0] for a in ps.vertices})
+        assert constraint_lhs(ps, emb, (), 1) == 0.0
 
     def test_scaled_identity_scales_linearly(self, pointsets):
         ps = pointsets(3, 2)
         emb = scale_embedding(identity_embedding(ps), 0.9)
         for r in (1, 2):
-            assert constraint_lhs(ps.graph, emb, (), r) == pytest.approx(0.9, abs=1e-12)
+            assert constraint_lhs(ps, emb, (), r) == pytest.approx(0.9, abs=1e-12)
 
     @pytest.mark.parametrize("k,n", [(2, 2), (3, 2)])
     def test_equals_antipodal_pair_ratio(self, pointsets, k, n):
@@ -142,11 +157,11 @@ class TestConstraintLhs:
         # cycle positions (r, r+k) of the cycle refining `prefix`.
         ps = pointsets(k, n)
         rng = np.random.default_rng(73)
-        emb = make_embedding({a: rng.standard_normal(5) for a in ps.addresses})
-        report = constraint_report(ps.graph, emb)
+        emb = make_embedding({a: rng.standard_normal(5) for a in ps.vertices})
+        report = constraint_report(ps, emb)
         by_level = {}
         for level in range(1, n + 1):
-            pairs = antipodal_pairs(ps.graph, level)
+            pairs = antipodal_pairs(ps, level)
             it = iter(pairs)
             by_level[level] = {
                 idx: [next(it) for _ in range(k)]
@@ -165,28 +180,28 @@ class TestConstraintLhs:
         ps = pointsets(2, 2)
         emb = identity_embedding(ps)
         with pytest.raises(ValueError):
-            constraint_lhs(ps.graph, emb, (1, 1), 1)
+            constraint_lhs(ps, emb, (1, 1), 1)
         with pytest.raises(ValueError):
-            constraint_lhs(ps.graph, emb, (), 2)
+            constraint_lhs(ps, emb, (), 2)
         with pytest.raises(ValueError):
-            constraint_lhs(ps.graph, emb, (), 0)
+            constraint_lhs(ps, emb, (), 0)
 
 
 class TestConstraintReport:
     def test_entry_count_and_epsilon_identity(self, pointsets):
         ps = pointsets(3, 2)
-        report = constraint_report(ps.graph, identity_embedding(ps))
+        report = constraint_report(ps, identity_embedding(ps))
         assert len(report.entries) == 14  # 1*2 at level 1 plus 6*2 at level 2
         assert report.epsilon <= 1e-12
 
     def test_entries_built_only_when_read(self, pointsets):
         ps = pointsets(2, 4)
         rng = np.random.default_rng(41)
-        emb = make_embedding({a: rng.standard_normal(4) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(4) for a in ps.vertices})
         cert = certify(ps, emb)
         certificate_to_text(cert)
         assert "entries" not in cert.constraints.__dict__
-        report = constraint_report(ps.graph, emb)
+        report = constraint_report(ps, emb)
         assert 0.0 <= report.epsilon <= 1.0
         assert "entries" not in report.__dict__
         assert len(report.entries) == 1 + 4 + 16 + 64
@@ -199,7 +214,7 @@ class TestConstraintReport:
         monkeypatch.setattr(certifier, "ConstraintEntry", refuse)
         ps = pointsets(3, 3)
         rng = np.random.default_rng(43)
-        cert = certify(ps, make_embedding({a: rng.standard_normal(4) for a in ps.addresses}))
+        cert = certify(ps, make_embedding({a: rng.standard_normal(4) for a in ps.vertices}))
         assert certificate_to_text(cert).startswith(f"epsilon={cert.epsilon!r}\n")
 
     def test_identity_check_makes_no_entry(self, pointsets, checker, monkeypatch):
@@ -211,14 +226,14 @@ class TestConstraintReport:
 
     def test_constant_embedding_epsilon_one(self, pointsets):
         ps = pointsets(2, 2)
-        emb = make_embedding({a: [0.0] for a in ps.addresses})
-        report = constraint_report(ps.graph, emb)
+        emb = make_embedding({a: [0.0] for a in ps.vertices})
+        report = constraint_report(ps, emb)
         assert report.epsilon == 1.0
 
     def test_scaled_identity_epsilon(self, pointsets):
         ps = pointsets(2, 2)
         emb = scale_embedding(identity_embedding(ps), 0.9)
-        report = constraint_report(ps.graph, emb)
+        report = constraint_report(ps, emb)
         assert report.epsilon == pytest.approx(0.1, abs=1e-9)
 
     def test_contraction_bound_implies_epsilon_bound(self, pointsets):
@@ -228,11 +243,11 @@ class TestConstraintReport:
         rng = np.random.default_rng(79)
         for _ in range(20):
             emb = normalize_lipschitz(
-                ps, make_embedding({a: rng.standard_normal(4) for a in ps.addresses})
+                ps, make_embedding({a: rng.standard_normal(4) for a in ps.vertices})
             )
             rep = distortion(ps, emb)
             eps0 = 1.0 - 1.0 / rep.contraction
-            assert constraint_report(ps.graph, emb).epsilon <= eps0 + 1e-9
+            assert constraint_report(ps, emb).epsilon <= eps0 + 1e-9
 
 
 def _per_prefix_report(graph, emb):
@@ -318,8 +333,8 @@ class TestConstraintTable:
     def test_table_equals_the_entries_built_text(self, pointsets, k, n):
         ps = pointsets(k, n)
         rng = np.random.default_rng([k, n])
-        emb = Embedding(rng.standard_normal((len(ps), 4)), ps.graph)
-        report = constraint_report(ps.graph, emb)
+        emb = Embedding(rng.standard_normal((len(ps), 4)), ps)
+        report = constraint_report(ps, emb)
         text = constraint_table_csv(report)
         assert "entries" not in report.__dict__
         assert text == _entries_table(report)
@@ -502,7 +517,7 @@ def identity_or_gaussian(ps, d):
     if d is None:
         return identity_embedding(ps)
     k, n = ps.params.k, ps.params.n
-    return Embedding(np.random.default_rng([k, n, d]).standard_normal((len(ps), d)), ps.graph)
+    return Embedding(np.random.default_rng([k, n, d]).standard_normal((len(ps), d)), ps)
 
 
 class TestCertify:
@@ -528,19 +543,19 @@ class TestCertify:
 
     def test_degenerate_embedding_rejected(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [1.0, 0.0] for a in ps.addresses})
+        emb = make_embedding({a: [1.0, 0.0] for a in ps.vertices})
         with pytest.raises(DegenerateEmbeddingError):
             certify(ps, emb)
 
     def test_degenerate_embedding_rejected_with_a_measured_report(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [1.0, 0.0] for a in ps.addresses})
+        emb = make_embedding({a: [1.0, 0.0] for a in ps.vertices})
         with pytest.raises(DegenerateEmbeddingError):
             certify(ps, emb, report=distortion(ps, emb))
 
     def test_a_measured_report_is_not_measured_again(self, pointsets, monkeypatch):
         ps = pointsets(2, 3)
-        emb = Embedding(np.random.default_rng(3).standard_normal((len(ps), 4)), ps.graph)
+        emb = Embedding(np.random.default_rng(3).standard_normal((len(ps), 4)), ps)
         want = certify(ps, emb)
         report = distortion(ps, emb)
         monkeypatch.setattr(certifier, "distortion", None)
@@ -579,7 +594,7 @@ class TestCertify:
         monkeypatch.setattr(certifier, "constraint_report", capture)
         certify(ps, identity_or_gaussian(ps, d))
         [emb] = normalized
-        tails, heads = ps.graph.level_edges[-1]
+        tails, heads = ps.level_edges[-1]
         edge_norms = np.abs(emb.matrix[tails] - emb.matrix[heads]).sum(axis=1)
         assert float(edge_norms.max()) <= 1.0 + 1e-12
         assert abs(distortion(ps, emb).expansion - 1.0) <= 1e-12
@@ -589,14 +604,14 @@ class TestCertify:
         rng = np.random.default_rng(89)
         for _ in range(25):
             d = int(rng.integers(1, 6))
-            emb = make_embedding({a: rng.standard_normal(d) for a in ps.addresses})
+            emb = make_embedding({a: rng.standard_normal(d) for a in ps.vertices})
             assert certify(ps, emb).consistent
 
     def test_address_order_of_the_mapping_does_not_matter(self, pointsets):
         ps = pointsets(2, 3)
         rows = np.random.default_rng(5).standard_normal((len(ps), 4))
-        canonical = make_embedding(dict(zip(ps.addresses, rows)))
-        backwards = make_embedding(dict(zip(ps.addresses[::-1], rows[::-1])))
+        canonical = make_embedding(dict(zip(ps.vertices, rows)))
+        backwards = make_embedding(dict(zip(ps.vertices[::-1], rows[::-1])))
         assert np.array_equal(backwards.matrix, rows)
         want, got = certify(ps, canonical), certify(ps, backwards)
         assert certificate_to_text(got) == certificate_to_text(want)

@@ -22,7 +22,6 @@ from l1cert.l1metric import (
 from l1cert.oracle import IntervalLabel
 from l1cert.pointset import (
     GraphParams,
-    PointSet,
     RecursiveCycleGraph,
     build_graph,
     pointset_from_text,
@@ -110,7 +109,7 @@ class TestAddressFreePaths:
         ps = pointsets(k, n)
         rows = np.random.default_rng([k, n]).standard_normal((len(ps), 4))
         p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
-        emb.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
+        emb.write_text(embedding_to_text(ps, Embedding(rows, ps)), encoding="utf-8")
         calls = self.count_references(monkeypatch)
         assert main(["generate", "-k", str(k), "-n", str(n), "-o", str(p1)]) == 0
         assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
@@ -127,7 +126,7 @@ class TestAddressFreePaths:
     @staticmethod
     def write_embedding(path, ps, d):
         rows = np.random.default_rng(len(ps)).standard_normal((len(ps), d))
-        path.write_text(embedding_to_text(ps, Embedding(rows, ps.graph)), encoding="utf-8")
+        path.write_text(embedding_to_text(ps, Embedding(rows, ps)), encoding="utf-8")
 
     def test_read_path_calls_no_reference_and_builds_no_label(
         self, tmp_path, pointsets, monkeypatch
@@ -139,7 +138,7 @@ class TestAddressFreePaths:
         labels = self.count_labels(monkeypatch)
         assert main(["generate", "-k", "3", "-n", "4", "-o", str(p1)]) == 0
         ps = pointset_from_text(p1.read_text(encoding="utf-8"))
-        report = constraint_report(ps.graph, embedding_from_text(emb.read_text("utf-8"), ps))
+        report = constraint_report(ps, embedding_from_text(emb.read_text("utf-8"), ps))
         dimension_bound(3, 4, report.epsilon)
         assert (len(calls), len(labels)) == (0, 0)
         # One non-canonical line per file goes through the per-line readers,
@@ -156,7 +155,7 @@ class TestAddressFreePaths:
 
     def test_identity_and_construction_suites_build_no_label(self, monkeypatch):
         labels = self.count_labels(monkeypatch)
-        identity_embedding(PointSet(build_graph(GraphParams(3, 4))))
+        identity_embedding(build_graph(GraphParams(3, 4)))
         results = run_selftest(["construction", "identity_equality"])
         assert [failed for _, _, failed in results] == [0, 0]
         assert len(labels) == 0
@@ -212,7 +211,7 @@ class TestCertify:
 
     def test_constant_embedding_is_degenerate(self, tmp_path, ps23_file, pointsets):
         ps = pointsets(2, 3)
-        emb = make_embedding({a: [1.0, 2.0] for a in ps.addresses})
+        emb = make_embedding({a: [1.0, 2.0] for a in ps.vertices})
         emb_path = tmp_path / "emb.txt"
         emb_path.write_text(embedding_to_text(ps, emb), encoding="utf-8")
         assert main(["certify", str(ps23_file), str(emb_path)]) == 2
@@ -236,7 +235,7 @@ class TestCertify:
         ps = pointsets(2, 2)
         p1, emb = tmp_path / "p1.txt", tmp_path / "emb.txt"
         p1.write_text(pointset_to_text(ps), encoding="utf-8")
-        vectors = Embedding(np.array(rows(len(ps)), dtype=float), ps.graph)
+        vectors = Embedding(np.array(rows(len(ps)), dtype=float), ps)
         emb.write_text(embedding_to_text(ps, vectors), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

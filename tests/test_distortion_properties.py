@@ -104,7 +104,7 @@ def test_distortion_equals_the_full_matrix_fold(
         twin_pairs(ps, points, rng, twin * 2.0**-30)
     assume(np.isfinite(points).all())
     want = expected(points, ps.distance_matrix)
-    emb = Embedding(points, ps.graph)
+    emb = Embedding(points, ps)
     for block in (1, 1025, BLOCK_ELEMENTS):
         with mock.patch.object(l1metric, "BLOCK_ELEMENTS", block), warnings.catch_warnings():
             warnings.simplefilter("error")

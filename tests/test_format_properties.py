@@ -29,7 +29,6 @@ from l1cert.pointset import (  # noqa: E402
     FormatError,
     GraphParams,
     build_graph,
-    point_set,
     pointset_from_text,
     pointset_to_text,
 )
@@ -52,14 +51,14 @@ TOKENS = st.one_of(
 
 @functools.lru_cache(maxsize=None)
 def p1_text(k, n):
-    return pointset_to_text(point_set(build_graph(GraphParams(k, n))))
+    return pointset_to_text(build_graph(GraphParams(k, n)))
 
 
 @functools.lru_cache(maxsize=None)
 def l1emb_text(k, n):
     ps = pointset_from_text(p1_text(k, n))
     rng = np.random.default_rng(k * 10 + n)
-    return embedding_to_text(ps, make_embedding({a: rng.standard_normal(2) for a in ps.addresses}))
+    return embedding_to_text(ps, make_embedding({a: rng.standard_normal(2) for a in ps.vertices}))
 
 
 @st.composite
@@ -117,7 +116,7 @@ def test_mutated_l1emb_is_rejected_or_reads_back_canonically(data, size):
     rows = [line.split()[1:] for line in text.splitlines()[1:]]
     want = [header] + [
         name + " " + " ".join(repr(float(x)) for x in row)
-        for name, row in zip(ps.graph.vertices, rows)
+        for name, row in zip(ps.vertices, rows)
     ]
     assert embedding_to_text(ps, emb) == "\n".join(want) + "\n"
 
@@ -126,10 +125,10 @@ def test_mutated_l1emb_is_rejected_or_reads_back_canonically(data, size):
 def test_canonical_l1emb_path_reads_the_bits_of_the_per_line_reader(data, size):
     ps = pointset_from_text(p1_text(*size))
     lines = data.draw(mutated(l1emb_text(*size))).splitlines()[1:]
-    fast = _canonical_matrix(lines, ps.graph.vertices, 2)
+    fast = _canonical_matrix(lines, ps.vertices, 2)
     if fast is None:
         return
-    slow = _matrix_from_lines(lines, ps.graph.vertices, ps.params, 2, 2)
+    slow = _matrix_from_lines(lines, ps.vertices, ps.params, 2, 2)
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
@@ -141,10 +140,10 @@ def test_mixed_spellings_read_the_same_bits_both_ways():
     spellings = ["%r", "%.17e", "%.5g", "%.25f", "%r", "%.17e"]
     lines = [
         name + "".join(" " + (spell % float(v)) for spell, v in zip(spellings, row))
-        for name, row in zip(ps.graph.vertices, values)
+        for name, row in zip(ps.vertices, values)
     ]
-    fast = _canonical_matrix(lines, ps.graph.vertices, 6)
-    slow = _matrix_from_lines(lines, ps.graph.vertices, ps.params, 6, 2)
+    fast = _canonical_matrix(lines, ps.vertices, 6)
+    slow = _matrix_from_lines(lines, ps.vertices, ps.params, 6, 2)
     assert fast is not None
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
     header = f"L1EMB v1 d=6 N={len(ps)} k=3 n=2"

@@ -33,7 +33,6 @@ from l1cert.pointset import (
     GraphParams,
     build_graph,
     edge_endpoints,
-    point_set,
     pointset_from_text,
     pointset_to_text,
 )
@@ -251,7 +250,7 @@ def test_level_edges(k, n, flip):
 
 @pytest.mark.parametrize("k,n", sorted(BITPLANES_SHA256))
 def test_bitplanes(k, n):
-    planes = point_set(build_graph(GraphParams(k, n)))._bitplanes
+    planes = build_graph(GraphParams(k, n))._bitplanes
     assert planes.dtype == np.dtype("<u8")
     assert hashlib.sha256(planes.tobytes()).hexdigest() == BITPLANES_SHA256[(k, n)]
 
@@ -307,7 +306,7 @@ def test_certify_output(tmp_path, pointsets, capsys, k, n, d, seed, stdout, tabl
     rows = np.random.default_rng(seed).standard_normal((len(ps), d))
     p1, emb, table = tmp_path / "p1.txt", tmp_path / "emb.txt", tmp_path / "table.csv"
     p1.write_text(pointset_to_text(ps), encoding="utf-8")
-    text = embedding_to_text(ps, make_embedding(dict(zip(ps.addresses, rows))))
+    text = embedding_to_text(ps, make_embedding(dict(zip(ps.vertices, rows))))
     emb.write_text(text, encoding="utf-8")
     assert main(["certify", str(p1), str(emb), "--table", str(table)]) == 0
     assert capsys.readouterr().out.replace(str(table), "<table>") == stdout
@@ -464,7 +463,7 @@ def reader_outcomes(pointsets):
         ps = pointsets(k, n)
         p1 = pointset_to_text(ps)
         rows = np.random.default_rng(10 * k + n).standard_normal((len(ps), 3))
-        emb = embedding_to_text(ps, make_embedding(dict(zip(ps.addresses, rows))))
+        emb = embedding_to_text(ps, make_embedding(dict(zip(ps.vertices, rows))))
         for text in line_mutants(p1, P1_LINE_EDITS, k + n):
             record(pointset_from_text, pointset_to_text, text)
         for text in line_mutants(emb, L1EMB_LINE_EDITS, k * n):

@@ -78,13 +78,7 @@ from l1cert.l1metric import (
     vertex_matrix,
 )
 from l1cert.oracle import IntervalLabel, l1_interval_distance
-from l1cert.pointset import (
-    FormatError,
-    GraphParams,
-    PointSet,
-    build_graph,
-    point_set,
-)
+from l1cert.pointset import FormatError, GraphParams, build_graph
 
 
 def ones_set(label):
@@ -111,9 +105,9 @@ class TestIntervalDistance:
         # In the (3, 2) graph the full-depth edge (1, 1), the first one,
         # leaves the left root.
         ps = pointsets(3, 2)
-        tails, heads = ps.graph.level_edges[-1]
+        tails, heads = ps.level_edges[-1]
         tail, head = int(tails[0]), int(heads[0])
-        assert ps.graph.vertices[tail] == "L"
+        assert ps.vertices[tail] == "L"
         labels = reference_labels(ps)
         assert l1_interval_distance(labels[tail], labels[head]) == 1
 
@@ -164,7 +158,7 @@ class TestDistortion:
     def test_scale_invariance_of_product(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(7)
-        emb = make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(3) for a in ps.vertices})
         base = distortion(ps, emb).distortion
         for s in (0.01, 0.7, 19.0):
             scaled = distortion(ps, scale_embedding(emb, s)).distortion
@@ -172,7 +166,7 @@ class TestDistortion:
 
     def test_all_zero_flags_infinite_contraction(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [0.0, 0.0] for a in ps.addresses})
+        emb = make_embedding({a: [0.0, 0.0] for a in ps.vertices})
         report = distortion(ps, emb)
         assert math.isinf(report.contraction)
         assert math.isinf(report.distortion)
@@ -180,23 +174,23 @@ class TestDistortion:
     def test_missing_vertex_rejected(self, pointsets):
         ps = pointsets(2, 2)
         with pytest.raises(ValueError, match="^embedding does not cover 1 vertices"):
-            make_embedding({a: [1.0] for a in ps.addresses[:-1]})
+            make_embedding({a: [1.0] for a in ps.vertices[:-1]})
         # A name of P(3, 2), junk, a non-canonical spelling and non-strings.
         for foreign in ("5/1", "x/1", "01/1", "1/01", "/+1", "L ", 7, ("1/1",)):
             with pytest.raises(ValueError) as info:
-                make_embedding({a: [1.0] for a in (*ps.addresses, foreign)})
+                make_embedding({a: [1.0] for a in (*ps.vertices, foreign)})
             assert str(info.value) == (
                 f"embedding names 1 vertices outside P(2, 2), e.g. {foreign}"
             )
         # With no canonical inner name there is no graph to name them against.
         with pytest.raises(ValueError, match="^embedding must cover at least one inner vertex$"):
             make_embedding({"L": [0.0], "R": [1.0], "x/1": [0.5], "01/1": [0.5], 7: [0.5]})
-        smaller = make_embedding({a: [1.0] for a in ps.addresses})
+        smaller = make_embedding({a: [1.0] for a in ps.vertices})
         larger = pointsets(2, 3)
         for consumer in (
             lambda: distortion(larger, smaller),
-            lambda: constraint_report(larger.graph, smaller),
-            lambda: edge_difference_map(larger.graph, smaller),
+            lambda: constraint_report(larger, smaller),
+            lambda: edge_difference_map(larger, smaller),
             lambda: certify(larger, smaller),
             lambda: embedding_to_text(larger, smaller),
         ):
@@ -206,7 +200,7 @@ class TestDistortion:
 
 def dense_distortion(ps, emb):
     """The full-square triu_indices formula over dense 0/1 labels."""
-    points = np.stack([emb.vectors[a] for a in ps.addresses])
+    points = np.stack([emb.vectors[a] for a in ps.vertices])
     bits = np.stack([label.to_dense() for label in reference_labels(ps)])
     report = full_matrix_report(points, naive_pairwise(bits))
     return report.expansion, report.contraction, report.distortion
@@ -286,11 +280,11 @@ class TestFastPaths:
     def embeddings(self, ps):
         rng = np.random.default_rng(23)
         for d in (1, 3, 9):
-            yield make_embedding({a: rng.standard_normal(d) for a in ps.addresses})
-        vectors = {a: rng.standard_normal(4) for a in ps.addresses}
-        vectors[ps.addresses[-1]] = vectors[ps.addresses[3]]
+            yield make_embedding({a: rng.standard_normal(d) for a in ps.vertices})
+        vectors = {a: rng.standard_normal(4) for a in ps.vertices}
+        vectors[ps.vertices[-1]] = vectors[ps.vertices[3]]
         yield make_embedding(vectors)
-        yield make_embedding({a: [0.0, 0.0] for a in ps.addresses})
+        yield make_embedding({a: [0.0, 0.0] for a in ps.vertices})
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
     @pytest.mark.parametrize("block", [1, 600, 2**30])
@@ -332,7 +326,7 @@ class TestStreamingDistortion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for emb in self.embeddings(ps):
-                points = np.stack([emb.vectors[a] for a in ps.addresses])
+                points = np.stack([emb.vectors[a] for a in ps.vertices])
                 assert distortion(ps, emb) == full_matrix_report(points, ps.distance_matrix)
 
     @pytest.mark.parametrize("block", [1, 2**30])
@@ -346,15 +340,14 @@ class TestStreamingDistortion:
         points = np.array([[3000.0 * (i + 1)] * 2 for i in range(len(ps))])
         points[[0, 2]] = [[0.0, 1000.0], [1.0, 1000.0]]
         points[[1, 10]] = [[1000.0, 0.0], [1000.0, 1.6666666666666665]]
-        report = distortion(ps, Embedding(points, ps.graph))
+        report = distortion(ps, Embedding(points, ps))
         assert report.contraction == 5 / 1.6666666666666665 > 3.0
         assert report == full_matrix_report(points, ps.distance_matrix)
 
-    def test_holds_no_square_matrix(self, pointsets):
-        base = pointsets(2, 5)
-        ps = PointSet(base.graph)  # the labels are built and packed inside the trace
+    def test_holds_no_square_matrix(self):
+        ps = build_graph(GraphParams(2, 5))  # the labels are built and packed inside the trace
         rng = np.random.default_rng(29)
-        emb = make_embedding({a: rng.standard_normal(16) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(16) for a in ps.vertices})
         tracemalloc.start()
         try:
             distortion(ps, emb)
@@ -363,9 +356,8 @@ class TestStreamingDistortion:
             tracemalloc.stop()
         assert peak < len(ps) ** 2 * 8 / 4
 
-    def test_certify_builds_neither_full_matrix(self, pointsets, monkeypatch):
-        base = pointsets(2, 4)
-        ps = PointSet(base.graph)
+    def test_certify_builds_neither_full_matrix(self, monkeypatch):
+        ps = build_graph(GraphParams(2, 4))
         calls = []
         real = l1metric.pairwise_l1
 
@@ -375,7 +367,7 @@ class TestStreamingDistortion:
 
         monkeypatch.setattr(l1metric, "pairwise_l1", counting)
         rng = np.random.default_rng(31)
-        cert = certify(ps, make_embedding({a: rng.standard_normal(8) for a in ps.addresses}))
+        cert = certify(ps, make_embedding({a: rng.standard_normal(8) for a in ps.vertices}))
         assert cert.consistent
         assert "distance_matrix" not in ps.__dict__
         assert calls == []
@@ -420,7 +412,7 @@ class TestFloat32Screen:
 
     def test_skips_nine_tiles_in_ten_of_a_gaussian_embedding(self, pointsets, monkeypatch):
         ps = pointsets(2, 6)
-        emb = Embedding(np.random.default_rng(1).standard_normal((len(ps), 16)), ps.graph)
+        emb = Embedding(np.random.default_rng(1).standard_normal((len(ps), 16)), ps)
         calls = count_tiles(monkeypatch)
         distortion(ps, emb)
         total, _ = tile_count(ps, 16)
@@ -437,7 +429,7 @@ class TestFloat32Screen:
         assert report == DistortionReport(1.0, 1.0, 1.0)
         screened = [i0 for size, i0, *_ in calls if size == 4]
         assert 0 < len(screened) and set(screened) == {0}
-        assert sum(1 for size, *_ in calls if size == 8) == tile_count(ps, ps.dimension)[1]
+        assert sum(1 for size, *_ in calls if size == 8) == tile_count(ps, ps.params.label_length)[1]
 
     @pytest.mark.parametrize("block", [1, 1025, pointset.BLOCK_ELEMENTS])
     def test_tied_lowest_ratios_in_a_later_strip(self, pointsets, monkeypatch, block):
@@ -452,7 +444,7 @@ class TestFloat32Screen:
         calls = count_tiles(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = distortion(ps, Embedding(points, ps.graph))
+            report = distortion(ps, Embedding(points, ps))
         assert report.contraction == 5 / 1.6666666666666665 > 3.0
         assert report == full_matrix_report(points, ps.distance_matrix)
         # The tiles of both tied pairs were screened and redone exactly.
@@ -479,7 +471,7 @@ class TestFloat32Screen:
     def test_peak_is_the_buffer_and_one_tiles_temporaries(self, pointsets, k, n, d):
         ps = pointsets(k, n)
         words = ps._bitplanes.shape[0]
-        emb = Embedding(np.random.default_rng(41).standard_normal((len(ps), d)), ps.graph)
+        emb = Embedding(np.random.default_rng(41).standard_normal((len(ps), d)), ps)
         tracemalloc.start()
         try:
             distortion(ps, emb)
@@ -508,7 +500,7 @@ class TestFloat32Screen:
         calls = count_tiles(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = distortion(ps, Embedding(points, ps.graph))
+            report = distortion(ps, Embedding(points, ps))
         assert report == full_matrix_report(points, ps.distance_matrix)
         assert report.contraction > 1e5
         assert holds(calls, 4, i, j) and holds(calls, 8, i, j)
@@ -535,7 +527,7 @@ class TestFloat32Screen:
         # Past float32's range once centred, and below its smallest normal.
         for points in (1e308 * (1.0 + 1e-3 * rows), rows * 2.0**-140):
             calls.clear()
-            distortion(ps, Embedding(points, ps.graph))
+            distortion(ps, Embedding(points, ps))
             assert calls and all(size == 8 for size, *_ in calls)
         planes = np.ascontiguousarray(rows.T)
         flat = np.empty(4 * 512)
@@ -549,14 +541,14 @@ class TestNormalizeLipschitz:
         out = normalize_lipschitz(ps, scale_embedding(identity_embedding(ps), 3.0))
         ident = identity_embedding(ps)
         worst = max(
-            float(np.abs(out.vectors[a] - ident.vectors[a]).max()) for a in ps.addresses
+            float(np.abs(out.vectors[a] - ident.vectors[a]).max()) for a in ps.vertices
         )
         assert worst <= 1e-12
 
     def test_expansion_becomes_one_and_distortion_kept(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(11)
-        emb = make_embedding({a: rng.standard_normal(4) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(4) for a in ps.vertices})
         before = distortion(ps, emb)
         out = normalize_lipschitz(ps, emb)
         after = distortion(ps, out)
@@ -567,17 +559,17 @@ class TestNormalizeLipschitz:
         ps = pointsets(2, 2)
         rng = np.random.default_rng(13)
         emb = normalize_lipschitz(
-            ps, make_embedding({a: rng.standard_normal(2) for a in ps.addresses})
+            ps, make_embedding({a: rng.standard_normal(2) for a in ps.vertices})
         )
         again = normalize_lipschitz(ps, emb)
         worst = max(
-            float(np.abs(again.vectors[a] - emb.vectors[a]).max()) for a in ps.addresses
+            float(np.abs(again.vectors[a] - emb.vectors[a]).max()) for a in ps.vertices
         )
         assert worst <= 1e-12
 
     def test_all_constant_rejected(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [2.0, 2.0] for a in ps.addresses})
+        emb = make_embedding({a: [2.0, 2.0] for a in ps.vertices})
         with pytest.raises(DegenerateEmbeddingError):
             normalize_lipschitz(ps, emb)
 
@@ -594,65 +586,65 @@ class TestMakeEmbedding:
         ps = pointsets(2, 1)
         emb = identity_embedding(ps)
         with pytest.raises(ValueError):
-            emb.vectors[ps.addresses[0]][0] = 5.0
+            emb.vectors[ps.vertices[0]][0] = 5.0
 
     def test_one_matrix_behind_a_read_only_view(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(3)
-        mapping = {a: rng.standard_normal(3) for a in ps.addresses}
+        mapping = {a: rng.standard_normal(3) for a in ps.vertices}
         emb = make_embedding(mapping)
         assert emb.matrix.dtype == np.float64 and emb.matrix.shape == (len(ps), 3)
-        assert emb.graph.vertices == ps.addresses and emb.dimension == 3
+        assert emb.graph.vertices == ps.vertices and emb.dimension == 3
         assert not emb.matrix.flags.writeable
         assert "vectors" not in emb.__dict__
-        assert list(emb.vectors) == list(ps.addresses)
-        for i, addr in enumerate(ps.addresses):
+        assert list(emb.vectors) == list(ps.vertices)
+        for i, addr in enumerate(ps.vertices):
             assert np.array_equal(emb.vectors[addr], mapping[addr])
             assert np.shares_memory(emb.vectors[addr], emb.matrix[i])
         with pytest.raises(TypeError):
-            emb.vectors[ps.addresses[0]] = np.zeros(3)
+            emb.vectors[ps.vertices[0]] = np.zeros(3)
 
     def test_rows_named_by_a_graph_build_no_address_until_read(self, pointsets):
         ps = pointsets(2, 2)
         rows = np.random.default_rng(4).standard_normal((len(ps), 3))
         emb = Embedding(rows, build_graph(GraphParams(2, 2)))
-        assert vertex_matrix(ps.graph, emb) is emb.matrix
+        assert vertex_matrix(ps, emb) is emb.matrix
         assert "vectors" not in emb.__dict__ and "vertices" not in emb.graph.__dict__
-        assert list(emb.vectors) == list(ps.addresses)
+        assert list(emb.vectors) == list(ps.vertices)
         with pytest.raises(ValueError, match="^embedding is for k=2 n=2, graph has k=2 n=3$"):
             vertex_matrix(build_graph(GraphParams(2, 3)), emb)
         with pytest.raises(ValueError, match="^embedding has 11 rows for 12 vertices$"):
-            Embedding(rows[1:], ps.graph)
+            Embedding(rows[1:], ps)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_matrix_is_float64_and_certifies_as_its_text(self, pointsets, dtype):
         ps = pointsets(2, 4)
         rows = (np.random.default_rng(8).standard_normal((len(ps), 8)) * 100).astype(dtype)
-        emb = Embedding(rows, ps.graph)
+        emb = Embedding(rows, ps)
         assert emb.matrix.dtype == np.float64
         text = embedding_to_text(ps, emb)
-        assert text == embedding_to_text(ps, Embedding(rows.astype(np.float64), ps.graph))
+        assert text == embedding_to_text(ps, Embedding(rows.astype(np.float64), ps))
         back = embedding_from_text(text, ps)
         assert certificate_to_text(certify(ps, emb)) == certificate_to_text(certify(ps, back))
 
     @pytest.mark.parametrize("shape", [(12,), (12, 0)], ids=["one-axis", "no-columns"])
     def test_rejects_a_matrix_that_is_not_n_by_d(self, pointsets, shape):
         with pytest.raises(ValueError, match=rf"d >= 1, got shape {re.escape(str(shape))}$"):
-            Embedding(np.zeros(shape), pointsets(2, 2).graph)
+            Embedding(np.zeros(shape), pointsets(2, 2))
 
 
 class TestScaleEmbedding:
     def test_scales_the_matrix(self, pointsets):
         ps = pointsets(2, 2)
-        emb = make_embedding({a: np.arange(3.0) + i for i, a in enumerate(ps.addresses)})
+        emb = make_embedding({a: np.arange(3.0) + i for i, a in enumerate(ps.vertices)})
         out = scale_embedding(emb, 0.3)
         assert out.graph is emb.graph and not out.matrix.flags.writeable
         assert out.matrix.tobytes() == (emb.matrix * 0.3).tobytes()
 
     def test_rejects_a_non_finite_result(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [1e300, -1e300 * i] for i, a in enumerate(ps.addresses)})
-        message = f"^non-finite entries in vector for {ps.addresses[0]}$"
+        emb = make_embedding({a: [1e300, -1e300 * i] for i, a in enumerate(ps.vertices)})
+        message = f"^non-finite entries in vector for {ps.vertices[0]}$"
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             scale_embedding(emb, 1e10)
 
@@ -661,11 +653,11 @@ class TestEmbeddingFormat:
     def test_round_trip(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(17)
-        emb = make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(3) for a in ps.vertices})
         text = embedding_to_text(ps, emb)
         back = embedding_from_text(text, ps)
         assert back.dimension == 3
-        for addr in ps.addresses:
+        for addr in ps.vertices:
             assert np.array_equal(back.vectors[addr], emb.vectors[addr])
         assert embedding_to_text(ps, back) == text
 
@@ -703,7 +695,7 @@ class TestEmbeddingFormat:
     def test_accepts_valid_non_canonical_addresses(self, pointsets):
         ps = pointsets(2, 2)
         rng = np.random.default_rng(23)
-        emb = make_embedding({a: rng.standard_normal(2) for a in ps.addresses})
+        emb = make_embedding({a: rng.standard_normal(2) for a in ps.vertices})
         text = embedding_to_text(ps, emb)
         lines = text.splitlines()
         assert [lines[i].split()[0] for i in (3, 5, 7)] == ["/1", "1/1", "2/1"]
@@ -776,7 +768,7 @@ def gaussian_text(ps, d, seed):
     """L1EMB text of a seeded embedding whose magnitudes span many decades."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-30, 30, size=(len(ps), d))
-    emb = make_embedding(dict(zip(ps.addresses, rng.standard_normal((len(ps), d)) * scale)))
+    emb = make_embedding(dict(zip(ps.vertices, rng.standard_normal((len(ps), d)) * scale)))
     return embedding_to_text(ps, emb)
 
 
@@ -793,7 +785,7 @@ class TestEmbeddingFastPath:
         ps = pointsets(k, n)
         text = gaussian_text(ps, d, seed=k * 100 + d)
         emb = embedding_from_text(text, ps)
-        rows = [emb.vectors[a] for a in ps.addresses]
+        rows = [emb.vectors[a] for a in ps.vertices]
         assert np.array_equal(np.stack(rows), per_line_floats(text))
         assert rows[0].base is not None and all(r.base is rows[0].base for r in rows)
         assert not rows[0].flags.writeable
@@ -839,7 +831,7 @@ class TestEmbeddingFastPath:
         # A canonical file takes the block path; its coordinates must be
         # accepted, rejected and valued exactly as float() does.
         ps = pointsets(2, 1)
-        lines = embedding_to_text(ps, make_embedding({a: [0.25] for a in ps.addresses})).splitlines()
+        lines = embedding_to_text(ps, make_embedding({a: [0.25] for a in ps.vertices})).splitlines()
         lines[2] = lines[2].split(" ")[0] + " " + token
         text = "\n".join(lines) + "\n"
         try:
@@ -850,7 +842,7 @@ class TestEmbeddingFastPath:
             with pytest.raises(FormatError):
                 embedding_from_text(text, ps)
             return
-        got = embedding_from_text(text, ps).vectors[ps.addresses[1]]
+        got = embedding_from_text(text, ps).vectors[ps.vertices[1]]
         assert got.tobytes() == np.array([want]).tobytes()
 
     @pytest.mark.parametrize(
@@ -862,7 +854,7 @@ class TestEmbeddingFastPath:
     def test_a_block_of_other_widths_is_refused_without_a_warning(self, pointsets, rests):
         # Only d = 2 coordinates after single spaces take the loadtxt path;
         # loadtxt skips an empty line, and warns on a block of them.
-        names = pointsets(2, 2).graph.vertices[:3]
+        names = pointsets(2, 2).vertices[:3]
         lines = [v if rest is None else f"{v} {rest}" for v, rest in zip(names, rests)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

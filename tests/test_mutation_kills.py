@@ -59,7 +59,7 @@ def maps(pointsets):
             yield ps, d, identity_embedding(ps)
         else:
             rows = np.random.default_rng([k, n, d]).standard_normal((len(ps), d))
-            yield ps, d, Embedding(rows, ps.graph)
+            yield ps, d, Embedding(rows, ps)
 
 
 def normalized_map_has_unit_edges_and_expansion(pointsets):
@@ -77,7 +77,7 @@ def normalized_map_has_unit_edges_and_expansion(pointsets):
             mp.setattr(certifier, "constraint_report", capture)
             certifier.certify(ps, emb)
         [scaled] = normalized
-        tails, heads = ps.graph.level_edges[-1]
+        tails, heads = ps.level_edges[-1]
         largest = float(np.abs(scaled.matrix[heads] - scaled.matrix[tails]).sum(axis=1).max())
         if largest > 1.0 + 1e-12 or (d is None and abs(largest - 1.0) > 1e-12):
             return False

@@ -61,28 +61,28 @@ class TestBruteForceAverage:
     def test_full_prefix_is_the_edge_difference(self, pointsets):
         ps = pointsets(2, 2)
         emb = identity_embedding(ps)
-        for coords, (tail, head) in ps.graph.edges.items():
+        for coords, (tail, head) in ps.edges.items():
             want = emb.vectors[head] - emb.vectors[tail]
-            assert np.array_equal(brute_force_average(ps.graph, emb, coords), want)
+            assert np.array_equal(brute_force_average(ps, emb, coords), want)
 
     def test_depth_two_example(self, pointsets):
         ps = pointsets(2, 2)
-        avg = brute_force_average(ps.graph, identity_embedding(ps), (1,))
+        avg = brute_force_average(ps, identity_embedding(ps), (1,))
         assert avg.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3)])
     def test_matches_closed_form_on_all_prefixes(self, pointsets, checker, k, n):
         ps = pointsets(k, n)
         rng = np.random.default_rng(101)
-        emb = make_embedding({a: rng.standard_normal(3) for a in ps.addresses})
-        check_averaging(checker, ps.graph, emb)
+        emb = make_embedding({a: rng.standard_normal(3) for a in ps.vertices})
+        check_averaging(checker, ps, emb)
 
     def test_completion_cap(self, pointsets, monkeypatch):
         monkeypatch.setattr("l1cert.oracle.MAX_COMPLETIONS", 10)
         ps = pointsets(2, 2)
         emb = identity_embedding(ps)
         with pytest.raises(CapacityError):
-            brute_force_average(ps.graph, emb, ())
+            brute_force_average(ps, emb, ())
 
 
 class TestMaxClaimGap:
@@ -147,7 +147,7 @@ class TestSearchEmbedding:
         cfg = SearchConfig(target_dimension=3, iterations=300, restarts=2, seed=5)
         first = search_embedding(ps, cfg)
         second = search_embedding(ps, cfg)
-        for addr in ps.addresses:
+        for addr in ps.vertices:
             assert np.array_equal(
                 first.embedding.vectors[addr], second.embedding.vectors[addr]
             )
@@ -215,7 +215,7 @@ def _full_recompute_search(ps, cfg):
                 for j in range(i + 1, n):
                     if embedded[i, j] == 0.0:
                         points[j] = points[j] + rng.standard_normal(d) * (1e-9 * scale)
-        emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.addresses)})
+        emb = make_embedding({addr: points[idx] for idx, addr in enumerate(ps.vertices)})
         report = distortion(ps, emb)
         if best is None or report.distortion < best.report.distortion:
             best = SearchResult(emb, report, restart)
@@ -262,7 +262,7 @@ def _counting_rng(monkeypatch, snap=False, twin=False):
 def _assert_identical(ps, got, want):
     assert got.restart == want.restart
     assert got.report == want.report
-    for addr in ps.addresses:
+    for addr in ps.vertices:
         assert np.array_equal(got.embedding.vectors[addr], want.embedding.vectors[addr])
 
 
@@ -340,32 +340,32 @@ class TestIncrementalSearch:
 class TestMessageJoint:
     def test_constant_embedding_carries_no_information(self, pointsets):
         ps = pointsets(2, 1)
-        emb = make_embedding({a: [0.25, 0.25] for a in ps.addresses})
-        joint = build_message_joint(ps.graph, emb)
+        emb = make_embedding({a: [0.25, 0.25] for a in ps.vertices})
+        joint = build_message_joint(ps, emb)
         assert abs(mutual_information(joint, 0, 1)) <= 1e-9
 
     def test_identity_depth_one_information(self, pointsets):
         ps = pointsets(2, 1)
-        joint = build_message_joint(ps.graph, identity_embedding(ps))
+        joint = build_message_joint(ps, identity_embedding(ps))
         assert mutual_information(joint, 0, 1) >= 1.0 - 1e-9
 
     def test_source_marginal_exactly_uniform(self, pointsets):
         ps = pointsets(2, 2)
-        joint = build_message_joint(ps.graph, identity_embedding(ps))
+        joint = build_message_joint(ps, identity_embedding(ps))
         marginal = joint.marginal((0, 1))
         assert np.abs(marginal - 1.0 / 16.0).max() <= 1e-12
 
     def test_chain_terms_at_least_one_each(self, pointsets, checker):
         for n in (1, 2):
             ps = pointsets(2, n)
-            terms = check_chain_per_level(checker, ps.graph, identity_embedding(ps))
+            terms = check_chain_per_level(checker, ps, identity_embedding(ps))
             assert len(terms) == n
 
     def test_capacity_cap(self, pointsets, monkeypatch):
         monkeypatch.setattr("l1cert.infotheory.MAX_TABLE_CELLS", 100)
         ps = pointsets(2, 2)
         with pytest.raises(CapacityError, match="^message joint with 144 cells exceeds 100$"):
-            build_message_joint(ps.graph, identity_embedding(ps))
+            build_message_joint(ps, identity_embedding(ps))
 
 
 def test_only_l1metric_binds_its_private_objects():

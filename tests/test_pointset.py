@@ -14,7 +14,7 @@ Core claims:
       slices of one cycle, and a traced peak of the planes and a few slices
     - the vertices are the canonical names in export order, as an
       independent enumeration gives them; the vertices tuple and the edges
-      dict are built only when read, and neither point_set, the P1 writer
+      dict are built only when read, and neither build_graph, the P1 writer
       nor a canonical P1 parse builds the vertices
     - the P1 export format round-trips byte-identically and parses strictly,
       accepting valid non-canonical spellings
@@ -44,11 +44,9 @@ from l1cert.pointset import (
     CapacityError,
     FormatError,
     GraphParams,
-    PointSet,
     build_graph,
     edge_endpoints,
     parse_address,
-    point_set,
     pointset_from_text,
     pointset_to_text,
     vertex_count,
@@ -195,16 +193,16 @@ class TestLevelArrays:
         assert all(graph.edges[c] == edge_endpoints(graph, c) for c in coords)
 
     def test_edges_not_built_on_the_read_path(self):
-        ps = point_set(build_graph(GraphParams(3, 3)))
+        ps = build_graph(GraphParams(3, 3))
         text = pointset_to_text(ps)
-        assert "vertices" not in ps.graph.__dict__
+        assert "vertices" not in ps.__dict__
         again = pointset_from_text(text)
-        assert "vertices" not in again.graph.__dict__
+        assert "vertices" not in again.__dict__
         rng = np.random.default_rng(5)
-        emb = make_embedding({v: rng.standard_normal(2) for v in again.addresses})
-        constraint_report(again.graph, emb)
-        assert "edges" not in ps.graph.__dict__
-        assert "edges" not in again.graph.__dict__
+        emb = make_embedding({v: rng.standard_normal(2) for v in again.vertices})
+        constraint_report(again, emb)
+        assert "edges" not in ps.__dict__
+        assert "edges" not in again.__dict__
 
     # At k = 9 the coordinates reach 18, so lexicographic is not string order.
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 4), (3, 3), (4, 2), (9, 2)])
@@ -227,8 +225,8 @@ class TestLevelArrays:
         # The P1 writer builds every line from the level arrays of _p1_blocks.
         ps = pointsets(k, n)
         lines = pointset_to_text(ps).splitlines()[1:]
-        assert len(lines) == len(ps.addresses)
-        for v, line in zip(ps.addresses, lines):
+        assert len(lines) == len(ps.vertices)
+        for v, line in zip(ps.vertices, lines):
             intervals = oracle._label_of(ps.params, v).intervals
             assert line == f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-")
 
@@ -252,10 +250,10 @@ class TestLevelArrays:
         monkeypatch.setattr(
             IntervalLabel, "make", staticmethod(counting("make", IntervalLabel.make))
         )
-        ps = point_set(build_graph(GraphParams(3, 4)))
+        ps = build_graph(GraphParams(3, 4))
         rng = np.random.default_rng(11)
-        emb = make_embedding({v: rng.standard_normal(3) for v in ps.addresses})
-        report = constraint_report(ps.graph, emb)
+        emb = make_embedding({v: rng.standard_normal(3) for v in ps.vertices})
+        report = constraint_report(ps, emb)
         assert len(report.entries) == 2 * (1 + 6 + 36 + 216)
         assert calls["raw"] == 0
         assert calls["label"] == 0
@@ -274,7 +272,7 @@ class TestVertexLabels:
 
     def test_label_length_is_k_to_the_n(self, pointsets):
         ps = pointsets(3, 2)
-        assert ps.dimension == 9
+        assert ps.params.label_length == 9
         assert all(label.length == 9 for label in reference_labels(ps))
 
     @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -296,16 +294,16 @@ class TestMetricStructure:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)])
     def test_every_edge_has_label_distance_one(self, pointsets, k, n):
         ps = pointsets(k, n)
-        tails, heads = ps.graph.level_edges[-1]
+        tails, heads = ps.level_edges[-1]
         for tail, head in zip(tails.tolist(), heads.tolist()):
             assert ps.distance_matrix[tail, head] == 1
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_antipodal_distances(self, pointsets, k, n):
         ps = pointsets(k, n)
-        row = {v: i for i, v in enumerate(ps.addresses)}
+        row = {v: i for i, v in enumerate(ps.vertices)}
         for level in range(1, n + 1):
-            pairs = antipodal_pairs(ps.graph, level)
+            pairs = antipodal_pairs(ps, level)
             assert len(pairs) == k * (2 * k) ** (level - 1)
             expected = k ** (n - level + 1)
             for a, b in pairs:
@@ -336,28 +334,28 @@ class TestDistanceMatrix:
         # little-endian into bytes and read as uint64 words, one column per
         # vertex in the word-major packed array.
         ps = pointsets(k, n)
-        words = -(-ps.dimension // 64)
+        words = -(-ps.params.label_length // 64)
         bits = np.zeros((len(ps), 64 * words), dtype=bool)
         for i, label in enumerate(reference_labels(ps)):
             for a, b in label.intervals:
                 bits[i, a:b] = True
         want = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        got = PointSet(ps.graph)._bitplanes
+        got = build_graph(ps.params)._bitplanes
         assert got.dtype == want.dtype and got.shape == (words, len(ps))
         assert np.array_equal(got, want.T)
 
     @pytest.mark.parametrize("k,n", [(2, 6), (3, 4), (5, 3)])
     def test_bitsets_equal_in_slices_of_one_cycle(self, pointsets, monkeypatch, k, n):
         # TEXT_BLOCK 1 takes every level one cycle at a time.
-        want = PointSet(pointsets(k, n).graph)._bitplanes
+        want = build_graph(GraphParams(k, n))._bitplanes
         monkeypatch.setattr(pointset, "TEXT_BLOCK", 1)
-        got = PointSet(pointsets(k, n).graph)._bitplanes
+        got = build_graph(GraphParams(k, n))._bitplanes
         assert np.array_equal(got, want)
 
     def test_bitsets_hold_the_planes_and_a_few_slices(self, pointsets):
         # P(2,8): 43,692 vertices of four words, 16,384 last-level cycles.
         k, n = 2, 8
-        ps = PointSet(pointsets(k, n).graph)
+        ps = build_graph(GraphParams(k, n))
         tracemalloc.start()
         try:
             planes = ps._bitplanes
@@ -384,7 +382,7 @@ class TestDistanceMatrix:
         # (3, 4) has 81-bit labels, spread over two words.
         ps = pointsets(3, 4)
         monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", block)
-        got = PointSet(ps.graph).distance_matrix
+        got = build_graph(ps.params).distance_matrix
         dense = np.stack([label.to_dense() for label in reference_labels(ps)])
         ones = dense.sum(axis=1)
         want = ones[:, None] + ones[None, :] - 2 * (dense @ dense.T)
@@ -410,7 +408,7 @@ class TestExportFormat:
         text = pointset_to_text(ps)
         again = pointset_from_text(text)
         assert pointset_to_text(again) == text
-        assert again.addresses == ps.addresses
+        assert again.vertices == ps.vertices
 
     def test_header_contents(self, pointsets):
         text = pointset_to_text(pointsets(3, 2))

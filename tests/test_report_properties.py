@@ -27,9 +27,9 @@ SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]
 def test_report_equals_the_per_prefix_reference(pointsets, size, d, seed, decades):
     ps = pointsets(*size)
     rows = np.random.default_rng(seed).standard_normal((len(ps), d)) * 10.0**decades
-    emb = embedding_from_text(embedding_to_text(ps, Embedding(rows, ps.graph)), ps)
-    assert emb.graph is ps.graph
-    report = constraint_report(ps.graph, emb)
+    emb = embedding_from_text(embedding_to_text(ps, Embedding(rows, ps)), ps)
+    assert emb.graph is ps
+    report = constraint_report(ps, emb)
     for e in report.entries:
-        reference = constraint_lhs(ps.graph, emb, e.prefix, e.r)
+        reference = constraint_lhs(ps, emb, e.prefix, e.r)
         assert e.lhs == pytest.approx(reference, rel=1e-12, abs=1e-12)

@@ -44,7 +44,6 @@ from l1cert.pointset import (
     FormatError,
     GraphParams,
     build_graph,
-    point_set,
     pointset_from_text,
     pointset_to_text,
     vertex_count,
@@ -85,7 +84,7 @@ def reference_p1(ps):
     """The P1 text from the recursive per-vertex label reference."""
     p = ps.params
     lines = [f"P1 k={p.k} n={p.n} N={len(ps)} dim={p.label_length}"]
-    for v in ps.addresses:
+    for v in ps.vertices:
         intervals = oracle._label_of(p, v).intervals
         lines.append(f"{v} " + (",".join(f"{a}-{b}" for a, b in intervals) or "-"))
     return "\n".join(lines) + "\n"
@@ -93,7 +92,7 @@ def reference_p1(ps):
 
 def l1emb(ps, d=D, seed=1):
     rng = np.random.default_rng(seed)
-    return embedding_to_text(ps, Embedding(rng.standard_normal((len(ps), d)), ps.graph))
+    return embedding_to_text(ps, Embedding(rng.standard_normal((len(ps), d)), ps))
 
 
 def per_line_floats(text):
@@ -338,9 +337,9 @@ EDIT_IDS = ["canonical", "respelled", "crlf", "cr"]
 def test_l1emb_read_holds_the_matrix_and_a_few_blocks(monkeypatch, edit):
     # P(2,7) at d=16 is a 3.6 MB text, so blocks of 64 KB make it many blocks long.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**16)
-    ps = point_set(build_graph(GraphParams(2, 7)))
+    ps = build_graph(GraphParams(2, 7))
     text = edit(l1emb(ps, d=16))
-    ps.graph.vertices  # built and kept by the P1 read that comes first
+    ps.vertices  # built and kept by the P1 read that comes first
     # 8 bytes an entry for the matrix and 1 for Embedding's finiteness mask.
     bound = 9 * len(ps) * 16 + 4 * 2**16
     assert traced_peak(lambda: embedding_from_text(text, ps)) <= bound
@@ -350,7 +349,7 @@ def test_p1_writer_holds_its_text_the_upper_intervals_and_a_few_blocks(monkeypat
     # P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
     k, n = 2, 7
-    ps = point_set(build_graph(GraphParams(k, n)))
+    ps = build_graph(GraphParams(k, n))
     texts = []
     peak = traced_peak(lambda: texts.append(pointset_to_text(ps)))
     # n padded int32 intervals of every vertex above depth n, and a few
@@ -369,7 +368,7 @@ def test_generate_holds_less_than_its_text(tmp_path, monkeypatch):
     argv = ["generate", "-k", "2", "-n", "7", "-o", str(out)]
     peak = traced_peak(lambda: main(argv))
     assert peak < out.stat().st_size
-    want = pointset_to_text(point_set(build_graph(GraphParams(2, 7))))
+    want = pointset_to_text(build_graph(GraphParams(2, 7)))
     assert out.read_text(encoding="utf-8") == want
 
 
@@ -377,7 +376,7 @@ def test_canonical_p1_read_holds_less_than_the_writer(monkeypatch):
     # Both build the same graph caches and walk; only the writer keeps the
     # text. P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
-    fresh = lambda: point_set(build_graph(GraphParams(2, 7)))  # noqa: E731
+    fresh = lambda: build_graph(GraphParams(2, 7))  # noqa: E731
     text = pointset_to_text(fresh())
     write = traced_peak(lambda: pointset_to_text(fresh()))
     read = traced_peak(lambda: pointset_from_text(text))
@@ -390,7 +389,7 @@ def test_differing_p1_read_holds_a_few_blocks_more_than_the_canonical_one(monkey
     # line: the read holds that block's lines and those of the file's
     # slice of at most twice its length.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
-    text = pointset_to_text(point_set(build_graph(GraphParams(2, 7))))
+    text = pointset_to_text(build_graph(GraphParams(2, 7)))
     canonical = traced_peak(lambda: pointset_from_text(text))
     differing = edit(text)
     assert traced_peak(lambda: pointset_from_text(differing)) <= canonical + 8 * 2**12
@@ -399,7 +398,7 @@ def test_differing_p1_read_holds_a_few_blocks_more_than_the_canonical_one(monkey
 def test_one_respelled_header_field_costs_one_block_of_line_checks(monkeypatch):
     # P(2,7) is a 0.3 MB text, so blocks of 4 KB make it many blocks long.
     monkeypatch.setattr(pointset, "TEXT_BLOCK", 2**12)
-    ps = point_set(build_graph(GraphParams(2, 7)))
+    ps = build_graph(GraphParams(2, 7))
     text = pointset_to_text(ps)
     checked = []
     real = pointset._check_p1_lines
