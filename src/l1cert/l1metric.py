@@ -558,6 +558,9 @@ def normalize_lipschitz(graph: RecursiveCycleGraph, emb: Embedding) -> Embedding
 
 # The search's step damping: a step covers min(1, STEP_SCALE / sqrt(t)) of its pair's residual.
 STEP_SCALE = 32.0
+# Most points the searcher takes. Its (N, d) arrays are capped at the size
+# of its largest (N, N) state plane, MAX_SEARCH_POINTS**2 entries.
+MAX_SEARCH_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -610,9 +613,14 @@ def search_embedding(graph: RecursiveCycleGraph, cfg: SearchConfig) -> SearchRes
     final points, taken back to natural order with the same index.
     """
     n = len(graph)
-    if n > 2000:
+    if n > MAX_SEARCH_POINTS:
         raise CapacityError(f"point set with {n} points too large for the searcher")
     d = cfg.target_dimension
+    if n * d > MAX_SEARCH_POINTS**2:
+        raise CapacityError(
+            f"{n} points in dimension {d} too large for the searcher "
+            f"(N*d limit {MAX_SEARCH_POINTS**2})"
+        )
     order = _plane_order(d)
     original = graph.distance_matrix.astype(float)
     np.fill_diagonal(original, 1.0)  # placeholder; diagonal is masked out below

@@ -34,7 +34,8 @@ import numpy as np
 
 # Reject parameters whose edge count would leave the exact 64-bit range.
 MAX_EDGE_CAPACITY = 2**48
-# Largest graph build_graph will materialize; label queries work far beyond.
+# Largest graph build_graph will materialize. The parameters, vertex_count
+# and the dimension bound need no graph and work far beyond it.
 MAX_MATERIALIZED_EDGES = 2**22
 # Elements in one tile or row block's temporary in the all-pairs passes:
 # 512 KB of 8-byte values, which fits a 2 MB L2 cache beside the tile's
@@ -410,7 +411,8 @@ def build_graph(params: GraphParams, *, flip_bottom: bool = False) -> RecursiveC
     if edge_total > MAX_MATERIALIZED_EDGES:
         raise CapacityError(
             f"{edge_total} edges is too large to materialize "
-            f"(limit {MAX_MATERIALIZED_EDGES}); use label queries instead"
+            f"(limit {MAX_MATERIALIZED_EDGES}); the parameters, vertex_count "
+            "and `l1cert bound` need no graph"
         )
     return RecursiveCycleGraph(params, flip_bottom)
 

@@ -1,15 +1,18 @@
 """Built-in invariant suites behind the `selftest` CLI command.
 
 Each proof check has one implementation here: a `check_*` function that
-takes a checker `t` (anything with `check(ok)`) and its case, or for the
-lift, inner claim, Fano and lemma steps a stack of same-shape cases, with
-one `t.check` per case; `draw_*` draws such cases one trial at a time and
-`stack_by_shape` stacks them. A suite is a fixed case list over these
-functions, with its own seed, trial count and vacuity floor, and reports
-pass/fail counts. The tests call the same functions with their own case
-lists and a checker whose `check` asserts, so each check has one owner.
-The identity-constraints suite pins the edge orientation convention;
-running it with flip_bottom=True demonstrates that a flip is caught.
+takes a checker `t` and its case, or for the lift, inner claim, Fano and
+lemma steps a stack of same-shape cases. `t.check(ok)` takes one result or
+an array of per-case results, so a stacked check passes its boolean array
+whole; `draw_*` draws such cases one trial at a time and `stack_by_shape`
+stacks them. A suite `_suite_*(t, flip)` holds only a fixed case list over
+these functions, with its own seed, trial count and vacuity floor:
+`run_selftest` gives each suite it runs a fresh tally, which counts every
+result as a pass or a failure. The tests call the same checks with their
+own case lists, and the suites themselves, with a checker whose `check`
+asserts every result, so each check has one owner. The
+identity-constraints suite pins the edge orientation convention; running
+it with flip_bottom=True demonstrates that a flip is caught.
 """
 
 from __future__ import annotations
@@ -62,11 +65,12 @@ class _Tally:
         self.passed = 0
         self.failed = 0
 
-    def check(self, ok: bool) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
+    def check(self, ok) -> None:
+        """Count one result, or every entry of an array of per-case results."""
+        ok = np.asarray(ok, dtype=bool)
+        passed = int(np.count_nonzero(ok))
+        self.passed += passed
+        self.failed += ok.size - passed
 
 
 def check_construction(t, graph: RecursiveCycleGraph) -> None:
@@ -110,11 +114,6 @@ def check_averaging(t, graph: RecursiveCycleGraph, emb: Embedding) -> None:
             t.check(float(np.abs(closed - brute).max()) <= 1e-12)
 
 
-def _check_each(t, oks) -> None:
-    for ok in np.ravel(oks).tolist():
-        t.check(ok)
-
-
 def stack_by_shape(cases) -> list[tuple[np.ndarray, ...]]:
     """Stack an iterable of case tuples by their first array's shape: one
     tuple of float stacks per shape, in first-seen order. Each column grows
@@ -147,9 +146,9 @@ def check_lift(t, vecs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     exactly; lift_recover never grows the norm of any row of ys. Returns
     the lifts."""
     lifted = nonneg_lift(vecs)
-    _check_each(t, np.abs(lifted.sum(axis=-1) - 1.0) <= 1e-9)
-    _check_each(t, (lift_recover(lifted) == vecs).all(axis=-1))
-    _check_each(t, np.abs(lift_recover(ys)).sum(axis=-1) <= np.abs(ys).sum(axis=-1) + 1e-12)
+    t.check(np.abs(lifted.sum(axis=-1) - 1.0) <= 1e-9)
+    t.check((lift_recover(lifted) == vecs).all(axis=-1))
+    t.check(np.abs(lift_recover(ys)).sum(axis=-1) <= np.abs(ys).sum(axis=-1) + 1e-12)
     return lifted
 
 
@@ -175,7 +174,7 @@ def check_fano(t, tables: np.ndarray) -> int:
     _, success = predictor_success(tables)
     covered = success >= 0.5
     info = table_information(tables[covered] / k)
-    _check_each(t, info >= fano_term(k, 1.0 - success[covered]) - 1e-9)
+    t.check(info >= fano_term(k, 1.0 - success[covered]) - 1e-9)
     return int(covered.sum())
 
 
@@ -194,7 +193,7 @@ def check_inner_claim(t, values: np.ndarray, exact: bool = False):
     """max_claim_gap's lhs <= rhs on each row, or lhs == rhs where `exact`
     (dyadic pairs). Returns the (lhs, rhs) arrays."""
     lhs, rhs = max_claim_gap(values)
-    _check_each(t, lhs == rhs if exact else lhs <= rhs + 1e-12)
+    t.check(lhs == rhs if exact else lhs <= rhs + 1e-12)
     return lhs, rhs
 
 
@@ -218,8 +217,8 @@ def check_lemma(t, tables: np.ndarray) -> int:
     """lemma_check's bound and its data-processing inequality hold on each
     (2k, d) table. Returns how many the bound applied to (delta < 1/2)."""
     report = lemma_check(tables)
-    _check_each(t, report.holds)
-    _check_each(t, report.mi_exact >= report.mi_folded - 1e-9)
+    t.check(report.holds)
+    t.check(report.mi_exact >= report.mi_folded - 1e-9)
     return int(np.sum(report.applicable))
 
 
@@ -264,70 +263,53 @@ def _graph(k: int, n: int, flip: bool) -> RecursiveCycleGraph:
     return build_graph(GraphParams(k, n), flip_bottom=flip)
 
 
-def _suite_construction(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_construction(t, flip: bool) -> None:
     for k in (2, 3, 4):
         for n in (1, 2, 3):
             check_construction(t, _graph(k, n, flip))
-    return t
 
 
-def _suite_identity_constraints(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_identity_constraints(t, flip: bool) -> None:
     for k in (2, 3):
         for n in (1, 2, 3):
             check_identity_constraints(t, _graph(k, n, flip))
-    return t
 
 
-def _suite_averaging(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_averaging(t, flip: bool) -> None:
     for k, n in ((2, 3), (3, 2)):
         graph = _graph(k, n, flip)
         check_averaging(t, graph, identity_embedding(graph))
-    return t
 
 
-def _suite_lift(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_lift(t, flip: bool) -> None:
     for vecs, ys in stack_by_shape(draw_lift_cases(np.random.default_rng(7), 2000, 3.0)):
         check_lift(t, vecs, ys)
-    return t
 
 
-def _suite_fano(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_fano(t, flip: bool) -> None:
     cases = draw_fano_cases(np.random.default_rng(11), 400)
     t.check(sum(check_fano(t, tables) for tables, in stack_by_shape(cases)) >= 100)
-    return t
 
 
-def _suite_inner_claim(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_inner_claim(t, flip: bool) -> None:
     rng = np.random.default_rng(13)
     for values, in stack_by_shape(draw_claim_values(rng, 3000)):
         check_inner_claim(t, values)
     check_inner_claim(t, draw_dyadic_pairs(rng, 500), exact=True)
-    return t
 
 
-def _suite_lemma(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_lemma(t, flip: bool) -> None:
     cases = draw_lemma_cases(np.random.default_rng(17), 400)
     t.check(sum(check_lemma(t, tables) for tables, in stack_by_shape(cases)) >= 50)
-    return t
 
 
-def _suite_chain_per_level(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_chain_per_level(t, flip: bool) -> None:
     for n in (1, 2):
         graph = _graph(2, n, flip)
         check_chain_per_level(t, graph, identity_embedding(graph))
-    return t
 
 
-def _suite_distortion(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_distortion(t, flip: bool) -> None:
     rng = np.random.default_rng(19)
     graph = _graph(2, 2, flip)
     ident = identity_embedding(graph)
@@ -344,24 +326,19 @@ def _suite_distortion(flip: bool) -> _Tally:
     t.check(abs(rep1.distortion - base.distortion) <= 1e-9 * base.distortion)
     again = normalize_lipschitz(graph, normalized)
     t.check(float(np.abs(again.matrix - normalized.matrix).max()) <= 1e-12)
-    return t
 
 
-def _suite_bound_values(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_bound_values(t, flip: bool) -> None:
     check_bound_values(t)
-    return t
 
 
-def _suite_end_to_end(flip: bool) -> _Tally:
-    t = _Tally()
+def _suite_end_to_end(t, flip: bool) -> None:
     graph = _graph(2, 2, flip)
     for d in (2, 4):
         for seed in range(2):
             cfg = SearchConfig(target_dimension=d, iterations=400, restarts=2, seed=seed)
             check_end_to_end(t, graph, cfg)
     t.check(certify(graph, identity_embedding(graph)).consistent)
-    return t
 
 
 SUITES = {
@@ -389,6 +366,7 @@ def run_selftest(
         raise ValueError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
     results = []
     for name in names:
-        tally = SUITES[name](flip_bottom)
+        tally = _Tally()
+        SUITES[name](tally, flip_bottom)
         results.append((name, tally.passed, tally.failed))
     return results

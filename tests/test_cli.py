@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage/input
 error. Generated files must round-trip byte-identically.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,6 +357,37 @@ class TestSearch:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["search", str(tmp_path / "nope.txt"), "-d", "2"]) == 2
 
+    def test_huge_dimension_is_refused_before_allocating(self, tmp_path, pointsets, capsys):
+        # At d = 10**8 the searcher's (N, d) arrays alone would take gigabytes.
+        ps_path = tmp_path / "ps.txt"
+        ps_path.write_text(pointset_to_text(pointsets(2, 1)), encoding="utf-8")
+        out = tmp_path / "big.txt"
+        argv = ["search", str(ps_path), "-d", str(10**8), "--iters", "1", "--restarts", "1"]
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().out == (
+            "error: 4 points in dimension 100000000 too large for the searcher "
+            "(N*d limit 4000000)\n"
+        )
+        assert peak < 2**20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d,code", [(4, 0), (5, 2)])
+    def test_dimension_cap_bounds_points_times_dimension(
+        self, tmp_path, pointsets, monkeypatch, d, code
+    ):
+        # With a cap of 4 points, P(2,1)'s 4 points may take d <= 4**2 / 4.
+        monkeypatch.setattr(l1metric, "MAX_SEARCH_POINTS", 4)
+        ps_path = tmp_path / "ps.txt"
+        ps_path.write_text(pointset_to_text(pointsets(2, 1)), encoding="utf-8")
+        argv = ["search", str(ps_path), "-d", str(d), "--iters", "10", "--restarts", "1"]
+        assert main(argv + ["-o", str(tmp_path / "emb.txt")]) == code
+
 
 class TestSelftest:
     def test_single_suite_passes(self, capsys):
@@ -380,6 +412,11 @@ class TestSelftest:
         lines = capsys.readouterr().out.splitlines()
         assert [line.partition(":")[0] for line in lines] == ["lift", "construction", "selftest"]
         assert lines[-1].startswith("selftest: all 2 suites passed")
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_suite_holds_under_the_strict_checker(self, name, checker):
+        # A failing proof check raises at its own line, not only as a count.
+        SUITES[name](checker, False)
 
 
 # The modules `import l1cert.cli` loads: the product path, no suite or reference.

@@ -30,6 +30,7 @@ against both the merge-based distance and a dense 0/1 product.
 
 import collections
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,9 +74,13 @@ class TestParams:
             GraphParams(2, 10**5)
 
     def test_build_rejects_unmaterializable(self):
-        # Parameters are fine for label queries but too big to materialize.
+        # Valid parameters with a vertex count and a bound, but too big to materialize.
         params = GraphParams(2, 14)
-        with pytest.raises(CapacityError):
+        message = (
+            "268435456 edges is too large to materialize (limit 4194304); "
+            "the parameters, vertex_count and `l1cert bound` need no graph"
+        )
+        with pytest.raises(CapacityError, match=re.escape(message)):
             build_graph(params)
 
 
